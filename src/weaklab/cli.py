@@ -15,7 +15,12 @@ CSV schema (version 1)::
     ...rows ascending in k...
     # fitted_error_order=<least-squares log-log slope>   (sweep only)
 
-Exit codes: 0 success; 1 configuration/parse errors; 2 numerical
+A sweep is one batched engine call per observable: everything that
+does not depend on the coupling strength is computed once, and ``run``
+is the same path with a single point.
+
+Exit codes: 0 success; 1 configuration/parse errors, including requests
+whose arrays would exceed ``engines.MAX_ARRAY_BYTES``; 2 numerical
 failures (orthogonal post-selection, noncommuting observables on the
 closed-form joint engine); 3 validation-suite failure.
 """
@@ -25,10 +30,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
+import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +43,7 @@ from .engines import (
     JointCoupling,
     MeasurementRecord,
     SingleCoupling,
+    check_array_budget,
     run_fock,
     run_joint_exact,
     run_single_exact,
@@ -65,7 +70,7 @@ from .weakvalues import (
     extract_single,
 )
 
-__all__ = ["main", "RunReport", "serialize_report"]
+__all__ = ["main", "RunSpec", "RunReport", "serialize_report"]
 
 CSV_HEADER = (
     "k,ps_prob,re_extracted,im_extracted,re_direct,im_direct,abs_err,weakness_ratio"
@@ -74,6 +79,49 @@ CSV_HEADER = (
 
 class UsageError(Exception):
     """Bad flags or flag combinations; maps to exit code 1."""
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """The flags shared by every point of a run or sweep, with defaults
+    resolved. sigma_y and singles_mode are None for single runs."""
+
+    scenario: Scenario
+    observable: str
+    observable_b: str | None
+    engine: str
+    sigma_x: float
+    sigma_y: float | None
+    hbar: float
+    n_max: int
+    singles_mode: str | None
+
+    @classmethod
+    def from_args(cls, args) -> "RunSpec":
+        scn = _resolve_scenario(args.scenario, args.alpha)
+        if args.observable_b is None:
+            for flag, value in (
+                ("--ky", args.ky),
+                ("--sigma-y", args.sigma_y),
+                ("--singles", args.singles),
+            ):
+                if value is not None:
+                    raise UsageError(f"{flag} requires --observable-b")
+            sigma_y = singles_mode = None
+        else:
+            sigma_y = args.sigma_x if args.sigma_y is None else args.sigma_y
+            singles_mode = args.singles or "extracted"
+        return cls(
+            scenario=scn,
+            observable=args.observable,
+            observable_b=args.observable_b,
+            engine=args.engine,
+            sigma_x=args.sigma_x,
+            sigma_y=sigma_y,
+            hbar=args.hbar,
+            n_max=args.n_max,
+            singles_mode=singles_mode,
+        )
 
 
 @dataclass(frozen=True)
@@ -86,17 +134,9 @@ class RunReport:
     report files byte-reproducible.
     """
 
-    scenario: str
-    engine: str
-    observable: str
-    observable_b: str | None
+    spec: RunSpec
     kx: float
     ky: float | None
-    sigma_x: float
-    sigma_y: float | None
-    hbar: float
-    n_max: int | None
-    singles_mode: str | None
     record: MeasurementRecord
     singles: tuple[WeakValueEstimate, WeakValueEstimate] | None
     extracted: WeakValueEstimate
@@ -156,20 +196,20 @@ def _estimate_payload(est: WeakValueEstimate) -> dict:
 
 
 def report_payload(report: RunReport) -> dict:
-    rec = report.record
+    rec, spec = report.record, report.spec
     payload = {
         "schema": 1,
-        "scenario": report.scenario,
-        "engine": report.engine,
-        "observable": report.observable,
-        "observable_b": report.observable_b,
+        "scenario": spec.scenario.name,
+        "engine": spec.engine,
+        "observable": spec.observable,
+        "observable_b": spec.observable_b,
         "kx": report.kx,
         "ky": report.ky,
-        "sigma_x": report.sigma_x,
-        "sigma_y": report.sigma_y,
-        "hbar": report.hbar,
-        "n_max": report.n_max,
-        "singles_mode": report.singles_mode,
+        "sigma_x": spec.sigma_x,
+        "sigma_y": spec.sigma_y,
+        "hbar": spec.hbar,
+        "n_max": spec.n_max if spec.engine == "fock" else None,
+        "singles_mode": spec.singles_mode,
         "record": {
             "ps_prob": rec.ps_prob,
             "x_mean": rec.x_mean,
@@ -243,83 +283,59 @@ def _resolve_scenario(name_or_path: str, alpha: float) -> Scenario:
     )
 
 
-def _run_engine_single(scn, c: SingleCoupling, engine: str, n_max: int):
-    if engine == "exact":
-        return run_single_exact(scn.i, scn.f, c)
-    return run_fock(scn.i, scn.f, c, n_max=n_max)
+def _run_engine(spec: RunSpec, c, scales: list[float]) -> list[MeasurementRecord]:
+    scn = spec.scenario
+    if spec.engine == "fock":
+        return run_fock(scn.i, scn.f, c, n_max=spec.n_max, scales=scales)
+    if isinstance(c, JointCoupling):
+        return run_joint_exact(scn.i, scn.f, c, scales=scales)
+    return run_single_exact(scn.i, scn.f, c, scales=scales)
 
 
-def _execute_point(
-    scn: Scenario,
-    observable: str,
-    observable_b: str | None,
-    engine: str,
-    kx: float,
-    ky: float,
-    sigma_x: float,
-    sigma_y: float,
-    hbar: float,
-    n_max: int,
-    singles_mode: str,
-):
-    """One engine run plus extraction and ground truth.
+def _extracted_singles(spec: RunSpec, c: SingleCoupling, scales: list[float]):
+    """One batched single-coupling run and its extraction at each scale."""
+    records = _run_engine(spec, c, scales)
+    return records, [extract_single(rec, c.scaled(t)) for rec, t in zip(records, scales)]
 
-    Returns (record, extracted estimate, direct value, singles pair or
-    None)."""
-    a = scn.observable(observable)
-    pointer_x = GaussianPointer(sigma_x, hbar)
-    digest = f"{scn.name}:{observable}"
 
-    if observable_b is None:
-        c = SingleCoupling(A=a, K=kx, pointer=pointer_x)
-        rec = _run_engine_single(scn, c, engine, n_max)
-        est = extract_single(rec, c, inputs_digest=f"{digest}@{engine}")
-        direct = direct_weak_value(a, scn.i, scn.f)
-        return rec, est, direct, None
+def _execute(spec: RunSpec, kx: float, ky: float, scales: list[float]):
+    """Engine runs at couplings t (kx, ky) for each scale t, with
+    extraction and ground truth; ky is ignored for single runs.
 
-    b = scn.observable(observable_b)
-    pointer_y = GaussianPointer(sigma_y, hbar)
+    Returns (records, extracted estimates, direct value, singles pairs
+    or None), the lists holding one entry per scale."""
+    scn = spec.scenario
+    a = scn.observable(spec.observable)
+    pointer_x = GaussianPointer(spec.sigma_x, spec.hbar)
+
+    if spec.observable_b is None:
+        records, ests = _extracted_singles(
+            spec, SingleCoupling(A=a, K=kx, pointer=pointer_x), scales
+        )
+        return records, ests, direct_weak_value(a, scn.i, scn.f), None
+
+    b = scn.observable(spec.observable_b)
+    pointer_y = GaussianPointer(spec.sigma_y, spec.hbar)
     c = JointCoupling(
         A=a, B=b, Kx=kx, Ky=ky, pointer_x=pointer_x, pointer_y=pointer_y
     )
-    digest = f"{digest}x{observable_b}"
-    if engine == "exact":
-        rec = run_joint_exact(scn.i, scn.f, c)
-    else:
-        rec = run_fock(scn.i, scn.f, c, n_max=n_max)
+    records = _run_engine(spec, c, scales)
 
-    if singles_mode == "direct":
-        singles = (
-            WeakValueEstimate(
-                direct_weak_value(a, scn.i, scn.f), "direct_single",
-                inputs_digest=f"{scn.name}:{observable}",
-            ),
-            WeakValueEstimate(
-                direct_weak_value(b, scn.i, scn.f), "direct_single",
-                inputs_digest=f"{scn.name}:{observable_b}",
-            ),
+    if spec.singles_mode == "direct":
+        pair = (
+            WeakValueEstimate(direct_weak_value(a, scn.i, scn.f), "direct_single"),
+            WeakValueEstimate(direct_weak_value(b, scn.i, scn.f), "direct_single"),
         )
+        singles = [pair] * len(scales)
     else:
-        ca = SingleCoupling(A=a, K=kx, pointer=pointer_x)
-        cb = SingleCoupling(A=b, K=ky, pointer=pointer_y)
-        singles = (
-            extract_single(
-                _run_engine_single(scn, ca, engine, n_max), ca,
-                inputs_digest=f"{scn.name}:{observable}@{engine}",
-            ),
-            extract_single(
-                _run_engine_single(scn, cb, engine, n_max), cb,
-                inputs_digest=f"{scn.name}:{observable_b}@{engine}",
-            ),
-        )
-    est = extract_joint(
-        rec,
-        (singles[0].value, singles[1].value),
-        c,
-        inputs_digest=f"{digest}@{engine}",
-    )
-    direct = direct_joint_weak_value(a, b, scn.i, scn.f)
-    return rec, est, direct, singles
+        _, singles_a = _extracted_singles(spec, SingleCoupling(a, kx, pointer_x), scales)
+        _, singles_b = _extracted_singles(spec, SingleCoupling(b, ky, pointer_y), scales)
+        singles = list(zip(singles_a, singles_b))
+    ests = [
+        extract_joint(rec, (sa.value, sb.value), c.scaled(t))
+        for rec, (sa, sb), t in zip(records, singles, scales)
+    ]
+    return records, ests, direct_joint_weak_value(a, b, scn.i, scn.f), singles
 
 
 def _write_output(text: str, out: str | None):
@@ -332,58 +348,21 @@ def _write_output(text: str, out: str | None):
 # --- commands ---------------------------------------------------------------
 
 
-def _joint_args(args):
-    """Validate and default the joint-run flags. ky stays None for
-    single runs and for sweeps (which tie Kx = Ky per row)."""
-    if args.observable_b is None:
-        for flag, value in (
-            ("--ky", args.ky),
-            ("--sigma-y", args.sigma_y),
-            ("--singles", args.singles),
-        ):
-            if value is not None:
-                raise UsageError(f"{flag} requires --observable-b")
-        return None, None, None
-    sigma_y = args.sigma_x if args.sigma_y is None else args.sigma_y
-    singles = args.singles or "extracted"
-    return args.ky, sigma_y, singles
-
-
 def cmd_run(args) -> int:
-    scn = _resolve_scenario(args.scenario, args.alpha)
-    ky, sigma_y, singles_mode = _joint_args(args)
-    if args.observable_b is not None and ky is None:
-        ky = args.kx
+    spec = RunSpec.from_args(args)
+    ky = None
+    if spec.observable_b is not None:
+        ky = args.kx if args.ky is None else args.ky
     t0 = time.perf_counter()
-    rec, est, direct, singles = _execute_point(
-        scn,
-        args.observable,
-        args.observable_b,
-        args.engine,
-        args.kx,
-        ky if ky is not None else args.kx,
-        args.sigma_x,
-        sigma_y if sigma_y is not None else args.sigma_x,
-        args.hbar,
-        args.n_max,
-        singles_mode or "extracted",
-    )
+    records, ests, direct, singles = _execute(spec, args.kx, ky, [1.0])
     wall = time.perf_counter() - t0
     report = RunReport(
-        scenario=scn.name,
-        engine=args.engine,
-        observable=args.observable,
-        observable_b=args.observable_b,
+        spec=spec,
         kx=args.kx,
         ky=ky,
-        sigma_x=args.sigma_x,
-        sigma_y=sigma_y,
-        hbar=args.hbar,
-        n_max=args.n_max if args.engine == "fock" else None,
-        singles_mode=singles_mode,
-        record=rec,
-        singles=singles,
-        extracted=est,
+        record=records[0],
+        singles=None if singles is None else singles[0],
+        extracted=ests[0],
         direct=direct,
         wall_time_s=wall,
     )
@@ -391,29 +370,21 @@ def cmd_run(args) -> int:
         text = serialize_report(report)
     else:
         text = "\n".join(
-            ["# schema=1", CSV_HEADER, _csv_row(args.kx, rec, est.value, direct)]
+            ["# schema=1", CSV_HEADER, _csv_row(args.kx, records[0], ests[0].value, direct)]
         ) + "\n"
     _write_output(text, args.out)
     print(f"wall time: {wall:.3f} s", file=sys.stderr)
     return 0
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("WEAKLAB_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return n if n > 0 else 1
-
-
 def cmd_sweep(args) -> int:
-    scn = _resolve_scenario(args.scenario, args.alpha)
-    ky, sigma_y, singles_mode = _joint_args(args)
+    spec = RunSpec.from_args(args)
     if args.points < 1:
         raise UsageError(f"--points must be >= 1, got {args.points}")
+    # the exact engines hold (points, d, d) pointer-integral matrices
+    check_array_budget(
+        args.points * spec.scenario.i.dim**2, f"--points {args.points}", UsageError
+    )
     if args.k_min <= 0 and args.log:
         raise UsageError("--log requires --k-min > 0")
     if args.k_min > args.k_max:
@@ -425,36 +396,16 @@ def cmd_sweep(args) -> int:
     else:
         ks = np.linspace(args.k_min, args.k_max, args.points)
 
-    def point(k: float):
-        rec, est, direct, _ = _execute_point(
-            scn,
-            args.observable,
-            args.observable_b,
-            args.engine,
-            k,
-            k,  # joint sweeps tie Kx = Ky
-            args.sigma_x,
-            sigma_y if sigma_y is not None else args.sigma_x,
-            args.hbar,
-            args.n_max,
-            singles_mode or "extracted",
-        )
-        return rec, est.value, direct
-
     t0 = time.perf_counter()
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(point, ks))
-    else:
-        results = [point(k) for k in ks]
+    # unit couplings scaled by k: row k runs at Kx = Ky = k
+    records, ests, direct, _ = _execute(spec, 1.0, 1.0, ks.tolist())
     wall = time.perf_counter() - t0
 
     lines = ["# schema=1", CSV_HEADER]
     errs = []
-    for k, (rec, extracted, direct) in zip(ks, results):
-        lines.append(_csv_row(k, rec, extracted, direct))
-        errs.append(abs(extracted - direct))
+    for k, rec, est in zip(ks, records, ests):
+        lines.append(_csv_row(k, rec, est.value, direct))
+        errs.append(abs(est.value - direct))
     order = fit_error_order(ks, errs)
     lines.append(f"# fitted_error_order={_fmt_float(order)}")
     _write_output("\n".join(lines) + "\n", args.out)
@@ -476,7 +427,14 @@ def cmd_validate(_args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that exits 1 (not 2) on bad flags."""
+    """argparse variant that exits 1 (not 2) on bad flags and reads
+    negative numbers in exponent form (``--kx -1e-3``) as values."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$"
+        )
 
     def error(self, message):
         self.print_usage(sys.stderr)

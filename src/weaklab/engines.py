@@ -20,18 +20,27 @@ diagonal over momentum grid points, with one system-dimension Hermitian
 block each. This is algebraically identical to eigendecomposing the full
 H = Kx A Px + Ky B Py on the product space, at a tiny fraction of the
 cost.
+
+The three ``run_*`` engines are batched over a coupling scale: with
+``scales=(t_1, ..., t_n)`` record n is the run at couplings
+t_n (Kx, Ky), and everything independent of the coupling strength
+(eigenbases, branch amplitudes, spectral radii, momentum frames, Fock
+block eigenvectors) is computed once per batch. Without ``scales`` an
+engine returns the one record at t = 1, so a single run and a sweep row
+take the same code path.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidTruncation,
     NumericalInconsistency,
     OrthogonalPostselection,
     TruncationWarning,
@@ -48,6 +57,8 @@ __all__ = [
     "run_fock",
     "heisenberg_moment",
     "EPS_PS",
+    "MAX_ARRAY_BYTES",
+    "check_array_budget",
 ]
 
 #: Default post-selection probability floor; conditional moments are
@@ -65,6 +76,24 @@ TRUNCATION_TOL = 1e-8
 #: Default oscillator truncation level for the Fock engine.
 DEFAULT_N_MAX = 40
 
+#: Byte budget for the largest complex array one request may allocate:
+#: the Fock block stack of (n_max+1)^2 d x d matrices, or the
+#: (points, d, d) pointer-integral matrices of a batched sweep. A few
+#: arrays of this size are live at once. Larger requests are refused
+#: before anything is allocated.
+MAX_ARRAY_BYTES = 2**28
+
+
+def check_array_budget(n_values: int, what: str, error: type[Exception]):
+    """Raise ``error`` if ``n_values`` complex numbers exceed
+    MAX_ARRAY_BYTES."""
+    nbytes = 16 * n_values
+    if nbytes > MAX_ARRAY_BYTES:
+        raise error(
+            f"{what} needs {nbytes / 2**20:.4g} MiB per array, over the "
+            f"{MAX_ARRAY_BYTES / 2**20:.0f} MiB budget"
+        )
+
 
 @dataclass(frozen=True)
 class SingleCoupling:
@@ -81,9 +110,15 @@ class SingleCoupling:
         if not math.isfinite(self.K):
             raise ValueError(f"coupling K must be finite, got {self.K}")
 
-    def weakness_ratio(self) -> float:
-        """|K| x spectral radius of A over sigma; small means weak."""
-        return abs(self.K) * self.A.spectral_radius() / self.pointer.sigma
+    def scaled(self, t: float) -> "SingleCoupling":
+        """The same coupling at strength t K."""
+        return SingleCoupling(self.A, t * self.K, self.pointer)
+
+    def weakness_ratios(self, scales) -> list[float]:
+        """|t K| x spectral radius of A over sigma for each scale t;
+        small means weak."""
+        radius = self.A.spectral_radius()
+        return [abs(t * self.K) * radius / self.pointer.sigma for t in scales]
 
 
 @dataclass(frozen=True)
@@ -110,11 +145,23 @@ class JointCoupling:
                 f"{self.pointer_x.hbar} and {self.pointer_y.hbar}"
             )
 
-    def weakness_ratio(self) -> float:
-        """Worst of the per-axis weakness ratios."""
-        rx = abs(self.Kx) * self.A.spectral_radius() / self.pointer_x.sigma
-        ry = abs(self.Ky) * self.B.spectral_radius() / self.pointer_y.sigma
-        return max(rx, ry)
+    def scaled(self, t: float) -> "JointCoupling":
+        """The same couplings at strengths t (Kx, Ky)."""
+        return JointCoupling(
+            self.A, self.B, t * self.Kx, t * self.Ky, self.pointer_x, self.pointer_y
+        )
+
+    def weakness_ratios(self, scales) -> list[float]:
+        """Worst of the per-axis weakness ratios at couplings t (Kx, Ky)
+        for each scale t."""
+        ra, rb = self.A.spectral_radius(), self.B.spectral_radius()
+        return [
+            max(
+                abs(t * self.Kx) * ra / self.pointer_x.sigma,
+                abs(t * self.Ky) * rb / self.pointer_y.sigma,
+            )
+            for t in scales
+        ]
 
 
 @dataclass(frozen=True)
@@ -145,15 +192,18 @@ class MeasurementRecord:
         object.__setattr__(self, "ps_prob", min(max(self.ps_prob, 0.0), 1.0))
 
 
-def _realize(value: complex, name: str) -> float:
-    """Discard the imaginary residue of a conditional moment after
-    checking it is consistent with zero."""
-    if abs(value.imag) > IMAG_RESIDUE_TOL:
+def _realize(value, name: str):
+    """Discard the imaginary residue of a conditional moment, or of each
+    entry of an array of them, after checking it is consistent with
+    zero."""
+    imag = np.imag(value)
+    worst = np.max(np.abs(imag), initial=0.0)
+    if worst > IMAG_RESIDUE_TOL:
         raise NumericalInconsistency(
-            f"{name} has imaginary residue {value.imag:.3e}; "
+            f"{name} has imaginary residue {worst:.3e}; "
             "conditional moments of Hermitian observables must be real"
         )
-    return float(value.real)
+    return np.real(value)
 
 
 def _check_dims(i: QuantumState, f: QuantumState, dim: int):
@@ -163,19 +213,60 @@ def _check_dims(i: QuantumState, f: QuantumState, dim: int):
         )
 
 
+def _scale_array(scales) -> np.ndarray:
+    """Coupling scales as a 1-D float array; None is the single scale 1."""
+    ts = np.asarray((1.0,) if scales is None else scales, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(ts)):
+        raise ValueError("coupling scales must be finite")
+    return ts
+
+
+def _batch_result(records: list, scales):
+    """The one record of an unbatched call, else the list of records."""
+    return records[0] if scales is None else records
+
+
+def _records(raw: dict, weakness: list, tag: str, eps_ps: float, truncated=None):
+    """One MeasurementRecord per scale from columns of unnormalized
+    forms: ``raw["ps_prob"][n]`` is the post-selection probability of
+    row n and every other column holds conditional moments times it.
+    Every row passes the imaginary-residue check and the eps_ps floor."""
+    ps = _realize(np.asarray(raw["ps_prob"]), "ps_prob")
+    low = np.flatnonzero(ps < eps_ps)
+    if low.size:
+        raise OrthogonalPostselection(
+            f"post-selection probability {ps[low[0]]:.3e} below floor {eps_ps:.1e}"
+        )
+    moments = {
+        name: (_realize(np.asarray(column), name) / ps).tolist()
+        for name, column in raw.items()
+        if name != "ps_prob"
+    }
+    truncated = truncated or [False] * len(weakness)
+    return [
+        MeasurementRecord(
+            ps_prob=p,
+            weakness_ratio=w,
+            engine_tag=tag,
+            truncation_warning=trunc,
+            **{name: column[n] for name, column in moments.items()},
+        )
+        for n, (p, w, trunc) in enumerate(zip(ps.tolist(), weakness, truncated))
+    ]
+
+
 def _moment_matrices(displacements: np.ndarray, p: GaussianPointer):
-    """Branch-pair matrices of pointer integrals for a list of
-    displacements: overlap, position moment, momentum moment."""
-    n = len(displacements)
-    ov = np.empty((n, n))
-    mx = np.empty((n, n))
-    mp = np.empty((n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            ov[k, l] = gaussian_overlap(displacements[k], displacements[l], p)
-            mx[k, l] = moment_x(displacements[k], displacements[l], p)
-            mp[k, l] = moment_p(displacements[k], displacements[l], p)
-    return ov, mx, mp
+    """Branch-pair matrices of pointer integrals for displacements of
+    shape (..., d): overlap, position moment and momentum moment, each
+    of shape (..., d, d)."""
+    d1 = displacements[..., :, None]
+    d2 = displacements[..., None, :]
+    return gaussian_overlap(d1, d2, p), moment_x(d1, d2, p), moment_p(d1, d2, p)
+
+
+def _branch_amplitudes(i: QuantumState, f: QuantumState, vecs: np.ndarray):
+    """<f|v_k><v_k|i> for each eigenvector column v_k."""
+    return (f.amplitudes.conj() @ vecs) * (vecs.conj().T @ i.amplitudes)
 
 
 def run_single_exact(
@@ -183,37 +274,29 @@ def run_single_exact(
     f: QuantumState,
     c: SingleCoupling,
     eps_ps: float = EPS_PS,
-) -> MeasurementRecord:
+    *,
+    scales=None,
+):
     """Closed-form conditional moments for a single weak coupling.
 
     Expands |i> in the eigenbasis of A; the post-selected pointer state
     is a sum of Gaussians displaced by K a_k with amplitudes
     <f|a_k><a_k|i>, and all moments assemble from pairwise pointer
-    integrals. Exact to machine precision at any K.
+    integrals. Exact to machine precision at any K. With ``scales``,
+    returns the list of records at couplings t K, one per scale t.
     """
     _check_dims(i, f, c.A.dim)
+    ts = _scale_array(scales)
     es = hermitian_eig(c.A)
-    amp = (f.amplitudes.conj() @ es.eigenvectors) * (
-        es.eigenvectors.conj().T @ i.amplitudes
-    )
-    disp = c.K * es.eigenvalues
-    ov, mx, mp = _moment_matrices(disp, c.pointer)
-
-    ps = _realize(complex(amp.conj() @ ov @ amp), "ps_prob")
-    if ps < eps_ps:
-        raise OrthogonalPostselection(
-            f"post-selection probability {ps:.3e} below floor {eps_ps:.1e}"
-        )
-    x_mean = _realize(complex(amp.conj() @ mx @ amp), "x_mean") / ps
-    px_mean = _realize(complex(amp.conj() @ mp @ amp), "px_mean") / ps
-
-    return MeasurementRecord(
-        ps_prob=ps,
-        x_mean=x_mean,
-        px_mean=px_mean,
-        weakness_ratio=c.weakness_ratio(),
-        engine_tag="exact-single",
-    )
+    amp = _branch_amplitudes(i, f, es.eigenvectors)
+    ov, mx, mp = _moment_matrices(np.outer(ts * c.K, es.eigenvalues), c.pointer)
+    forms = {
+        "ps_prob": amp.conj() @ ov @ amp,
+        "x_mean": amp.conj() @ mx @ amp,
+        "px_mean": amp.conj() @ mp @ amp,
+    }
+    records = _records(forms, c.weakness_ratios(ts.tolist()), "exact-single", eps_ps)
+    return _batch_result(records, scales)
 
 
 def run_joint_exact(
@@ -221,41 +304,37 @@ def run_joint_exact(
     f: QuantumState,
     c: JointCoupling,
     eps_ps: float = EPS_PS,
-) -> MeasurementRecord:
+    *,
+    scales=None,
+):
     """Closed-form conditional moments for two commuting couplings.
 
     Expands |i> in the joint eigenbasis (a_k, b_k); each branch carries
     a 2D product Gaussian displaced by (Kx a_k, Ky b_k), so all 2D
     moments factor into products of 1D pointer integrals. Refuses
-    noncommuting pairs (NotCommuting); use run_fock for those.
+    noncommuting pairs (NotCommuting); use run_fock for those. With
+    ``scales``, returns the list of records at couplings t (Kx, Ky).
     """
     _check_dims(i, f, c.A.dim)
+    ts = _scale_array(scales)
     joint = simultaneous_eig(c.A, c.B, tol=1e-10)
-    vecs = joint.eigenvectors
-    amp = (f.amplitudes.conj() @ vecs) * (vecs.conj().T @ i.amplitudes)
-
-    ovx, mxx, mpx = _moment_matrices(c.Kx * joint.eigenvalues_a, c.pointer_x)
-    ovy, myy, mpy = _moment_matrices(c.Ky * joint.eigenvalues_b, c.pointer_y)
-
-    def form(mat_x, mat_y, name):
-        return _realize(complex(amp.conj() @ (mat_x * mat_y) @ amp), name)
-
-    ps = form(ovx, ovy, "ps_prob")
-    if ps < eps_ps:
-        raise OrthogonalPostselection(
-            f"post-selection probability {ps:.3e} below floor {eps_ps:.1e}"
+    amp = _branch_amplitudes(i, f, joint.eigenvectors)
+    ovx, mxx, mpx = _moment_matrices(np.outer(ts * c.Kx, joint.eigenvalues_a), c.pointer_x)
+    ovy, myy, mpy = _moment_matrices(np.outer(ts * c.Ky, joint.eigenvalues_b), c.pointer_y)
+    forms = {
+        name: amp.conj() @ (mat_x * mat_y) @ amp
+        for name, mat_x, mat_y in (
+            ("ps_prob", ovx, ovy),
+            ("x_mean", mxx, ovy),
+            ("px_mean", mpx, ovy),
+            ("y_mean", ovx, myy),
+            ("py_mean", ovx, mpy),
+            ("xy_mean", mxx, myy),
+            ("x_py_mean", mxx, mpy),
         )
-    return MeasurementRecord(
-        ps_prob=ps,
-        x_mean=form(mxx, ovy, "x_mean") / ps,
-        px_mean=form(mpx, ovy, "px_mean") / ps,
-        y_mean=form(ovx, myy, "y_mean") / ps,
-        py_mean=form(ovx, mpy, "py_mean") / ps,
-        xy_mean=form(mxx, myy, "xy_mean") / ps,
-        x_py_mean=form(mxx, mpy, "x_py_mean") / ps,
-        weakness_ratio=c.weakness_ratio(),
-        engine_tag="exact-joint",
-    )
+    }
+    records = _records(forms, c.weakness_ratios(ts.tolist()), "exact-joint", eps_ps)
+    return _batch_result(records, scales)
 
 
 def _momentum_frame(fock: FockPointer):
@@ -264,11 +343,9 @@ def _momentum_frame(fock: FockPointer):
     return vals, w, w.conj().T @ fock.vacuum_state()
 
 
-def _top_level_population(psi: np.ndarray, axis: int) -> float:
-    """Total population of the top two truncation levels along an axis."""
-    sl = [slice(None)] * psi.ndim
-    sl[axis] = slice(-2, None)
-    return float(np.sum(np.abs(psi[tuple(sl)]) ** 2))
+def _population(psi: np.ndarray) -> float:
+    """Total population (squared norm) of a block of amplitudes."""
+    return float(np.sum(np.abs(psi) ** 2))
 
 
 def _warn_truncation(population: float) -> bool:
@@ -283,96 +360,87 @@ def _warn_truncation(population: float) -> bool:
     return False
 
 
-def _fock_single(i, f, c: SingleCoupling, n_max, eps_ps):
+def _fock_single(i, f, c: SingleCoupling, n_max, eps_ps, ts):
     fock = build_fock(c.pointer, n_max)
     pvals, w, vac_p = _momentum_frame(fock)
     es = hermitian_eig(c.A)
 
     # evolution is diagonal over momentum grid points: each point sees
-    # the system Hamiltonian K p A, already diagonal in A's eigenbasis
-    psi = np.einsum("s,j->sj", i.amplitudes, vac_p)
-    coeff = es.eigenvectors.conj().T @ psi
-    phases = np.exp(
-        -1j * c.K / c.pointer.hbar * np.outer(es.eigenvalues, pvals)
-    )
-    psi = es.eigenvectors @ (phases * coeff)
-    psi_fock = psi @ w.T  # back to the ladder basis
+    # the system Hamiltonian t K p A, already diagonal in A's eigenbasis
+    coeff = es.eigenvectors.conj().T @ np.einsum("s,j->sj", i.amplitudes, vac_p)
+    grid = np.outer(es.eigenvalues, pvals)
+    raw = {"ps_prob": [], "x_mean": [], "px_mean": []}
+    truncated = []
+    for t in ts.tolist():
+        phases = np.exp(-1j * (t * c.K) / c.pointer.hbar * grid)
+        psi_fock = (es.eigenvectors @ (phases * coeff)) @ w.T  # back to the ladder basis
 
-    truncated = _warn_truncation(_top_level_population(psi_fock, axis=1))
+        truncated.append(_warn_truncation(_population(psi_fock[:, -2:])))
 
-    pointer_state = f.amplitudes.conj() @ psi_fock
-    ps = float(np.vdot(pointer_state, pointer_state).real)
-    if ps < eps_ps:
-        raise OrthogonalPostselection(
-            f"post-selection probability {ps:.3e} below floor {eps_ps:.1e}"
-        )
-    x_mean = _realize(np.vdot(pointer_state, fock.X @ pointer_state), "x_mean") / ps
-    px_mean = _realize(np.vdot(pointer_state, fock.P @ pointer_state), "px_mean") / ps
-
-    return MeasurementRecord(
-        ps_prob=ps,
-        x_mean=x_mean,
-        px_mean=px_mean,
-        weakness_ratio=c.weakness_ratio(),
-        engine_tag="fock-single",
-        truncation_warning=truncated,
-    )
+        pointer_state = f.amplitudes.conj() @ psi_fock
+        raw["ps_prob"].append(np.vdot(pointer_state, pointer_state))
+        raw["x_mean"].append(np.vdot(pointer_state, fock.X @ pointer_state))
+        raw["px_mean"].append(np.vdot(pointer_state, fock.P @ pointer_state))
+    return _records(raw, c.weakness_ratios(ts.tolist()), "fock-single", eps_ps, truncated)
 
 
-def _fock_joint(i, f, c: JointCoupling, n_max, eps_ps):
+def _fock_joint(i, f, c: JointCoupling, n_max, eps_ps, ts):
     fx = build_fock(c.pointer_x, n_max)
     fy = build_fock(c.pointer_y, n_max)
     pxv, wx, vacx = _momentum_frame(fx)
     pyv, wy, vacy = _momentum_frame(fy)
 
-    # block Hamiltonians Kx px A + Ky py B over the momentum grid
+    # block Hamiltonians (Kx px A + Ky py B) / s over the momentum grid,
+    # s the first nonzero coupling: scale t multiplies their eigenvalues
+    # by t s and leaves the eigenvectors alone
+    s = c.Kx or c.Ky or 1.0
     blocks = (
-        (c.Kx * pxv)[:, None, None, None] * c.A.matrix[None, None, :, :]
-        + (c.Ky * pyv)[None, :, None, None] * c.B.matrix[None, None, :, :]
+        (c.Kx / s * pxv)[:, None, None, None] * c.A.matrix[None, None, :, :]
+        + (c.Ky / s * pyv)[None, :, None, None] * c.B.matrix[None, None, :, :]
     )
     evals, evecs = np.linalg.eigh(blocks)
-
-    psi = np.einsum("s,j,m->sjm", i.amplitudes, vacx, vacy)
-    coeff = np.einsum("jmsk,sjm->jmk", evecs.conj(), psi)
+    psi0 = np.einsum("s,j,m->sjm", i.amplitudes, vacx, vacy)
+    coeff0 = np.einsum("jmsk,sjm->jmk", evecs.conj(), psi0)
     hbar = c.pointer_x.hbar
-    coeff = coeff * np.exp(-1j * evals / hbar)
-    psi = np.einsum("jmsk,jmk->sjm", evecs, coeff)
 
-    psi = np.einsum("nj,sjm->snm", wx, psi)
-    psi_fock = np.einsum("vm,snm->snv", wy, psi)
-
-    truncated = _warn_truncation(
-        max(
-            _top_level_population(psi_fock, axis=1),
-            _top_level_population(psi_fock, axis=2),
-        )
-    )
-
-    phi = np.einsum("s,snv->nv", f.amplitudes.conj(), psi_fock)
-    ps = float(np.sum(np.abs(phi) ** 2))
-    if ps < eps_ps:
-        raise OrthogonalPostselection(
-            f"post-selection probability {ps:.3e} below floor {eps_ps:.1e}"
-        )
-
-    def expect(op_x, op_y, name):
+    def form(phi, op_x, op_y):
         acted = phi if op_x is None else op_x @ phi
         if op_y is not None:
             acted = acted @ op_y.T
-        return _realize(complex(np.vdot(phi, acted)), name) / ps
+        return np.vdot(phi, acted)
 
-    return MeasurementRecord(
-        ps_prob=ps,
-        x_mean=expect(fx.X, None, "x_mean"),
-        px_mean=expect(fx.P, None, "px_mean"),
-        y_mean=expect(None, fy.X, "y_mean"),
-        py_mean=expect(None, fy.P, "py_mean"),
-        xy_mean=expect(fx.X, fy.X, "xy_mean"),
-        x_py_mean=expect(fx.X, fy.P, "x_py_mean"),
-        weakness_ratio=c.weakness_ratio(),
-        engine_tag="fock-joint",
-        truncation_warning=truncated,
-    )
+    operators = {
+        "x_mean": (fx.X, None),
+        "px_mean": (fx.P, None),
+        "y_mean": (None, fy.X),
+        "py_mean": (None, fy.P),
+        "xy_mean": (fx.X, fy.X),
+        "x_py_mean": (fx.X, fy.P),
+    }
+    raw = {"ps_prob": [], **{name: [] for name in operators}}
+    truncated = []
+    for t in ts.tolist():
+        coeff = coeff0 * np.exp(-1j * (t * s) / hbar * evals)
+        psi = (evecs @ coeff[..., None])[..., 0]  # (px, py, system)
+
+        # the ladder-basis change along one axis is unitary and keeps the
+        # norm along the other, so the top two levels of each axis need
+        # only the top two rows of its basis change
+        truncated.append(
+            _warn_truncation(
+                max(
+                    _population(np.einsum("nj,jms->nms", wx[-2:], psi)),
+                    _population(np.einsum("vm,jms->jvs", wy[-2:], psi)),
+                )
+            )
+        )
+
+        # post-select in the momentum grid, then change to the ladder basis
+        phi = wx @ (psi @ f.amplitudes.conj()) @ wy.T
+        raw["ps_prob"].append(np.sum(np.abs(phi) ** 2))
+        for name, (op_x, op_y) in operators.items():
+            raw[name].append(form(phi, op_x, op_y))
+    return _records(raw, c.weakness_ratios(ts.tolist()), "fock-joint", eps_ps, truncated)
 
 
 def run_fock(
@@ -381,21 +449,34 @@ def run_fock(
     c,
     n_max: int = DEFAULT_N_MAX,
     eps_ps: float = EPS_PS,
-) -> MeasurementRecord:
+    *,
+    scales=None,
+):
     """Exact unitary evolution in a truncated oscillator pointer space.
 
     Accepts a SingleCoupling or a JointCoupling; the joint case places no
     commutation requirement on A and B. If the evolved state populates
     the top two truncation levels above 1e-8 a TruncationWarning is
-    issued and flagged on the record.
+    issued and flagged on the record. With ``scales``, returns the list
+    of records at couplings t (Kx, Ky); the momentum frames and block
+    eigenvectors are computed once, and each scale costs one phase and
+    the basis changes. Raises InvalidTruncation if the (n_max+1)^2 d x d
+    blocks would exceed MAX_ARRAY_BYTES.
     """
     if isinstance(c, SingleCoupling):
-        _check_dims(i, f, c.A.dim)
-        return _fock_single(i, f, c, n_max, eps_ps)
-    if isinstance(c, JointCoupling):
-        _check_dims(i, f, c.A.dim)
-        return _fock_joint(i, f, c, n_max, eps_ps)
-    raise TypeError(f"expected SingleCoupling or JointCoupling, got {type(c).__name__}")
+        engine = _fock_single
+    elif isinstance(c, JointCoupling):
+        engine = _fock_joint
+    else:
+        raise TypeError(f"expected SingleCoupling or JointCoupling, got {type(c).__name__}")
+    _check_dims(i, f, c.A.dim)
+    check_array_budget(
+        (int(n_max) + 1) ** 2 * c.A.dim**2,
+        f"n_max={n_max} with system dimension {c.A.dim}",
+        InvalidTruncation,
+    )
+    ts = _scale_array(scales)
+    return _batch_result(engine(i, f, c, n_max, eps_ps, ts), scales)
 
 
 # observable tags for the series engine

@@ -50,17 +50,18 @@ class GaussianPointer:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
 
 
-def gaussian_overlap(d1: float, d2: float, p: GaussianPointer) -> float:
+def gaussian_overlap(d1, d2, p: GaussianPointer):
     """Overlap integral of two displaced pointer ground states.
 
     integral g_d1(x) g_d2(x) dx = exp(-(d1-d2)^2 / (8 sigma^2)).
-    Always in (0, 1], equal to 1 iff d1 == d2.
+    Always in (0, 1], equal to 1 iff d1 == d2. This and the two moment
+    integrals accept scalars or broadcastable arrays of displacements.
     """
     delta = d1 - d2
-    return float(np.exp(-delta * delta / (8.0 * p.sigma**2)))
+    return np.exp(-delta * delta / (8.0 * p.sigma**2))
 
 
-def moment_x(d1: float, d2: float, p: GaussianPointer) -> float:
+def moment_x(d1, d2, p: GaussianPointer):
     """Position matrix element between displaced pointer states.
 
     integral g_d1(x) x g_d2(x) dx = (d1+d2)/2 * gaussian_overlap(d1, d2).
@@ -68,7 +69,7 @@ def moment_x(d1: float, d2: float, p: GaussianPointer) -> float:
     return 0.5 * (d1 + d2) * gaussian_overlap(d1, d2, p)
 
 
-def moment_p(d1: float, d2: float, p: GaussianPointer) -> complex:
+def moment_p(d1, d2, p: GaussianPointer):
     """Momentum matrix element between displaced pointer states.
 
     integral g_d1(x) (-i hbar d/dx) g_d2(x) dx

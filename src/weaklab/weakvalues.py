@@ -33,14 +33,12 @@ class WeakValueEstimate:
     kind is one of direct_single, direct_joint_symmetrized,
     extracted_single, extracted_joint. Direct kinds depend only on
     (A, B, i, f); extracted kinds record the couplings they were
-    measured at. inputs_digest is a free-form reference to the scenario
-    or run that produced the estimate.
+    measured at.
     """
 
     value: complex
     kind: str
     couplings: tuple[float, ...] = ()
-    inputs_digest: str = ""
 
 
 def _overlap_or_raise(i: QuantumState, f: QuantumState) -> complex:
@@ -80,9 +78,7 @@ def direct_joint_weak_value(
     return complex(np.vdot(f.amplitudes, sym @ i.amplitudes)) / ip
 
 
-def extract_single(
-    rec: MeasurementRecord, c: SingleCoupling, inputs_digest: str = ""
-) -> WeakValueEstimate:
+def extract_single(rec: MeasurementRecord, c: SingleCoupling) -> WeakValueEstimate:
     """Recover a single weak value from conditional pointer moments.
 
     Real part from the position shift, imaginary part from the momentum
@@ -98,7 +94,6 @@ def extract_single(
         value=complex(re, im),
         kind="extracted_single",
         couplings=(c.K,),
-        inputs_digest=inputs_digest,
     )
 
 
@@ -106,7 +101,6 @@ def extract_joint(
     rec: MeasurementRecord,
     singles: tuple[complex, complex],
     c: JointCoupling,
-    inputs_digest: str = "",
 ) -> WeakValueEstimate:
     """Recover a joint weak value from X-Y pointer correlations.
 
@@ -133,5 +127,4 @@ def extract_joint(
         value=complex(re, im),
         kind="extracted_joint",
         couplings=(c.Kx, c.Ky),
-        inputs_digest=inputs_digest,
     )

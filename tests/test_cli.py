@@ -8,12 +8,24 @@ import sys
 import numpy as np
 import pytest
 
-from weaklab.cli import CSV_HEADER, main
+from weaklab.cli import CSV_HEADER, RunSpec, _execute, build_parser, main
 from weaklab.scenarios import build_three_box, scenario_to_document
 
 
 def run_cli(argv):
     return main(list(argv))
+
+
+NONCOMMUTING_DOC = {
+    "name": "noncommuting",
+    "dim": 2,
+    "i": [[1 / math.sqrt(2), 0.0], [1 / math.sqrt(2), 0.0]],
+    "f": [[math.cos(0.3), 0.0], [math.sin(0.3), 0.0]],
+    "observables": {
+        "sx": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+        "sz": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
+    },
+}
 
 
 def parse_csv(text):
@@ -148,18 +160,8 @@ def test_run_orthogonal_postselection_exit_2(capsys):
 
 
 def test_run_noncommuting_exact_joint_exit_2(tmp_path, capsys):
-    doc = {
-        "name": "noncommuting",
-        "dim": 2,
-        "i": [[1 / math.sqrt(2), 0.0], [1 / math.sqrt(2), 0.0]],
-        "f": [[math.cos(0.3), 0.0], [math.sin(0.3), 0.0]],
-        "observables": {
-            "sx": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
-            "sz": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
-        },
-    }
     path = tmp_path / "noncommuting.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(NONCOMMUTING_DOC))
     args = [
         "run", "--scenario", str(path), "--observable", "sx",
         "--observable-b", "sz", "--kx", "0.01", "--sigma-x", "1",
@@ -184,6 +186,30 @@ def test_run_bad_scenario_file_exit_1(tmp_path, capsys):
         ]
     )
     assert code == 1
+
+
+def test_run_reads_negative_exponent_values(capsys):
+    base = ["run", "--scenario", "spin", "--observable", "sigma_z",
+            "--engine", "exact", "--sigma-x", "1", "--format", "json"]
+    assert run_cli(base + ["--kx", "0.01", "--alpha", "-5e-06"]) == 0
+    assert json.loads(capsys.readouterr().out)["abs_err"] <= 1e-3
+    assert run_cli(base + ["--kx", "-1e-3"]) == 0
+    assert json.loads(capsys.readouterr().out)["kx"] == -1e-3
+
+
+def test_oversized_requests_exit_1_without_traceback(capsys):
+    run = ["run", "--scenario", "three-box", "--observable", "P3",
+           "--engine", "fock", "--kx", "0.01", "--sigma-x", "1", "--format", "json"]
+    # (1e8 + 1)^2 x 3^2 complex values: about 1.4e18 bytes
+    assert run_cli(run + ["--n-max", "100000000"]) == 1
+    err = capsys.readouterr().err
+    assert "budget" in err and "Traceback" not in err
+    sweep = ["sweep", "--scenario", "three-box", "--observable", "P3",
+             "--engine", "exact", "--k-min", "1e-3", "--k-max", "1e-1",
+             "--sigma-x", "1", "--log"]
+    assert run_cli(sweep + ["--points", str(10**12)]) == 1
+    err = capsys.readouterr().err
+    assert "budget" in err and "Traceback" not in err
 
 
 def test_run_byte_identical_outputs(tmp_path):
@@ -305,18 +331,48 @@ def test_sweep_flag_validation(capsys):
     capsys.readouterr()
 
 
-def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
-    args = [
-        "sweep", "--scenario", "three-box", "--observable", "P3",
-        "--engine", "exact", "--k-min", "1e-3", "--k-max", "1e-1",
-        "--points", "10", "--log", "--sigma-x", "1",
-    ]
-    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    monkeypatch.delenv("WEAKLAB_THREADS", raising=False)
-    assert run_cli(args + ["--out", str(serial)]) == 0
-    monkeypatch.setenv("WEAKLAB_THREADS", "4")
-    assert run_cli(args + ["--out", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
+BATCH_CASES = {
+    "three-box-exact-single": ["--scenario", "three-box", "--observable", "P3",
+                               "--engine", "exact"],
+    "hardy-exact-joint": ["--scenario", "hardy", "--observable", "N_Oe",
+                          "--observable-b", "N_Op", "--engine", "exact"],
+    "noncommuting-fock": ["--scenario", "NONCOMMUTING", "--observable", "sx",
+                          "--observable-b", "sz", "--engine", "fock", "--n-max", "30"],
+    "hardy-exact-ky-ne-kx": ["--scenario", "hardy", "--observable", "N_NOe",
+                             "--observable-b", "N_NOp", "--engine", "exact",
+                             "--ky", "0.4"],
+    "noncommuting-fock-ky-ne-kx": ["--scenario", "NONCOMMUTING", "--observable", "sx",
+                                   "--observable-b", "sz", "--engine", "fock",
+                                   "--n-max", "30", "--ky", "2.5"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batched_sweep_matches_single_runs(case, tmp_path):
+    """Every record field of a batch over the coupling scale matches a
+    length-one run at the same couplings."""
+    path = tmp_path / "noncommuting.json"
+    path.write_text(json.dumps(NONCOMMUTING_DOC))
+    flags = [str(path) if a == "NONCOMMUTING" else a for a in BATCH_CASES[case]]
+    args = build_parser().parse_args(
+        ["run", *flags, "--kx", "1", "--sigma-x", "1", "--format", "json"]
+    )
+    spec = RunSpec.from_args(args)
+    kx, ky = args.kx, args.ky if args.ky is not None else args.kx
+    scales = np.geomspace(1e-3, 1e-1, 7).tolist()
+
+    records, ests, direct, _ = _execute(spec, kx, ky, scales)
+    assert len(records) == len(ests) == len(scales)
+    for t, rec, est in zip(scales, records, ests):
+        (one,), (one_est,), one_direct, _ = _execute(spec, t * kx, t * ky, [1.0])
+        for name, value in vars(rec).items():
+            want = getattr(one, name)
+            if isinstance(value, float):
+                assert value == pytest.approx(want, rel=0, abs=1e-12), name
+            else:
+                assert value == want, name
+        assert one_direct == direct
+        assert est.couplings == one_est.couplings
 
 
 def test_sweep_byte_identical(tmp_path):

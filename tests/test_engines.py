@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from weaklab.engines import (
+    MAX_ARRAY_BYTES,
     JointCoupling,
     MeasurementRecord,
     SingleCoupling,
@@ -17,6 +18,7 @@ from weaklab.engines import (
 )
 from weaklab.errors import (
     DimensionMismatch,
+    InvalidTruncation,
     NotCommuting,
     NumericalInconsistency,
     OrthogonalPostselection,
@@ -180,6 +182,23 @@ def test_fock_matches_exact_joint():
         assert getattr(fock, field) == pytest.approx(getattr(exact, field), abs=1e-6)
 
 
+@pytest.mark.parametrize("kx, ky", [(0.3, -0.1), (0.0, 0.2)])
+def test_fock_batch_matches_exact_batch_with_unequal_couplings(kx, ky):
+    scn = build_hardy()
+    jc = JointCoupling(
+        A=scn.observable("N_NOe"), B=scn.observable("N_Op"), Kx=kx, Ky=ky,
+        pointer_x=unit_pointer(), pointer_y=GaussianPointer(sigma=0.7),
+    )
+    scales = [0.1, 0.5, 1.0]
+    exact = run_joint_exact(scn.i, scn.f, jc, scales=scales)
+    fock = run_fock(scn.i, scn.f, jc, n_max=40, scales=scales)
+    for e, fk in zip(exact, fock):
+        for field in MOMENTS:
+            assert getattr(fk, field) == pytest.approx(getattr(e, field), abs=1e-6)
+        assert fk.weakness_ratio == e.weakness_ratio
+    assert max(abs(getattr(exact[-1], field)) for field in MOMENTS[1:]) > 1e-2
+
+
 def test_fock_unitarity_via_complete_postselection():
     # summing the post-selection probability over an orthonormal basis
     # of final states recovers the norm of the evolved global state
@@ -229,6 +248,48 @@ def test_fock_truncation_warning():
 def test_fock_rejects_unknown_coupling_type():
     with pytest.raises(TypeError):
         run_fock(PLUS_X, PLUS_X, object())
+
+
+# --- batches over the coupling scale -----------------------------------------
+
+
+def test_batch_without_scales_is_one_record_and_empty_batch_is_empty():
+    c = SingleCoupling(A=SIGMA_Z, K=0.05, pointer=unit_pointer())
+    f = QuantumState(np.array([0.8, 0.6]))
+    assert isinstance(run_single_exact(PLUS_X, f, c), MeasurementRecord)
+    assert run_single_exact(PLUS_X, f, c, scales=[]) == []
+    assert run_fock(PLUS_X, f, c, scales=[]) == []
+    with pytest.raises(ValueError):
+        run_single_exact(PLUS_X, f, c, scales=[0.1, math.inf])
+
+
+def test_batch_flags_truncation_per_row():
+    c = SingleCoupling(A=SIGMA_Z, K=1.0, pointer=unit_pointer())
+    f = QuantumState(np.array([0.8, 0.6]))
+    with pytest.warns(TruncationWarning):
+        recs = run_fock(PLUS_X, f, c, n_max=4, scales=[0.01, 2.0])
+    assert [r.truncation_warning for r in recs] == [False, True]
+    assert [r.weakness_ratio for r in recs] == [0.01, 2.0]
+
+
+def test_batch_applies_postselection_floor_to_every_row():
+    # |<f|i>|^2 = 0: only the coupling-induced overlap lifts ps above 0,
+    # so the weakest row falls below a floor the strongest row clears
+    f = QuantumState(np.array([1.0, -1.0]))
+    c = SingleCoupling(A=SIGMA_Z, K=1.0, pointer=unit_pointer())
+    floor = 1e-4
+    assert run_single_exact(PLUS_X, f, c, floor, scales=[0.5])[0].ps_prob > floor
+    with pytest.raises(OrthogonalPostselection):
+        run_single_exact(PLUS_X, f, c, floor, scales=[0.5, 1e-3])
+
+
+def test_fock_refuses_oversized_truncation_before_allocating():
+    c = SingleCoupling(A=SIGMA_Z, K=0.01, pointer=unit_pointer())
+    # (1e8 + 1)^2 x 2^2 complex values: 6.4e17 bytes
+    with pytest.raises(InvalidTruncation, match="budget"):
+        run_fock(PLUS_X, PLUS_X, c, n_max=10**8)
+    # the benchmark size (n_max 40, d = 4) is far inside the budget
+    assert 16 * 41**2 * 4**2 < MAX_ARRAY_BYTES
 
 
 # --- moment scaling laws ------------------------------------------------------
