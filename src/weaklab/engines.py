@@ -12,7 +12,13 @@ Three routes compute the same conditional moments:
   joint route refuses to run.
 * ``heisenberg_moment`` -- order-by-order nested-commutator expansion of
   a post-selected pointer observable, returning each order separately so
-  parity properties of the series are directly testable.
+  parity properties of the series are directly testable. It never forms
+  an operator on the product space: the binomial expansion
+  ad_H^n(O) = sum_k C(n,k) (-1)^k H^(n-k) O H^k turns order n into
+  sum_k C(n,k) (-1)^k <H^(n-k) psi0| O |H^k psi0>, so the engine builds
+  the vectors H^k psi0 on a (d, n_max+1, n_max+1) state tensor, applying
+  H through its factors A (x) Px and B (x) Py and O through |f><f|, X
+  and the y-axis operator.
 
 The Fock propagator exploits that the pointer momenta commute with the
 coupling Hamiltonian: in the momentum eigenbasis the evolution is block
@@ -27,11 +33,14 @@ t_n (Kx, Ky), and everything independent of the coupling strength
 (eigenbases, branch amplitudes, spectral radii, momentum frames, Fock
 block eigenvectors) is computed once per batch. Without ``scales`` an
 engine returns the one record at t = 1, so a single run and a sweep row
-take the same code path.
+take the same code path. A pointer's Fock operators and momentum frame
+depend only on (pointer, n_max) and are built once per process for each
+such pair (``_pointer_frame``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -45,7 +54,7 @@ from .errors import (
     OrthogonalPostselection,
     TruncationWarning,
 )
-from .pointer import FockPointer, GaussianPointer, build_fock, gaussian_overlap, moment_p, moment_x
+from .pointer import GaussianPointer, build_fock, gaussian_overlap, moment_p, moment_x
 from .qcore import Observable, QuantumState, hermitian_eig, simultaneous_eig
 
 __all__ = [
@@ -77,8 +86,9 @@ TRUNCATION_TOL = 1e-8
 DEFAULT_N_MAX = 40
 
 #: Byte budget for the largest complex array one request may allocate:
-#: the Fock block stack of (n_max+1)^2 d x d matrices, or the
-#: (points, d, d) pointer-integral matrices of a batched sweep. A few
+#: the Fock block stack of (n_max+1)^2 d x d matrices, the
+#: (points, d, d) pointer-integral matrices of a batched sweep, or the
+#: (d, n_max+1, n_max+1) state tensor of the series engine. A few
 #: arrays of this size are live at once. Larger requests are refused
 #: before anything is allocated.
 MAX_ARRAY_BYTES = 2**28
@@ -337,10 +347,20 @@ def run_joint_exact(
     return _batch_result(records, scales)
 
 
-def _momentum_frame(fock: FockPointer):
-    """Eigenbasis of the truncated P and the vacuum in that basis."""
+@functools.lru_cache(maxsize=4)
+def _pointer_frame(p: GaussianPointer, n_max: int):
+    """Fock operators of pointer p truncated at n_max, the eigenvalues
+    and eigenvector columns of the truncated P, and the vacuum in that
+    eigenbasis. Cached per (p, n_max), so every engine call on one
+    pointer shares one ``eigh``; the returned arrays are read-only. The
+    cache keeps the four most recent frames, which covers the two axes
+    of a joint run and both truncations ``validate`` uses."""
+    fock = build_fock(p, n_max)
     vals, w = np.linalg.eigh(fock.P)
-    return vals, w, w.conj().T @ fock.vacuum_state()
+    vac = w.conj().T @ fock.vacuum_state()
+    for array in (vals, w, vac):
+        array.flags.writeable = False
+    return fock, vals, w, vac
 
 
 def _population(psi: np.ndarray) -> float:
@@ -361,8 +381,7 @@ def _warn_truncation(population: float) -> bool:
 
 
 def _fock_single(i, f, c: SingleCoupling, n_max, eps_ps, ts):
-    fock = build_fock(c.pointer, n_max)
-    pvals, w, vac_p = _momentum_frame(fock)
+    fock, pvals, w, vac_p = _pointer_frame(c.pointer, n_max)
     es = hermitian_eig(c.A)
 
     # evolution is diagonal over momentum grid points: each point sees
@@ -385,10 +404,8 @@ def _fock_single(i, f, c: SingleCoupling, n_max, eps_ps, ts):
 
 
 def _fock_joint(i, f, c: JointCoupling, n_max, eps_ps, ts):
-    fx = build_fock(c.pointer_x, n_max)
-    fy = build_fock(c.pointer_y, n_max)
-    pxv, wx, vacx = _momentum_frame(fx)
-    pyv, wy, vacy = _momentum_frame(fy)
+    fx, pxv, wx, vacx = _pointer_frame(c.pointer_x, n_max)
+    fy, pyv, wy, vacy = _pointer_frame(c.pointer_y, n_max)
 
     # block Hamiltonians (Kx px A + Ky py B) / s over the momentum grid,
     # s the first nonzero coupling: scale t multiplies their eigenvalues
@@ -495,10 +512,17 @@ def heisenberg_moment(
 
     Expands <O(t=1)> for O in {|f><f| X, |f><f| X Y, |f><f| X Py} as
     sum_n (i/hbar)^n / n! <[H,[H,...,O]]> with n nested commutators,
-    evaluated on the initial product state (system x pointer vacua), and
-    returns the orders 0..order separately, unnormalized (no division by
-    the post-selection probability). Each contribution is real; parity
-    of the Gaussian vacuum makes alternate orders vanish identically.
+    evaluated on the initial product state psi0 (system x pointer vacua)
+    with both pointers truncated at n_max, and returns the orders
+    0..order separately, unnormalized (no division by the post-selection
+    probability). Each contribution is real; parity of the Gaussian
+    vacuum makes alternate orders vanish identically.
+
+    Since H is Hermitian, order n equals (i/hbar)^n / n! times
+    sum_k C(n,k) (-1)^k <H^(n-k) psi0| O |H^k psi0>: the engine applies
+    H to psi0 ``order`` times on a (d, n_max+1, n_max+1) state tensor
+    and never forms an operator on the product space. Raises
+    InvalidTruncation if that tensor would exceed MAX_ARRAY_BYTES.
     """
     if not 0 <= order <= 4:
         raise ValueError(f"order must be in [0, 4], got {order}")
@@ -508,38 +532,41 @@ def heisenberg_moment(
         )
     if n_max < order + 2:
         raise ValueError(f"n_max={n_max} too small for order {order}")
-    _check_dims(i, f, c.A.dim)
+    d = c.A.dim
+    _check_dims(i, f, d)
+    check_array_budget(
+        d * (int(n_max) + 1) ** 2,
+        f"n_max={n_max} with system dimension {d}",
+        InvalidTruncation,
+    )
 
-    fx = build_fock(c.pointer_x, n_max)
-    fy = build_fock(c.pointer_y, n_max)
-    eye_p = np.eye(fx.dim)
+    fx = _pointer_frame(c.pointer_x, n_max)[0]
+    fy = _pointer_frame(c.pointer_y, n_max)[0]
+    y_op = {"O_x": None, "O_xy": fy.X, "O_xpy": fy.P}[observable_tag]
 
-    def kron3(s_op, x_op, y_op):
-        return np.kron(np.kron(s_op, x_op), y_op)
+    # H^k psi0 for k = 0..order on tensors indexed (system, x level,
+    # y level); H acts through its factors A (x) Px and B (x) Py
+    powers = [np.zeros((d, fx.dim, fy.dim), dtype=complex)]
+    powers[0][:, fx.vacuum, fy.vacuum] = i.amplitudes
+    for _ in range(order):
+        v = powers[-1]
+        powers.append(
+            c.Kx * np.tensordot(c.A.matrix, fx.P @ v, axes=1)
+            + c.Ky * np.tensordot(c.B.matrix, v @ fy.P.T, axes=1)
+        )
+
+    # O = |f><f| (x) X (x) y_op: project each H^k psi0 on <f| once, then
+    # <H^(n-k) psi0| O |H^k psi0> = <left[n-k]| X left[k] y_op^T>
+    left = [np.tensordot(f.amplitudes.conj(), v, axes=1) for v in powers]
+    right = [fx.X @ phi if y_op is None else fx.X @ phi @ y_op.T for phi in left]
 
     hbar = c.pointer_x.hbar
-    ham = c.Kx * kron3(c.A.matrix, fx.P, eye_p) + c.Ky * kron3(
-        c.B.matrix, eye_p, fy.P
-    )
-    proj_f = np.outer(f.amplitudes, f.amplitudes.conj())
-    pointer_part = {
-        "O_x": (fx.X, eye_p),
-        "O_xy": (fx.X, fy.X),
-        "O_xpy": (fx.X, fy.P),
-    }[observable_tag]
-    obs = kron3(proj_f, *pointer_part)
-
-    psi0 = kron3(
-        i.amplitudes.reshape(-1, 1),
-        fx.vacuum_state().reshape(-1, 1),
-        fy.vacuum_state().reshape(-1, 1),
-    ).reshape(-1)
-
     contributions = np.empty(order + 1)
-    nested = obs
     for n in range(order + 1):
-        if n > 0:
-            nested = ham @ nested - nested @ ham
-        value = (1j / hbar) ** n / math.factorial(n) * np.vdot(psi0, nested @ psi0)
+        value = sum(
+            math.comb(n, k) * (-1) ** k * np.vdot(left[n - k], right[k])
+            for k in range(n + 1)
+        )
+        value *= (1j / hbar) ** n / math.factorial(n)
         contributions[n] = _realize(complex(value), f"order-{n} contribution")
     return contributions

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weaklab.engines import (
     MAX_ARRAY_BYTES,
@@ -15,6 +17,7 @@ from weaklab.engines import (
     run_fock,
     run_joint_exact,
     run_single_exact,
+    _pointer_frame,
 )
 from weaklab.errors import (
     DimensionMismatch,
@@ -24,7 +27,7 @@ from weaklab.errors import (
     OrthogonalPostselection,
     TruncationWarning,
 )
-from weaklab.pointer import GaussianPointer
+from weaklab.pointer import GaussianPointer, build_fock
 from weaklab.qcore import Observable, QuantumState
 from weaklab.scenarios import build_hardy, build_imaginary, build_spin_amplifier, build_three_box
 from weaklab.weakvalues import direct_weak_value
@@ -250,6 +253,28 @@ def test_fock_rejects_unknown_coupling_type():
         run_fock(PLUS_X, PLUS_X, object())
 
 
+def test_pointer_frame_arrays_are_read_only():
+    fock, pvals, w, vac = _pointer_frame(unit_pointer(), 8)
+    for array in (fock.X, fock.P, pvals, w, vac):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_fock_records_equal_on_cold_and_warm_frame_cache():
+    f = QuantumState(np.array([math.cos(0.3), math.sin(0.3)]))
+    single = SingleCoupling(A=SIGMA_Z, K=0.05, pointer=unit_pointer())
+    joint = JointCoupling(
+        A=SIGMA_X, B=SIGMA_Z, Kx=0.05, Ky=-0.03,
+        pointer_x=unit_pointer(), pointer_y=GaussianPointer(0.7),
+    )
+    for c in (single, joint):
+        _pointer_frame.cache_clear()
+        cold = run_fock(PLUS_X, f, c, n_max=20, scales=[0.5, 1.0])
+        warm = run_fock(PLUS_X, f, c, n_max=20, scales=[0.5, 1.0])
+        assert _pointer_frame.cache_info().hits > 0
+        assert cold == warm
+
+
 # --- batches over the coupling scale -----------------------------------------
 
 
@@ -399,6 +424,98 @@ def test_series_xpy_even_structure():
     assert abs(terms[0]) <= 1e-12
     assert abs(terms[1]) <= 1e-12
     assert abs(terms[3]) <= 1e-12
+
+
+def dense_heisenberg_moment(i, f, jc, observable_tag, order, n_max):
+    """Reference series: the nested commutators [H,[H,...,O]] formed as
+    dense Kronecker-product matrices on the truncated product space."""
+    fx = build_fock(jc.pointer_x, n_max)
+    fy = build_fock(jc.pointer_y, n_max)
+    eye_p = np.eye(fx.dim)
+
+    def kron3(s_op, x_op, y_op):
+        return np.kron(np.kron(s_op, x_op), y_op)
+
+    ham = jc.Kx * kron3(jc.A.matrix, fx.P, eye_p) + jc.Ky * kron3(jc.B.matrix, eye_p, fy.P)
+    y_op = {"O_x": eye_p, "O_xy": fy.X, "O_xpy": fy.P}[observable_tag]
+    obs = kron3(np.outer(f.amplitudes, f.amplitudes.conj()), fx.X, y_op)
+    psi0 = np.kron(np.kron(i.amplitudes, fx.vacuum_state()), fy.vacuum_state())
+    contributions = np.empty(order + 1)
+    nested = obs
+    for n in range(order + 1):
+        if n > 0:
+            nested = ham @ nested - nested @ ham
+        value = (1j / jc.pointer_x.hbar) ** n / math.factorial(n) * np.vdot(psi0, nested @ psi0)
+        assert abs(value.imag) <= 1e-10
+        contributions[n] = value.real
+    return contributions
+
+
+@st.composite
+def series_problem(draw):
+    """Random Hermitian A, B (d <= 3; B a function of A when they must
+    commute), states with |<f|i>| >= 0.3, couplings of magnitude 0.01
+    to 0.1 and pointer widths 0.5 to 2. Matrix and state entries come
+    from a generator seeded by hypothesis, so they are generic."""
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def complex_normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    a = complex_normal(d, d)
+    a = (a + a.conj().T) / 2
+    if draw(st.booleans()):
+        vals, vecs = np.linalg.eigh(a)
+        b = vecs @ np.diag(np.cos(3 * vals) + vals**2) @ vecs.conj().T
+        b = (b + b.conj().T) / 2
+    else:
+        b = complex_normal(d, d)
+        b = (b + b.conj().T) / 2
+    i = QuantumState(complex_normal(d))
+    f = QuantumState(complex_normal(d))
+    if abs(f.inner(i)) < 0.3:
+        # |<f + 2i|i>| >= (2 - 0.3) / 3 for unit |f>, |i>
+        f = QuantumState(f.amplitudes + 2.0 * i.amplitudes)
+    hbar = draw(st.sampled_from([1.0, 2.0]))
+
+    def coupling():
+        return draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.01, 0.1))
+
+    jc = JointCoupling(
+        A=Observable(a), B=Observable(b), Kx=coupling(), Ky=coupling(),
+        pointer_x=GaussianPointer(draw(st.floats(0.5, 2.0)), hbar),
+        pointer_y=GaussianPointer(draw(st.floats(0.5, 2.0)), hbar),
+    )
+    order = draw(st.integers(0, 4))
+    n_max = draw(st.integers(order + 2, 6))
+    return i, f, jc, order, n_max
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=series_problem(), observable_tag=st.sampled_from(["O_x", "O_xy", "O_xpy"]))
+def test_series_matches_dense_commutator_reference(problem, observable_tag):
+    i, f, jc, order, n_max = problem
+    assert abs(f.inner(i)) >= 0.3
+    got = heisenberg_moment(i, f, jc, observable_tag, order, n_max)
+    want = dense_heisenberg_moment(i, f, jc, observable_tag, order, n_max)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("observable_tag", ["O_x", "O_xy", "O_xpy"])
+def test_series_matches_dense_reference_at_default_truncation(observable_tag):
+    # the hardy case has d = 4, beyond the property test's d <= 3
+    for i, f, jc in series_cases():
+        got = heisenberg_moment(i, f, jc, observable_tag, order=4)
+        want = dense_heisenberg_moment(i, f, jc, observable_tag, order=4, n_max=8)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+def test_series_refuses_oversized_truncation_before_allocating():
+    i, f, jc = noncommuting_case()
+    # 2 x (1e8 + 1)^2 complex values: 3.2e17 bytes
+    with pytest.raises(InvalidTruncation, match="budget"):
+        heisenberg_moment(i, f, jc, "O_xy", order=2, n_max=10**8)
 
 
 def test_series_argument_validation():
