@@ -28,6 +28,7 @@ closed-form joint engine); 3 validation-suite failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -462,7 +463,11 @@ def _add_common_flags(p):
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process and shared by every
+    ``main`` call (building it costs about a millisecond; parsing keeps
+    no state in it)."""
     parser = _Parser(prog="weaklab",
                      description="Weak-measurement laboratory: conditional pointer "
                                  "moments and weak-value extraction.")

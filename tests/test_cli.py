@@ -224,6 +224,38 @@ def test_run_byte_identical_outputs(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    # the joint call sets flags the single call leaves at their defaults
+    joint = [
+        "run", "--scenario", "hardy", "--observable", "N_Oe",
+        "--observable-b", "N_NOp", "--engine", "fock", "--n-max", "20",
+        "--kx", "0.02", "--ky", "0.03", "--sigma-x", "1", "--sigma-y", "0.7",
+        "--singles", "direct", "--format", "json",
+    ]
+    single = [
+        "run", "--scenario", "three-box", "--observable", "P3",
+        "--engine", "exact", "--kx", "0.01", "--sigma-x", "1", "--format", "json",
+    ]
+    bad = ["run", "--scenario", "hardy", "--no-such-flag", "1"]
+
+    def fresh(argv):
+        build_parser.cache_clear()
+        assert run_cli(argv) == 0
+        return capsys.readouterr().out
+
+    want = [fresh(joint), fresh(single)]
+    parser = build_parser()
+    assert run_cli(joint) == 0
+    got = [capsys.readouterr().out]
+    assert run_cli(bad) == 1
+    assert "usage" in capsys.readouterr().err
+    assert run_cli(single) == 0
+    got.append(capsys.readouterr().out)
+    assert build_parser() is parser
+    assert got == want
+
+
 def test_run_floats_serialized_with_17_digits(capsys):
     run_cli(
         [

@@ -1,7 +1,10 @@
 """Engine behavior: closed-form and Fock routes, their cross-agreement,
 the commutator series, and the scaling laws of the conditional moments."""
 
+import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from weaklab.engines import (
     MAX_ARRAY_BYTES,
+    TRUNCATION_TOL,
     JointCoupling,
     MeasurementRecord,
     SingleCoupling,
@@ -241,11 +245,18 @@ def test_fock_handles_noncommuting_pair():
 
 
 def test_fock_truncation_warning():
-    c = SingleCoupling(A=SIGMA_Z, K=2.0, pointer=unit_pointer())
     f = QuantumState(np.array([0.8, 0.6]))
-    with pytest.warns(TruncationWarning):
-        rec = run_fock(PLUS_X, f, c, n_max=4)
-    assert rec.truncation_warning
+    single = SingleCoupling(A=SIGMA_Z, K=2.0, pointer=unit_pointer())
+    joint = JointCoupling(
+        A=SIGMA_X, B=SIGMA_Z, Kx=2.0, Ky=-1.5,
+        pointer_x=unit_pointer(), pointer_y=GaussianPointer(0.7),
+    )
+    for c in (single, joint):
+        with pytest.warns(TruncationWarning) as caught:
+            rec = run_fock(PLUS_X, f, c, n_max=4)
+        assert rec.truncation_warning
+        # the warning names the code that called run_fock
+        assert [w.filename for w in caught if w.category is TruncationWarning] == [__file__]
 
 
 def test_fock_rejects_unknown_coupling_type():
@@ -273,6 +284,14 @@ def test_fock_records_equal_on_cold_and_warm_frame_cache():
         warm = run_fock(PLUS_X, f, c, n_max=20, scales=[0.5, 1.0])
         assert _pointer_frame.cache_info().hits > 0
         assert cold == warm
+
+
+@pytest.mark.parametrize("n_max", [7, 8, 40])
+def test_pointer_frame_grid_is_exactly_antisymmetric(n_max):
+    # odd n_max gives an even grid, even n_max an odd one with p = 0
+    pvals = _pointer_frame(GaussianPointer(sigma=0.7), n_max)[1]
+    assert np.array_equal(pvals, -pvals[::-1])
+    assert np.all(np.diff(pvals) > 0)
 
 
 # --- batches over the coupling scale -----------------------------------------
@@ -452,7 +471,7 @@ def dense_heisenberg_moment(i, f, jc, observable_tag, order, n_max):
 
 
 @st.composite
-def series_problem(draw):
+def joint_problem(draw):
     """Random Hermitian A, B (d <= 3; B a function of A when they must
     commute), states with |<f|i>| >= 0.3, couplings of magnitude 0.01
     to 0.1 and pointer widths 0.5 to 2. Matrix and state entries come
@@ -487,6 +506,13 @@ def series_problem(draw):
         pointer_x=GaussianPointer(draw(st.floats(0.5, 2.0)), hbar),
         pointer_y=GaussianPointer(draw(st.floats(0.5, 2.0)), hbar),
     )
+    return i, f, jc
+
+
+@st.composite
+def series_problem(draw):
+    """A joint problem with a series order 0..4 and n_max order+2..6."""
+    i, f, jc = draw(joint_problem())
     order = draw(st.integers(0, 4))
     n_max = draw(st.integers(order + 2, 6))
     return i, f, jc, order, n_max
@@ -526,6 +552,81 @@ def test_series_argument_validation():
         heisenberg_moment(i, f, jc, "O_zz", order=2)
     with pytest.raises(ValueError):
         heisenberg_moment(i, f, jc, "O_xy", order=4, n_max=3)
+
+
+# --- Fock joint engine against a dense reference -----------------------------
+
+
+def dense_fock_joint(i, f, jc, n_max, scales):
+    """Reference Fock joint engine: H = Kx A (x) Px (x) 1 + Ky B (x) 1 (x) Py
+    formed as one dense Kronecker-product matrix on the truncated product
+    space, one full eigh, psi0 evolved to each scale t and post-selected
+    on <f|. Returns per scale the seven moments (ps_prob and the six
+    conditional moments) and the population of the top two levels of
+    the more populated axis."""
+    fx = build_fock(jc.pointer_x, n_max)
+    fy = build_fock(jc.pointer_y, n_max)
+    eye_p = np.eye(fx.dim)
+    ham = jc.Kx * np.kron(np.kron(jc.A.matrix, fx.P), eye_p) + jc.Ky * np.kron(
+        np.kron(jc.B.matrix, eye_p), fy.P
+    )
+    vals, vecs = np.linalg.eigh(ham)
+    psi0 = np.kron(np.kron(i.amplitudes, fx.vacuum_state()), fy.vacuum_state())
+    coeff = vecs.conj().T @ psi0
+    operators = {
+        "x_mean": (fx.X, eye_p),
+        "px_mean": (fx.P, eye_p),
+        "y_mean": (eye_p, fy.X),
+        "py_mean": (eye_p, fy.P),
+        "xy_mean": (fx.X, fy.X),
+        "x_py_mean": (fx.X, fy.P),
+    }
+    results = []
+    for t in scales:
+        psi = vecs @ (np.exp(-1j * t / jc.pointer_x.hbar * vals) * coeff)
+        psi = psi.reshape(jc.A.dim, fx.dim, fy.dim)  # (system, x level, y level)
+        top = max(np.sum(np.abs(psi[:, -2:, :]) ** 2), np.sum(np.abs(psi[:, :, -2:]) ** 2))
+        phi = np.tensordot(f.amplitudes.conj(), psi, axes=1).reshape(-1)
+        ps = np.vdot(phi, phi).real
+        moments = {"ps_prob": ps}
+        for name, (op_x, op_y) in operators.items():
+            value = np.vdot(phi, np.kron(op_x, op_y) @ phi) / ps
+            assert abs(value.imag) <= 1e-10
+            moments[name] = value.real
+        results.append((moments, top))
+    return results
+
+
+@st.composite
+def fock_joint_problem(draw):
+    """A joint problem with either coupling or both possibly zero,
+    n_max 3..8 (even and odd grids) and one to three signed scales up
+    to 10, strong enough at small n_max to populate the top levels."""
+    i, f, jc = draw(joint_problem())
+    zeroed = draw(st.sampled_from([(), ("Kx",), ("Ky",), ("Kx", "Ky")]))
+    jc = dataclasses.replace(jc, **{name: 0.0 for name in zeroed})
+    n_max = draw(st.integers(3, 8))
+    scales = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3))
+    return i, f, jc, n_max, scales
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=fock_joint_problem())
+def test_fock_joint_matches_dense_reference(problem):
+    i, f, jc, n_max, scales = problem
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = run_fock(i, f, jc, n_max=n_max, scales=scales)
+    want = dense_fock_joint(i, f, jc, n_max, scales)
+    for rec, (moments, top) in zip(got, want):
+        for name, value in moments.items():
+            assert getattr(rec, name) == pytest.approx(value, abs=1e-12), name
+        assert rec.truncation_warning == (top > TRUNCATION_TOL)
+    flagged = [top for _, top in want if top > TRUNCATION_TOL]
+    reported = [
+        float(re.search(r"population (\S+);", str(w.message)).group(1)) for w in caught
+    ]
+    assert reported == pytest.approx(flagged, rel=1e-3)
 
 
 # --- record validation ----------------------------------------------------------
