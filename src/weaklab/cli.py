@@ -41,6 +41,7 @@ import numpy as np
 
 from .engines import (
     DEFAULT_N_MAX,
+    MOMENTS,
     JointCoupling,
     MeasurementRecord,
     SingleCoupling,
@@ -130,9 +131,7 @@ class RunReport:
     """Everything a single engine run produced, plus its ground truth.
 
     Absolute errors are not stored; they are recomputed from the
-    extracted/direct values at serialization time. wall_time_s is a
-    diagnostic only and is excluded from serialized output to keep
-    report files byte-reproducible.
+    extracted/direct values at serialization time.
     """
 
     spec: RunSpec
@@ -142,7 +141,6 @@ class RunReport:
     singles: tuple[WeakValueEstimate, WeakValueEstimate] | None
     extracted: WeakValueEstimate
     direct: complex
-    wall_time_s: float = 0.0
 
     def abs_err(self) -> float:
         return abs(self.extracted.value - self.direct)
@@ -212,13 +210,7 @@ def report_payload(report: RunReport) -> dict:
         "n_max": spec.n_max if spec.engine == "fock" else None,
         "singles_mode": spec.singles_mode,
         "record": {
-            "ps_prob": rec.ps_prob,
-            "x_mean": rec.x_mean,
-            "px_mean": rec.px_mean,
-            "y_mean": rec.y_mean,
-            "py_mean": rec.py_mean,
-            "xy_mean": rec.xy_mean,
-            "x_py_mean": rec.x_py_mean,
+            **{name: getattr(rec, name) for name in MOMENTS},
             "weakness_ratio": rec.weakness_ratio,
             "engine_tag": rec.engine_tag,
             "truncation_warning": rec.truncation_warning,
@@ -365,7 +357,6 @@ def cmd_run(args) -> int:
         singles=None if singles is None else singles[0],
         extracted=ests[0],
         direct=direct,
-        wall_time_s=wall,
     )
     if args.format == "json":
         text = serialize_report(report)

@@ -40,10 +40,19 @@ engine returns the one record at t = 1, so a single run and a sweep row
 take the same code path. A pointer's Fock operators and momentum frame
 depend only on (pointer, n_max) and are built once per process for each
 such pair (``_pointer_frame``).
+
+One table, ``MOMENTS``, names the seven record moments and the pointer
+operator each takes on the x and y axis; every engine evaluates it. The
+exact engines read each operator's matrix of pointer integrals between
+branches. Both Fock engines take the moments on the momentum grid they
+evolve on, so the state never returns to the ladder basis: P is the
+grid itself, X is the frame's cached w^+ X w, and the truncation check
+needs only the top two rows of w.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import warnings
@@ -65,6 +74,7 @@ __all__ = [
     "SingleCoupling",
     "JointCoupling",
     "MeasurementRecord",
+    "MOMENTS",
     "run_single_exact",
     "run_joint_exact",
     "run_fock",
@@ -96,6 +106,20 @@ DEFAULT_N_MAX = 40
 #: arrays of this size are live at once. Larger requests are refused
 #: before anything is allocated.
 MAX_ARRAY_BYTES = 2**28
+
+#: Each moment of a MeasurementRecord and the pointer operator it applies
+#: on the x and on the y axis ("1" identity, "X" position, "P" momentum);
+#: single-coupling records carry the rows with no y operator.
+MOMENTS = {
+    "ps_prob": ("1", "1"),
+    "x_mean": ("X", "1"),
+    "px_mean": ("P", "1"),
+    "y_mean": ("1", "X"),
+    "py_mean": ("1", "P"),
+    "xy_mean": ("X", "X"),
+    "x_py_mean": ("X", "P"),
+}
+SINGLE_MOMENTS = {name: ops for name, ops in MOMENTS.items() if ops[1] == "1"}
 
 
 def check_array_budget(n_values: int, what: str, error: type[Exception]):
@@ -269,13 +293,18 @@ def _records(raw: dict, weakness: list, tag: str, eps_ps: float, truncated=None)
     ]
 
 
-def _moment_matrices(displacements: np.ndarray, p: GaussianPointer):
+def _moment_matrices(displacements: np.ndarray, p: GaussianPointer) -> dict:
     """Branch-pair matrices of pointer integrals for displacements of
-    shape (..., d): overlap, position moment and momentum moment, each
-    of shape (..., d, d)."""
+    shape (..., d), keyed by the pointer operators of MOMENTS: overlap
+    ("1"), position moment ("X") and momentum moment ("P"), each of
+    shape (..., d, d)."""
     d1 = displacements[..., :, None]
     d2 = displacements[..., None, :]
-    return gaussian_overlap(d1, d2, p), moment_x(d1, d2, p), moment_p(d1, d2, p)
+    return {
+        "1": gaussian_overlap(d1, d2, p),
+        "X": moment_x(d1, d2, p),
+        "P": moment_p(d1, d2, p),
+    }
 
 
 def _branch_amplitudes(i: QuantumState, f: QuantumState, vecs: np.ndarray):
@@ -303,12 +332,8 @@ def run_single_exact(
     ts = _scale_array(scales)
     es = hermitian_eig(c.A)
     amp = _branch_amplitudes(i, f, es.eigenvectors)
-    ov, mx, mp = _moment_matrices(np.outer(ts * c.K, es.eigenvalues), c.pointer)
-    forms = {
-        "ps_prob": amp.conj() @ ov @ amp,
-        "x_mean": amp.conj() @ mx @ amp,
-        "px_mean": amp.conj() @ mp @ amp,
-    }
+    mats = _moment_matrices(np.outer(ts * c.K, es.eigenvalues), c.pointer)
+    forms = {name: amp.conj() @ mats[op] @ amp for name, (op, _) in SINGLE_MOMENTS.items()}
     records = _records(forms, c.weakness_ratios(ts.tolist()), "exact-single", eps_ps)
     return _batch_result(records, scales)
 
@@ -333,32 +358,31 @@ def run_joint_exact(
     ts = _scale_array(scales)
     joint = simultaneous_eig(c.A, c.B, tol=1e-10)
     amp = _branch_amplitudes(i, f, joint.eigenvectors)
-    ovx, mxx, mpx = _moment_matrices(np.outer(ts * c.Kx, joint.eigenvalues_a), c.pointer_x)
-    ovy, myy, mpy = _moment_matrices(np.outer(ts * c.Ky, joint.eigenvalues_b), c.pointer_y)
+    mx = _moment_matrices(np.outer(ts * c.Kx, joint.eigenvalues_a), c.pointer_x)
+    my = _moment_matrices(np.outer(ts * c.Ky, joint.eigenvalues_b), c.pointer_y)
     forms = {
-        name: amp.conj() @ (mat_x * mat_y) @ amp
-        for name, mat_x, mat_y in (
-            ("ps_prob", ovx, ovy),
-            ("x_mean", mxx, ovy),
-            ("px_mean", mpx, ovy),
-            ("y_mean", ovx, myy),
-            ("py_mean", ovx, mpy),
-            ("xy_mean", mxx, myy),
-            ("x_py_mean", mxx, mpy),
-        )
+        name: amp.conj() @ (mx[op_x] * my[op_y]) @ amp
+        for name, (op_x, op_y) in MOMENTS.items()
     }
     records = _records(forms, c.weakness_ratios(ts.tolist()), "exact-joint", eps_ps)
     return _batch_result(records, scales)
 
 
+_Frame = collections.namedtuple("_Frame", "fock p x top vacuum")
+
+
 @functools.lru_cache(maxsize=4)
-def _pointer_frame(p: GaussianPointer, n_max: int):
-    """Fock operators of pointer p truncated at n_max, the eigenvalues
-    and eigenvector columns of the truncated P, and the vacuum in that
-    eigenbasis. Cached per (p, n_max), so every engine call on one
-    pointer shares one ``eigh``; the returned arrays are read-only. The
-    cache keeps the four most recent frames, which covers the two axes
-    of a joint run and both truncations ``validate`` uses.
+def _pointer_frame(p: GaussianPointer, n_max: int) -> _Frame:
+    """Pointer p truncated at n_max and the momentum grid the Fock
+    engines evolve on and take their moments on. With w the eigenvector
+    columns of the truncated P, the frame holds ``fock`` (the
+    ladder-basis operators, for the series engine), the grid ``p`` (the
+    eigenvalues of P), ``x`` (X on the grid, w^+ X w), ``top`` (the top
+    two rows of w, which carry the top two ladder levels) and
+    ``vacuum`` (w^+ |0>). Cached per (p, n_max), so every engine call on
+    one pointer shares one ``eigh``; the returned arrays are read-only.
+    The cache keeps the four most recent frames, which covers the two
+    axes of a joint run and both truncations ``validate`` uses.
 
     The truncated P is odd under parity, so its spectrum is symmetric,
     p[N-1-j] = -p[j]. The grid is symmetrized so that this holds bit for
@@ -366,11 +390,38 @@ def _pointer_frame(p: GaussianPointer, n_max: int):
     relies on it to diagonalize only half of the momentum grid."""
     fock = build_fock(p, n_max)
     vals, w = np.linalg.eigh(fock.P)
-    vals = (vals - vals[::-1]) / 2
-    vac = w.conj().T @ fock.vacuum_state()
-    for array in (vals, w, vac):
+    frame = _Frame(
+        fock=fock,
+        p=(vals - vals[::-1]) / 2,
+        x=w.conj().T @ fock.X @ w,
+        top=w[-2:].copy(),
+        vacuum=w.conj().T @ fock.vacuum_state(),
+    )
+    for array in frame[1:]:
         array.flags.writeable = False
-    return fock, vals, w, vac
+    return frame
+
+
+def _on_grid(op: str, frame: _Frame, a: np.ndarray) -> np.ndarray:
+    """Pointer operator op of MOMENTS applied along the first axis of
+    amplitudes a on the momentum grid of frame."""
+    if op == "X":
+        return frame.x @ a
+    if op == "P":
+        return frame.p[:, None] * a
+    return a
+
+
+def _grid_moments(phi: np.ndarray, table: dict, fx: _Frame, fy: _Frame | None = None):
+    """Unnormalized moments ``table`` of the post-selected pointer state
+    phi[j, m] on the momentum grid (px_j, py_m) of frames fx and fy (one
+    column and no y operator for a single pointer). Each x operator is
+    applied once and shared by the rows that use it."""
+    on_x = {op: _on_grid(op, fx, phi) for op in "1XP"}
+    return {
+        name: np.vdot(phi, _on_grid(op_y, fy, on_x[op_x].T).T)
+        for name, (op_x, op_y) in table.items()
+    }
 
 
 def _population(psi: np.ndarray) -> float:
@@ -391,25 +442,23 @@ def _warn_truncation(population: float) -> bool:
 
 
 def _fock_single(i, f, c: SingleCoupling, n_max, eps_ps, ts):
-    fock, pvals, w, vac_p = _pointer_frame(c.pointer, n_max)
+    frame = _pointer_frame(c.pointer, n_max)
     es = hermitian_eig(c.A)
 
     # evolution is diagonal over momentum grid points: each point sees
     # the system Hamiltonian t K p A, already diagonal in A's eigenbasis
-    coeff = es.eigenvectors.conj().T @ np.einsum("s,j->sj", i.amplitudes, vac_p)
-    grid = np.outer(es.eigenvalues, pvals)
-    raw = {"ps_prob": [], "x_mean": [], "px_mean": []}
+    coeff = es.eigenvectors.conj().T @ np.einsum("s,j->sj", i.amplitudes, frame.vacuum)
+    grid = np.outer(es.eigenvalues, frame.p)
+    raw = {name: [] for name in SINGLE_MOMENTS}
     truncated = []
     for t in ts.tolist():
         phases = np.exp(-1j * (t * c.K) / c.pointer.hbar * grid)
-        psi_fock = (es.eigenvectors @ (phases * coeff)) @ w.T  # back to the ladder basis
+        psi = es.eigenvectors @ (phases * coeff)  # (system, p)
+        truncated.append(_warn_truncation(_population(psi @ frame.top.T)))
 
-        truncated.append(_warn_truncation(_population(psi_fock[:, -2:])))
-
-        pointer_state = f.amplitudes.conj() @ psi_fock
-        raw["ps_prob"].append(np.vdot(pointer_state, pointer_state))
-        raw["x_mean"].append(np.vdot(pointer_state, fock.X @ pointer_state))
-        raw["px_mean"].append(np.vdot(pointer_state, fock.P @ pointer_state))
+        phi = f.amplitudes.conj() @ psi
+        for name, value in _grid_moments(phi[:, None], SINGLE_MOMENTS, frame).items():
+            raw[name].append(value)
     return _records(raw, c.weakness_ratios(ts.tolist()), "fock-single", eps_ps, truncated)
 
 
@@ -422,39 +471,25 @@ def _fock_joint(i, f, c: JointCoupling, n_max, eps_ps, ts):
     it has the same eigenvectors and negated eigenvalues. Only the rows
     j < (N+1)/2 go through ``eigh`` (861 of 1681 blocks at n_max 40);
     the other rows are their mirror, for odd and even N alike."""
-    fx, pxv, wx, vacx = _pointer_frame(c.pointer_x, n_max)
-    fy, pyv, wy, vacy = _pointer_frame(c.pointer_y, n_max)
+    fx = _pointer_frame(c.pointer_x, n_max)
+    fy = _pointer_frame(c.pointer_y, n_max)
 
     # block Hamiltonians (Kx px A + Ky py B) / s over the momentum grid,
     # s the first nonzero coupling: scale t multiplies their eigenvalues
     # by t s and leaves the eigenvectors alone; half the rows are mirrored
     s = c.Kx or c.Ky or 1.0
-    n = len(pxv)
+    n = len(fx.p)
     evals, evecs = np.linalg.eigh(
-        (c.Kx / s * pxv[: (n + 1) // 2])[:, None, None, None] * c.A.matrix
-        + (c.Ky / s * pyv)[None, :, None, None] * c.B.matrix
+        (c.Kx / s * fx.p[: (n + 1) // 2])[:, None, None, None] * c.A.matrix
+        + (c.Ky / s * fy.p)[None, :, None, None] * c.B.matrix
     )
     mirror = np.s_[n // 2 - 1 :: -1, ::-1]
     evals = np.concatenate([evals, -evals[mirror]])
     evecs = np.concatenate([evecs, evecs[mirror]])
     # <v_k|i> vacx[j] vacy[m] for eigenvector v_k of block (j, m)
-    coeff0 = (i.amplitudes.conj() @ evecs).conj() * np.outer(vacx, vacy)[..., None]
+    coeff0 = (i.amplitudes.conj() @ evecs).conj() * np.outer(fx.vacuum, fy.vacuum)[..., None]
 
-    def form(phi, op_x, op_y):
-        acted = phi if op_x is None else op_x @ phi
-        if op_y is not None:
-            acted = acted @ op_y.T
-        return np.vdot(phi, acted)
-
-    operators = {
-        "x_mean": (fx.X, None),
-        "px_mean": (fx.P, None),
-        "y_mean": (None, fy.X),
-        "py_mean": (None, fy.P),
-        "xy_mean": (fx.X, fy.X),
-        "x_py_mean": (fx.X, fy.P),
-    }
-    raw = {"ps_prob": [], **{name: [] for name in operators}}
+    raw = {name: [] for name in MOMENTS}
     truncated = []
     for t in ts.tolist():
         coeff = coeff0 * np.exp(-1j * (t * s) / c.pointer_x.hbar * evals)
@@ -463,14 +498,12 @@ def _fock_joint(i, f, c: JointCoupling, n_max, eps_ps, ts):
         # the ladder-basis change along one axis is unitary and keeps the
         # norm along the other, so the top two levels of each axis need
         # only the top two rows of its basis change
-        top = max(_population(wx[-2:] @ psi.reshape(n, -1)), _population(wy[-2:] @ psi))
+        top = max(_population(fx.top @ psi.reshape(n, -1)), _population(fy.top @ psi))
         truncated.append(_warn_truncation(top))
 
-        # post-select in the momentum grid, then change to the ladder basis
-        phi = wx @ (psi @ f.amplitudes.conj()) @ wy.T
-        raw["ps_prob"].append(np.sum(np.abs(phi) ** 2))
-        for name, (op_x, op_y) in operators.items():
-            raw[name].append(form(phi, op_x, op_y))
+        phi = psi @ f.amplitudes.conj()
+        for name, value in _grid_moments(phi, MOMENTS, fx, fy).items():
+            raw[name].append(value)
     return _records(raw, c.weakness_ratios(ts.tolist()), "fock-joint", eps_ps, truncated)
 
 
@@ -490,9 +523,10 @@ def run_fock(
     the top two truncation levels above 1e-8 a TruncationWarning is
     issued and flagged on the record. With ``scales``, returns the list
     of records at couplings t (Kx, Ky); the momentum frames and block
-    eigenvectors are computed once, and each scale costs one phase and
-    the basis changes. Raises InvalidTruncation if the (n_max+1)^2 d x d
-    blocks would exceed MAX_ARRAY_BYTES.
+    eigenvectors are computed once, and each scale costs one phase, the
+    products with the block eigenvectors and the moments on the momentum
+    grid. Raises InvalidTruncation if the (n_max+1)^2 d x d blocks would
+    exceed MAX_ARRAY_BYTES.
     """
     if isinstance(c, SingleCoupling):
         engine = _fock_single
@@ -554,8 +588,8 @@ def heisenberg_moment(
         InvalidTruncation,
     )
 
-    fx = _pointer_frame(c.pointer_x, n_max)[0]
-    fy = _pointer_frame(c.pointer_y, n_max)[0]
+    fx = _pointer_frame(c.pointer_x, n_max).fock
+    fy = _pointer_frame(c.pointer_y, n_max).fock
     y_op = {"O_x": None, "O_xy": fy.X, "O_xpy": fy.P}[observable_tag]
 
     # H^k psi0 for k = 0..order on tensors indexed (system, x level,

@@ -80,7 +80,8 @@ class Observable:
     """Hermitian complex matrix on the system space.
 
     Hermiticity is enforced at construction: the max-norm of (M - M+)
-    must not exceed 1e-12 times the max-norm of M.
+    must not exceed 1e-12 times the max-norm of M, and a NaN entry fails
+    the check. NotHermitian names the worst entry and both of its values.
     """
 
     matrix: np.ndarray
@@ -90,11 +91,12 @@ class Observable:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"observable matrix must be square, got {m.shape}")
-        scale = max_norm(m)
-        dev = max_norm(m - m.conj().T)
-        if dev > 1e-12 * max(scale, 1e-300):
+        dev = np.abs(m - m.conj().T)
+        if not max_norm(dev) <= 1e-12 * max(max_norm(m), 1e-300):  # NaN fails too
+            r, k = np.unravel_index(int(np.argmax(dev)), dev.shape)
             raise NotHermitian(
-                f"matrix is not Hermitian: max|M - M+| = {dev:.3e}, max|M| = {scale:.3e}"
+                f"matrix is not Hermitian at entry ({r}, {k}): {complex(m[r, k])!r} "
+                f"vs conjugate-transpose {complex(np.conj(m[k, r]))!r}"
             )
         m = m.copy()
         m.flags.writeable = False

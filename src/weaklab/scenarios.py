@@ -246,16 +246,10 @@ def _parse_matrix(raw, dim: int, label: str) -> Observable:
         if not isinstance(row, list) or len(row) != dim:
             raise ParseError(f"observable {label!r} row {r} must have {dim} entries")
         rows.append([_parse_complex(v, f"{label}[{r}][{k}]") for k, v in enumerate(row)])
-    m = np.array(rows)
-    dev = np.abs(m - m.conj().T)
-    scale = max(float(np.max(np.abs(m))), 1e-300)
-    if float(np.max(dev)) > 1e-12 * scale:
-        r, k = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        raise NotHermitian(
-            f"observable {label!r} is not Hermitian at entry ({r}, {k}): "
-            f"{m[r, k]!r} vs conjugate-transpose {np.conj(m[k, r])!r}"
-        )
-    return Observable(m)
+    try:
+        return Observable(np.array(rows))
+    except NotHermitian as exc:
+        raise NotHermitian(f"observable {label!r}: {exc}") from None
 
 
 def load_scenario(document) -> Scenario:

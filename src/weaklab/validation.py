@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from .engines import (
+    MOMENTS,
     JointCoupling,
     SingleCoupling,
     heisenberg_moment,
@@ -34,16 +35,6 @@ CROSS_VALIDATION_TOL = 1e-6
 SERIES_TOL = 1e-12
 POINTER_TOL = 1e-12
 SELF_CONSISTENCY_TOL = 1e-12
-
-_MOMENT_FIELDS = (
-    "ps_prob",
-    "x_mean",
-    "px_mean",
-    "y_mean",
-    "py_mean",
-    "xy_mean",
-    "x_py_mean",
-)
 
 
 def _noncommuting_qubit():
@@ -137,7 +128,7 @@ def check_series_orders():
 
 
 def _record_distance(r1, r2) -> float:
-    return max(abs(getattr(r1, f) - getattr(r2, f)) for f in _MOMENT_FIELDS)
+    return max(abs(getattr(r1, name) - getattr(r2, name)) for name in MOMENTS)
 
 
 def check_engine_cross_validation(n_max: int = 40, k: float = 0.05):

@@ -32,8 +32,9 @@ from weaklab.errors import (
     TruncationWarning,
 )
 from weaklab.pointer import GaussianPointer, build_fock
-from weaklab.qcore import Observable, QuantumState
+from weaklab.qcore import DEGENERACY_RTOL, Observable, QuantumState, simultaneous_eig
 from weaklab.scenarios import build_hardy, build_imaginary, build_spin_amplifier, build_three_box
+from weaklab.validation import CROSS_VALIDATION_TOL
 from weaklab.weakvalues import direct_weak_value
 
 SIGMA_X = Observable(np.array([[0, 1], [1, 0]], dtype=complex))
@@ -265,8 +266,8 @@ def test_fock_rejects_unknown_coupling_type():
 
 
 def test_pointer_frame_arrays_are_read_only():
-    fock, pvals, w, vac = _pointer_frame(unit_pointer(), 8)
-    for array in (fock.X, fock.P, pvals, w, vac):
+    frame = _pointer_frame(unit_pointer(), 8)
+    for array in (frame.fock.X, frame.fock.P, frame.p, frame.x, frame.top, frame.vacuum):
         with pytest.raises(ValueError):
             array[0] = 0.0
 
@@ -470,6 +471,31 @@ def dense_heisenberg_moment(i, f, jc, observable_tag, order, n_max):
     return contributions
 
 
+def complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def random_hermitian(rng, d):
+    a = complex_normal(rng, d, d)
+    return (a + a.conj().T) / 2
+
+
+def pre_post_states(rng, d):
+    """Random pre- and post-selected states with |<f|i>| >= 0.3."""
+    i = QuantumState(complex_normal(rng, d))
+    f = QuantumState(complex_normal(rng, d))
+    if abs(f.inner(i)) < 0.3:
+        # |<f + 2i|i>| >= (2 - 0.3) / 3 for unit |f>, |i>
+        f = QuantumState(f.amplitudes + 2.0 * i.amplitudes)
+    return i, f
+
+
+def commuting_partner(vals, vecs):
+    """g(A) = cos(3A) + A^2 for A with eigenvalues vals, eigenvectors vecs."""
+    b = vecs @ np.diag(np.cos(3 * vals) + vals**2) @ vecs.conj().T
+    return (b + b.conj().T) / 2
+
+
 @st.composite
 def joint_problem(draw):
     """Random Hermitian A, B (d <= 3; B a function of A when they must
@@ -478,24 +504,12 @@ def joint_problem(draw):
     from a generator seeded by hypothesis, so they are generic."""
     d = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def complex_normal(*shape):
-        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-    a = complex_normal(d, d)
-    a = (a + a.conj().T) / 2
+    a = random_hermitian(rng, d)
     if draw(st.booleans()):
-        vals, vecs = np.linalg.eigh(a)
-        b = vecs @ np.diag(np.cos(3 * vals) + vals**2) @ vecs.conj().T
-        b = (b + b.conj().T) / 2
+        b = commuting_partner(*np.linalg.eigh(a))
     else:
-        b = complex_normal(d, d)
-        b = (b + b.conj().T) / 2
-    i = QuantumState(complex_normal(d))
-    f = QuantumState(complex_normal(d))
-    if abs(f.inner(i)) < 0.3:
-        # |<f + 2i|i>| >= (2 - 0.3) / 3 for unit |f>, |i>
-        f = QuantumState(f.amplitudes + 2.0 * i.amplitudes)
+        b = random_hermitian(rng, d)
+    i, f = pre_post_states(rng, d)
     hbar = draw(st.sampled_from([1.0, 2.0]))
 
     def coupling():
@@ -627,6 +641,80 @@ def test_fock_joint_matches_dense_reference(problem):
         float(re.search(r"population (\S+);", str(w.message)).group(1)) for w in caught
     ]
     assert reported == pytest.approx(flagged, rel=1e-3)
+
+
+# --- exact and Fock engines on random problems --------------------------------
+
+
+def signed_coupling(draw, sigma):
+    """A coupling of either sign with |K| / sigma in [0.001, 0.1]."""
+    return draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.001, 0.1)) * sigma
+
+
+def random_pointer(draw, hbar):
+    return GaussianPointer(draw(st.floats(0.5, 2.0)), hbar)
+
+
+@st.composite
+def single_cross_problem(draw):
+    """Random Hermitian A (d <= 5), states with |<f|i>| >= 0.3 and a
+    signed coupling with |K| / sigma <= 0.1."""
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = Observable(random_hermitian(rng, d))
+    i, f = pre_post_states(rng, d)
+    pointer = random_pointer(draw, draw(st.sampled_from([1.0, 2.0])))
+    return i, f, SingleCoupling(a, signed_coupling(draw, pointer.sigma), pointer)
+
+
+@st.composite
+def commuting_cross_problem(draw):
+    """Commuting A and B = g(A) (2 <= d <= 5), states with
+    |<f|i>| >= 0.3 and signed couplings with |K| / sigma <= 0.1. A has
+    spectral radius 1 and its top two eigenvalues sit a gap apart that is
+    zero, just below or just above DEGENERACY_RTOL x spectral radius, so
+    simultaneous_eig either merges them into one cluster or keeps them
+    apart; the draw also returns whether they must merge."""
+    d = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gap = draw(st.sampled_from([0.0, 0.9, 1.1])) * DEGENERACY_RTOL
+    vals = np.concatenate([[1.0, 1.0 - gap], rng.uniform(-0.99, 0.99, d - 2)])
+    vecs, _ = np.linalg.qr(complex_normal(rng, d, d))
+    a = vecs @ np.diag(vals) @ vecs.conj().T
+    b = commuting_partner(vals, vecs)
+    i, f = pre_post_states(rng, d)
+    hbar = draw(st.sampled_from([1.0, 2.0]))
+    px, py = random_pointer(draw, hbar), random_pointer(draw, hbar)
+    jc = JointCoupling(
+        A=Observable((a + a.conj().T) / 2), B=Observable(b),
+        Kx=signed_coupling(draw, px.sigma), Ky=signed_coupling(draw, py.sigma),
+        pointer_x=px, pointer_y=py,
+    )
+    return i, f, jc, gap < DEGENERACY_RTOL
+
+
+def assert_engines_agree(exact, fock):
+    assert not fock.truncation_warning
+    for name in MOMENTS:
+        assert getattr(fock, name) == pytest.approx(
+            getattr(exact, name), rel=0, abs=CROSS_VALIDATION_TOL
+        ), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=single_cross_problem())
+def test_fock_matches_exact_on_random_single_couplings(problem):
+    i, f, c = problem
+    assert_engines_agree(run_single_exact(i, f, c), run_fock(i, f, c, n_max=40))
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=commuting_cross_problem())
+def test_fock_matches_exact_on_commuting_pairs_near_degenerate(problem):
+    i, f, jc, merged = problem
+    top_two = simultaneous_eig(jc.A, jc.B).eigenvalues_a[-2:]
+    assert (top_two[0] == top_two[1]) == merged
+    assert_engines_agree(run_joint_exact(i, f, jc), run_fock(i, f, jc, n_max=40))
 
 
 # --- record validation ----------------------------------------------------------

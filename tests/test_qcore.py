@@ -54,8 +54,10 @@ def test_state_inner_product():
 
 
 def test_observable_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
+    with pytest.raises(NotHermitian, match=r"entry \(0, 1\): \(1\+0j\) vs conjugate-transpose -?0j"):
         Observable(np.array([[0, 1], [0, 0]], dtype=complex))
+    with pytest.raises(NotHermitian, match=r"entry \(1, 1\): \(nan"):
+        Observable(np.array([[1, 0], [0, np.nan]], dtype=complex))
 
 
 def test_observable_expectation():

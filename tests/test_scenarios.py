@@ -158,8 +158,9 @@ def test_load_rejects_malformed_pairs():
 def test_load_rejects_non_hermitian_with_indices():
     doc = _valid_doc()
     doc["observables"]["P1"][0][2] = [0.5, 0.0]
-    with pytest.raises(NotHermitian, match=r"\(0, 2\)"):
+    with pytest.raises(NotHermitian, match=r"\(0, 2\)") as caught:
         load_scenario(doc)
+    assert str(caught.value).startswith("observable 'P1': ")
 
 
 def test_load_rejects_zero_state():
