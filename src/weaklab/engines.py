@@ -29,7 +29,13 @@ cost. The truncated P is odd under parity, so its eigenvalues come in
 pairs p and -p, and the block at the mirrored grid point (-px, -py) is
 exactly minus the block at (px, py): the joint engine diagonalizes only
 half of the grid and takes the other half's eigenvectors and negated
-eigenvalues from the mirror.
+eigenvalues from the mirror. When A and B commute exactly
+(``commutator_norm(A, B) == 0.0``) the coupling factorizes into one
+factor per axis and the joint engine skips the blocks altogether: the
+post-selected state is a sum over the d^2 branches of A's and B's own
+eigenbases (``_fock_branch_sum``). The selection has no tolerance: the
+factorization error grows as t^2 |Kx Ky px py| ||[A, B]|| / 2, so only an
+exact zero keeps it at rounding level on every grid point and scale.
 
 The three ``run_*`` engines are batched over a coupling scale: with
 ``scales=(t_1, ..., t_n)`` record n is the run at couplings
@@ -68,7 +74,7 @@ from .errors import (
     TruncationWarning,
 )
 from .pointer import GaussianPointer, build_fock, gaussian_overlap, moment_p, moment_x
-from .qcore import Observable, QuantumState, hermitian_eig, simultaneous_eig
+from .qcore import Observable, QuantumState, commutator_norm, hermitian_eig, simultaneous_eig
 
 __all__ = [
     "SingleCoupling",
@@ -507,6 +513,46 @@ def _fock_joint(i, f, c: JointCoupling, n_max, eps_ps, ts):
     return _records(raw, c.weakness_ratios(ts.tolist()), "fock-joint", eps_ps, truncated)
 
 
+def _fock_branch_sum(i, f, c: JointCoupling, n_max, eps_ps, ts):
+    """Joint Fock engine for exactly commuting A and B on the momentum
+    grid (px_j, py_m), with no block ``eigh``.
+
+    The coupling factorizes, exp(-i t (Kx A px + Ky B py)/hbar) =
+    exp(-i t Ky B py/hbar) exp(-i t Kx A px/hbar), so the post-selected
+    state is a sum over the d^2 branches (a_k, b_l) of A's and B's own
+    eigenbases: phi = Gx @ amp @ Gy^T with amp[k, l] =
+    <f|b_l><b_l|a_k><a_k|i> and Gx[j, k] = exp(-i t Kx px_j a_k/hbar)
+    vacx[j] (Gy likewise on the y axis). Each scale costs O(N d^2) on
+    an N-point grid before the moments."""
+    fx = _pointer_frame(c.pointer_x, n_max)
+    fy = _pointer_frame(c.pointer_y, n_max)
+    ea, eb = hermitian_eig(c.A), hermitian_eig(c.B)
+    ai = ea.eigenvectors.conj().T @ i.amplitudes  # <a_k|i>
+    ba = eb.eigenvectors.conj().T @ ea.eigenvectors  # <b_l|a_k>
+    fb = f.amplitudes.conj() @ eb.eigenvectors  # <f|b_l>
+    grid_x = np.outer(fx.p, ea.eigenvalues)
+    grid_y = np.outer(fy.p, eb.eigenvalues)
+    hbar = c.pointer_x.hbar
+
+    raw = {name: [] for name in MOMENTS}
+    truncated = []
+    for t in ts.tolist():
+        gx = np.exp(-1j * (t * c.Kx) / hbar * grid_x) * fx.vacuum[:, None]
+        gy = np.exp(-1j * (t * c.Ky) / hbar * grid_y) * fy.vacuum[:, None]
+        # w[j, l]: the state on x grid point j in B's eigenbasis, before
+        # the y phases; the y phases have unit modulus and the vacuum has
+        # unit norm, so neither axis's top levels need the full state
+        w = (gx * ai) @ ba.T
+        top_y = np.sum(np.abs(fy.top @ gy) ** 2, axis=0)
+        top = max(_population(fx.top @ w), float(np.sum(np.abs(w) ** 2, axis=0) @ top_y))
+        truncated.append(_warn_truncation(top))
+
+        phi = (w * fb) @ gy.T
+        for name, value in _grid_moments(phi, MOMENTS, fx, fy).items():
+            raw[name].append(value)
+    return _records(raw, c.weakness_ratios(ts.tolist()), "fock-joint", eps_ps, truncated)
+
+
 def run_fock(
     i: QuantumState,
     f: QuantumState,
@@ -519,7 +565,13 @@ def run_fock(
     """Exact unitary evolution in a truncated oscillator pointer space.
 
     Accepts a SingleCoupling or a JointCoupling; the joint case places no
-    commutation requirement on A and B. If the evolved state populates
+    commutation requirement on A and B. A joint pair with
+    ``commutator_norm(A, B) == 0.0`` exactly is evolved as a sum over
+    the branches of A's and B's eigenbases, with no block eigenvectors;
+    every other pair takes the block-eigh engine. The test has no
+    tolerance, since a nonzero commutator would enter the factorized
+    evolution as an error t^2 |Kx Ky px py| ||[A, B]|| / 2 that no fixed
+    bound keeps at rounding level. If the evolved state populates
     the top two truncation levels above 1e-8 a TruncationWarning is
     issued and flagged on the record. With ``scales``, returns the list
     of records at couplings t (Kx, Ky); the momentum frames and block
@@ -531,7 +583,9 @@ def run_fock(
     if isinstance(c, SingleCoupling):
         engine = _fock_single
     elif isinstance(c, JointCoupling):
-        engine = _fock_joint
+        # both joint engines are called from here, at the depth that
+        # _warn_truncation's stacklevel counts on
+        engine = _fock_branch_sum if commutator_norm(c.A, c.B) == 0.0 else _fock_joint
     else:
         raise TypeError(f"expected SingleCoupling or JointCoupling, got {type(c).__name__}")
     _check_dims(i, f, c.A.dim)

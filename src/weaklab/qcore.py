@@ -41,7 +41,7 @@ class QuantumState:
 
     The constructor normalizes the supplied amplitudes, so the unit-norm
     invariant holds for every instance. A vector of zero norm raises
-    :class:`ZeroState`.
+    :class:`ZeroState`, and a NaN or infinite amplitude ValueError.
     """
 
     amplitudes: np.ndarray
@@ -51,6 +51,9 @@ class QuantumState:
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size < 1:
             raise ZeroState("state vector must have dimension >= 1")
+        bad = np.flatnonzero(~np.isfinite(amps))
+        if bad.size:
+            raise ValueError(f"state amplitude {bad[0]} is {amps[bad[0]]!r}, not finite")
         norm = float(np.linalg.norm(amps))
         if norm < 1e-15:
             raise ZeroState("state vector has zero norm")

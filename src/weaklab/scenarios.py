@@ -16,9 +16,9 @@ Document schema (all complex numbers are [re, im] pairs)::
       "expected": {"P1": [re, im], ...}      # optional
     }
 
-Unknown fields are rejected; matrices must be Hermitian; states are
-normalized on load (with a warning when the input norm deviates from 1
-by more than 1e-6).
+Unknown fields are rejected; every number must be finite; matrices must
+be Hermitian; states are normalized on load (with a warning when the
+input norm deviates from 1 by more than 1e-6).
 """
 
 from __future__ import annotations
@@ -219,7 +219,14 @@ def _parse_complex(entry, where: str) -> complex:
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
     ):
         raise ParseError(f"{where} must be a [re, im] pair, got {entry!r}")
-    return complex(entry[0], entry[1])
+    # json.loads reads the NaN and Infinity tokens, and integers of any size
+    try:
+        z = complex(entry[0], entry[1])
+    except OverflowError:
+        z = complex(math.inf)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ParseError(f"{where} must be finite, got {entry!r}")
+    return z
 
 
 def _parse_state(raw, dim: int, label: str) -> QuantumState:
@@ -255,9 +262,10 @@ def _parse_matrix(raw, dim: int, label: str) -> Observable:
 def load_scenario(document) -> Scenario:
     """Build a Scenario from a JSON document (text or parsed dict).
 
-    Parsing is strict: unknown fields, wrong shapes, or malformed
-    complex pairs raise ParseError; non-Hermitian observables raise
-    NotHermitian (with the offending entry); zero states raise ZeroState.
+    Parsing is strict: unknown fields, wrong shapes, or malformed or
+    non-finite complex pairs raise ParseError naming the field;
+    non-Hermitian observables raise NotHermitian (with the offending
+    entry); zero states raise ZeroState.
     """
     if isinstance(document, (str, bytes)):
         try:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,36 @@ def test_run_bad_scenario_file_exit_1(tmp_path, capsys):
         ]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "where, value, field",
+    [(("i", 0, 0), math.nan, "i[0]"), (("observables", "sx", 0, 0, 0), math.inf, "sx[0][0]")],
+    ids=["nan-amplitude", "infinite-matrix-entry"],
+)
+def test_run_non_finite_scenario_value_exit_1(tmp_path, capsys, where, value, field):
+    doc = json.loads(json.dumps(NONCOMMUTING_DOC))
+    *parents, last = where
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    path = tmp_path / "non-finite.json"
+    path.write_text(json.dumps(doc))  # json writes the NaN and Infinity tokens
+    for engine in ("exact", "fock"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(
+                [
+                    "run", "--scenario", str(path), "--observable", "sx",
+                    "--engine", engine, "--kx", "0.01", "--sigma-x", "1",
+                    "--format", "json",
+                ]
+            )
+        assert code == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert field in err and "finite" in err
 
 
 def test_run_reads_negative_exponent_values(capsys):

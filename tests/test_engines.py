@@ -32,7 +32,13 @@ from weaklab.errors import (
     TruncationWarning,
 )
 from weaklab.pointer import GaussianPointer, build_fock
-from weaklab.qcore import DEGENERACY_RTOL, Observable, QuantumState, simultaneous_eig
+from weaklab.qcore import (
+    DEGENERACY_RTOL,
+    Observable,
+    QuantumState,
+    commutator_norm,
+    simultaneous_eig,
+)
 from weaklab.scenarios import build_hardy, build_imaginary, build_spin_amplifier, build_three_box
 from weaklab.validation import CROSS_VALIDATION_TOL
 from weaklab.weakvalues import direct_weak_value
@@ -252,7 +258,9 @@ def test_fock_truncation_warning():
         A=SIGMA_X, B=SIGMA_Z, Kx=2.0, Ky=-1.5,
         pointer_x=unit_pointer(), pointer_y=GaussianPointer(0.7),
     )
-    for c in (single, joint):
+    # an exactly commuting pair takes the branch-sum engine
+    commuting = dataclasses.replace(joint, A=SIGMA_Z)
+    for c in (single, joint, commuting):
         with pytest.warns(TruncationWarning) as caught:
             rec = run_fock(PLUS_X, f, c, n_max=4)
         assert rec.truncation_warning
@@ -510,17 +518,46 @@ def joint_problem(draw):
     else:
         b = random_hermitian(rng, d)
     i, f = pre_post_states(rng, d)
+    return i, f, draw_joint_coupling(draw, a, b)
+
+
+def draw_joint_coupling(draw, a, b):
+    """JointCoupling of matrices a and b with couplings of magnitude 0.01
+    to 0.1 and pointer widths 0.5 to 2."""
     hbar = draw(st.sampled_from([1.0, 2.0]))
 
     def coupling():
         return draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.01, 0.1))
 
-    jc = JointCoupling(
+    return JointCoupling(
         A=Observable(a), B=Observable(b), Kx=coupling(), Ky=coupling(),
         pointer_x=GaussianPointer(draw(st.floats(0.5, 2.0)), hbar),
         pointer_y=GaussianPointer(draw(st.floats(0.5, 2.0)), hbar),
     )
-    return i, f, jc
+
+
+@st.composite
+def exactly_commuting_problem(draw):
+    """A joint problem whose A and B commute exactly in floating point,
+    so that run_fock takes the branch-sum engine: diagonal A and B that
+    each repeat an eigenvalue (d 2..4), A (x) 1 and 1 (x) B at d = 4, or
+    d = 1."""
+    kind = draw(st.sampled_from(["diagonal", "kron", "scalar"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "diagonal":
+        d = draw(st.integers(2, 4))
+        vals_a, vals_b = rng.uniform(-1.0, 1.0, (2, d))
+        vals_a[1], vals_b[-1] = vals_a[0], vals_b[0]
+        a, b = np.diag(vals_a), np.diag(vals_b)
+    elif kind == "kron":
+        d = 4
+        a = np.kron(random_hermitian(rng, 2), np.eye(2))
+        b = np.kron(np.eye(2), random_hermitian(rng, 2))
+    else:
+        d = 1
+        a, b = rng.normal(size=(2, 1, 1))
+    i, f = pre_post_states(rng, d)
+    return i, f, draw_joint_coupling(draw, a, b)
 
 
 @st.composite
@@ -613,21 +650,26 @@ def dense_fock_joint(i, f, jc, n_max, scales):
 
 @st.composite
 def fock_joint_problem(draw):
-    """A joint problem with either coupling or both possibly zero,
+    """A joint problem, or one that commutes exactly (the last item
+    returned says which), with either coupling or both possibly zero,
     n_max 3..8 (even and odd grids) and one to three signed scales up
     to 10, strong enough at small n_max to populate the top levels."""
-    i, f, jc = draw(joint_problem())
+    commuting = draw(st.booleans())
+    i, f, jc = draw(exactly_commuting_problem() if commuting else joint_problem())
     zeroed = draw(st.sampled_from([(), ("Kx",), ("Ky",), ("Kx", "Ky")]))
     jc = dataclasses.replace(jc, **{name: 0.0 for name in zeroed})
     n_max = draw(st.integers(3, 8))
     scales = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3))
-    return i, f, jc, n_max, scales
+    return i, f, jc, n_max, scales, commuting
 
 
 @settings(max_examples=40, deadline=None)
 @given(problem=fock_joint_problem())
 def test_fock_joint_matches_dense_reference(problem):
-    i, f, jc, n_max, scales = problem
+    i, f, jc, n_max, scales, commuting = problem
+    if commuting:
+        # run_fock selects the branch-sum engine on exactly this test
+        assert commutator_norm(jc.A, jc.B) == 0.0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = run_fock(i, f, jc, n_max=n_max, scales=scales)
@@ -641,6 +683,31 @@ def test_fock_joint_matches_dense_reference(problem):
         float(re.search(r"population (\S+);", str(w.message)).group(1)) for w in caught
     ]
     assert reported == pytest.approx(flagged, rel=1e-3)
+
+
+def test_fock_one_ulp_off_commuting_matches_branch_sum():
+    # one ulp on a diagonal entry of A breaks the exact commutation, so
+    # run_fock moves from the branch sum to the block-eigh engine
+    rng = np.random.default_rng(7)
+    a = np.kron(random_hermitian(rng, 2), np.eye(2))
+    b = np.kron(np.eye(2), random_hermitian(rng, 2))
+    i, f = pre_post_states(rng, 4)
+    jc = JointCoupling(
+        A=Observable(a), B=Observable(b), Kx=0.3, Ky=-0.2,
+        pointer_x=unit_pointer(), pointer_y=GaussianPointer(0.7),
+    )
+    a[0, 0] = np.nextafter(a[0, 0].real, np.inf)
+    perturbed = dataclasses.replace(jc, A=Observable(a))
+    assert commutator_norm(jc.A, jc.B) == 0.0
+    assert commutator_norm(perturbed.A, perturbed.B) > 0.0
+    scales = [0.1, 1.0, 3.0]
+    want = run_fock(i, f, jc, scales=scales)
+    got = run_fock(i, f, perturbed, scales=scales)
+    for w, g in zip(want, got):
+        for name in MOMENTS:
+            assert getattr(g, name) == pytest.approx(getattr(w, name), rel=0, abs=1e-12), name
+        assert g.truncation_warning == w.truncation_warning
+    assert max(abs(getattr(want[-1], name)) for name in MOMENTS[1:]) > 1e-2
 
 
 # --- exact and Fock engines on random problems --------------------------------

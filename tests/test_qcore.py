@@ -45,6 +45,12 @@ def test_zero_state_rejected():
         QuantumState(np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_state_rejected(bad):
+    with pytest.raises(ValueError, match="amplitude 1 is"):
+        QuantumState(np.array([1.0, bad]))
+
+
 def test_state_inner_product():
     a = QuantumState(np.array([1, 0]))
     b = QuantumState(np.array([1, 1j]))

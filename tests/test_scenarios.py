@@ -153,6 +153,11 @@ def test_load_rejects_malformed_pairs():
     doc["i"][0] = [1.0, "zero"]
     with pytest.raises(ParseError):
         load_scenario(doc)
+    # an integer too large for a float is as non-finite as Infinity
+    doc = _valid_doc()
+    doc["observables"]["P1"][1][1] = [0.0, 10**400]
+    with pytest.raises(ParseError, match=r"P1\[1\]\[1\] must be finite"):
+        load_scenario(doc)
 
 
 def test_load_rejects_non_hermitian_with_indices():
