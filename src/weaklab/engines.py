@@ -3,10 +3,13 @@
 Three routes compute the same conditional moments:
 
 * ``run_single_exact`` / ``run_joint_exact`` -- closed form. The initial
-  state is expanded in the (joint) eigenbasis of the coupled
-  observable(s); each branch carries a Gaussian displaced by coupling x
-  eigenvalue, and moments reduce to the pointer module's overlap
-  integrals. Exact at any coupling strength.
+  state is expanded in the eigenbasis of the coupled observable; each
+  branch carries a Gaussian displaced by coupling x eigenvalue, and
+  moments reduce to the pointer module's overlap integrals. For a
+  commuting pair the two couplings factorize, so the branches are the
+  d^2 pairs (a_k, b_l) of A's and B's own eigenbases, with amplitude
+  <f|b_l><b_l|a_k><a_k|i> (the sequential branch sum of Mitchison, Jozsa
+  and Popescu, PRA 76, 062105 (2007)). Exact at any coupling strength.
 * ``run_fock`` -- exact unitary evolution in a truncated oscillator
   space. Valid for noncommuting observable pairs, where the closed-form
   joint route refuses to run.
@@ -32,8 +35,8 @@ half of the grid and takes the other half's eigenvectors and negated
 eigenvalues from the mirror. When A and B commute exactly
 (``commutator_norm(A, B) == 0.0``) the coupling factorizes into one
 factor per axis and the joint engine skips the blocks altogether: the
-post-selected state is a sum over the d^2 branches of A's and B's own
-eigenbases (``_fock_branch_sum``). The selection has no tolerance: the
+post-selected state is the same branch sum as the exact engine's
+(``_fock_branch_sum``). The selection has no tolerance: the
 factorization error grows as t^2 |Kx Ky px py| ||[A, B]|| / 2, so only an
 exact zero keeps it at rounding level on every grid point and scale.
 
@@ -318,6 +321,22 @@ def _branch_amplitudes(i: QuantumState, f: QuantumState, vecs: np.ndarray):
     return (f.amplitudes.conj() @ vecs) * (vecs.conj().T @ i.amplitudes)
 
 
+def _branch_factors(i: QuantumState, f: QuantumState, ea, eb):
+    """The three factors of the amplitude <f|b_l><b_l|a_k><a_k|i> of
+    branch (a_k, b_l), for the eigenvector columns a_k of ea and b_l of
+    eb: <a_k|i>, the (k, l) matrix of <b_l|a_k>, and <f|b_l>."""
+    ai = ea.eigenvectors.conj().T @ i.amplitudes
+    ba = eb.eigenvectors.conj().T @ ea.eigenvectors
+    return ai, ba.T, f.amplitudes.conj() @ eb.eigenvectors
+
+
+def _stack_times(m: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """m[n] @ a for every matrix of an (n, d, d) stack, as one 2-D
+    product: a stacked matmul makes n small ones, at twice the cost for
+    a 50-point sweep at d = 4."""
+    return (m.reshape(-1, m.shape[-1]) @ a).reshape(m.shape)
+
+
 def run_single_exact(
     i: QuantumState,
     f: QuantumState,
@@ -354,20 +373,30 @@ def run_joint_exact(
 ):
     """Closed-form conditional moments for two commuting couplings.
 
-    Expands |i> in the joint eigenbasis (a_k, b_k); each branch carries
-    a 2D product Gaussian displaced by (Kx a_k, Ky b_k), so all 2D
-    moments factor into products of 1D pointer integrals. Refuses
+    The couplings factorize, so the post-selected pointer state is a sum
+    over the d^2 branches (a_k, b_l) of A's and B's own eigenbases: a 2D
+    product Gaussian displaced by (Kx a_k, Ky b_l) with amplitude
+    amp[k, l] = <f|b_l><b_l|a_k><a_k|i>. Each moment is then
+    sum_{l,l'} (amp^+ Mx amp)[l, l'] My[l, l'] with Mx, My the
+    branch-pair matrices of 1D pointer integrals on each axis. Refuses
     noncommuting pairs (NotCommuting); use run_fock for those. With
     ``scales``, returns the list of records at couplings t (Kx, Ky).
     """
     _check_dims(i, f, c.A.dim)
     ts = _scale_array(scales)
-    joint = simultaneous_eig(c.A, c.B, tol=1e-10)
-    amp = _branch_amplitudes(i, f, joint.eigenvectors)
-    mx = _moment_matrices(np.outer(ts * c.Kx, joint.eigenvalues_a), c.pointer_x)
-    my = _moment_matrices(np.outer(ts * c.Ky, joint.eigenvalues_b), c.pointer_y)
+    ea, eb = simultaneous_eig(c.A, c.B)
+    ai, ab, fb = _branch_factors(i, f, ea, eb)
+    amp = ai[:, None] * ab * fb
+    mx = _moment_matrices(np.outer(ts * c.Kx, ea.eigenvalues), c.pointer_x)
+    my = _moment_matrices(np.outer(ts * c.Ky, eb.eigenvalues), c.pointer_y)
+    # (amp^+ Mx amp)^T = (Mx amp)^T conj(amp) once per x operator,
+    # shared by the moments that use it
+    on_x = {
+        op: _stack_times(_stack_times(m, amp).swapaxes(1, 2), amp.conj())
+        for op, m in mx.items()
+    }
     forms = {
-        name: amp.conj() @ (mx[op_x] * my[op_y]) @ amp
+        name: np.einsum("nji,nij->n", on_x[op_x], my[op_y])
         for name, (op_x, op_y) in MOMENTS.items()
     }
     records = _records(forms, c.weakness_ratios(ts.tolist()), "exact-joint", eps_ps)
@@ -519,17 +548,14 @@ def _fock_branch_sum(i, f, c: JointCoupling, n_max, eps_ps, ts):
 
     The coupling factorizes, exp(-i t (Kx A px + Ky B py)/hbar) =
     exp(-i t Ky B py/hbar) exp(-i t Kx A px/hbar), so the post-selected
-    state is a sum over the d^2 branches (a_k, b_l) of A's and B's own
-    eigenbases: phi = Gx @ amp @ Gy^T with amp[k, l] =
-    <f|b_l><b_l|a_k><a_k|i> and Gx[j, k] = exp(-i t Kx px_j a_k/hbar)
-    vacx[j] (Gy likewise on the y axis). Each scale costs O(N d^2) on
-    an N-point grid before the moments."""
+    state is the branch sum of ``run_joint_exact``: phi = Gx @ amp @ Gy^T
+    with amp[k, l] = <f|b_l><b_l|a_k><a_k|i> and Gx[j, k] =
+    exp(-i t Kx px_j a_k/hbar) vacx[j] (Gy likewise on the y axis). Each
+    scale costs O(N d^2) on an N-point grid before the moments."""
     fx = _pointer_frame(c.pointer_x, n_max)
     fy = _pointer_frame(c.pointer_y, n_max)
     ea, eb = hermitian_eig(c.A), hermitian_eig(c.B)
-    ai = ea.eigenvectors.conj().T @ i.amplitudes  # <a_k|i>
-    ba = eb.eigenvectors.conj().T @ ea.eigenvectors  # <b_l|a_k>
-    fb = f.amplitudes.conj() @ eb.eigenvectors  # <f|b_l>
+    ai, ab, fb = _branch_factors(i, f, ea, eb)
     grid_x = np.outer(fx.p, ea.eigenvalues)
     grid_y = np.outer(fy.p, eb.eigenvalues)
     hbar = c.pointer_x.hbar
@@ -542,7 +568,7 @@ def _fock_branch_sum(i, f, c: JointCoupling, n_max, eps_ps, ts):
         # w[j, l]: the state on x grid point j in B's eigenbasis, before
         # the y phases; the y phases have unit modulus and the vacuum has
         # unit norm, so neither axis's top levels need the full state
-        w = (gx * ai) @ ba.T
+        w = (gx * ai) @ ab
         top_y = np.sum(np.abs(fy.top @ gy) ** 2, axis=0)
         top = max(_population(fx.top @ w), float(np.sum(np.abs(w) ** 2, axis=0) @ top_y))
         truncated.append(_warn_truncation(top))

@@ -15,6 +15,7 @@ translates the pointer in +x by K a for an eigenvalue a of A.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,17 +38,23 @@ class GaussianPointer:
 
     sigma is the rms width of the position probability distribution;
     hbar sets the unit convention (default 1). The momentum spread is
-    the minimum-uncertainty value hbar / (2 sigma).
+    the minimum-uncertainty value hbar / (2 sigma). Both must be finite
+    and positive, and sigma^2, which every pointer integral divides by,
+    finite and nonzero; ValueError names the field otherwise.
     """
 
     sigma: float
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        for name in ("sigma", "hbar"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not 0 < self.sigma * self.sigma < math.inf:
+            raise ValueError(
+                f"sigma squared must be finite and nonzero, got sigma = {self.sigma!r}"
+            )
 
 
 def gaussian_overlap(d1, d2, p: GaussianPointer):

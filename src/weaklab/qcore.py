@@ -7,6 +7,7 @@ Hermiticity) at construction time. All operations are pure functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,17 +18,12 @@ __all__ = [
     "QuantumState",
     "Observable",
     "EigenSystem",
-    "JointEigenSystem",
     "tensor",
     "hermitian_eig",
     "simultaneous_eig",
     "commutator_norm",
     "max_norm",
 ]
-
-#: Relative tolerance for eigenvalue-degeneracy grouping in
-#: simultaneous diagonalization.
-DEGENERACY_RTOL = 1e-10
 
 
 def max_norm(m: np.ndarray) -> float:
@@ -83,8 +79,9 @@ class Observable:
     """Hermitian complex matrix on the system space.
 
     Hermiticity is enforced at construction: the max-norm of (M - M+)
-    must not exceed 1e-12 times the max-norm of M, and a NaN entry fails
-    the check. NotHermitian names the worst entry and both of its values.
+    must not exceed 1e-12 times the max-norm of M. NotHermitian names the
+    worst entry and both of its values. A NaN or infinite entry raises
+    ValueError naming the entry before the Hermiticity test.
     """
 
     matrix: np.ndarray
@@ -94,8 +91,12 @@ class Observable:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"observable matrix must be square, got {m.shape}")
+        scale = max_norm(m)
+        if not math.isfinite(scale):  # some entry is NaN or infinite
+            r, k = np.argwhere(~np.isfinite(m))[0]
+            raise ValueError(f"observable entry ({r}, {k}) is {complex(m[r, k])!r}, not finite")
         dev = np.abs(m - m.conj().T)
-        if not max_norm(dev) <= 1e-12 * max(max_norm(m), 1e-300):  # NaN fails too
+        if not max_norm(dev) <= 1e-12 * max(scale, 1e-300):
             r, k = np.unravel_index(int(np.argmax(dev)), dev.shape)
             raise NotHermitian(
                 f"matrix is not Hermitian at entry ({r}, {k}): {complex(m[r, k])!r} "
@@ -133,19 +134,6 @@ class EigenSystem:
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True)
-class JointEigenSystem:
-    """Common eigenbasis of two commuting observables.
-
-    Column k of `eigenvectors` is a simultaneous eigenvector with
-    eigenvalue pair (eigenvalues_a[k], eigenvalues_b[k]).
-    """
-
-    eigenvalues_a: np.ndarray
-    eigenvalues_b: np.ndarray
     eigenvectors: np.ndarray
 
 
@@ -199,57 +187,24 @@ def commutator_norm(a: Observable, b: Observable) -> float:
     return max_norm(a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
-def simultaneous_eig(a: Observable, b: Observable, tol: float = 1e-10) -> JointEigenSystem:
-    """Simultaneously diagonalize two commuting observables.
+def simultaneous_eig(
+    a: Observable, b: Observable, tol: float = 1e-10
+) -> tuple[EigenSystem, EigenSystem]:
+    """Eigensystems of a commuting pair, for the branch sum of the exact
+    joint engine.
 
     Requires ``commutator_norm(a, b) <= tol * max|A| * max|B|``; raises
-    :class:`NotCommuting` otherwise. Degenerate eigenspaces of A are
-    resolved by diagonalizing the projection of B inside each eigenspace
-    (eigenvalues of A within DEGENERACY_RTOL x spectral radius form one
-    cluster). Output columns are ordered by (a_k ascending, then b_k
-    ascending within each cluster).
+    :class:`NotCommuting` otherwise. For such a pair the two couplings
+    factorize, so the pointer state is a sum over the d^2 branches
+    (a_k, b_l) of A's and B's own eigenbases and no common eigenbasis is
+    needed: the function returns ``hermitian_eig(a), hermitian_eig(b)``.
+    Its name is older than that sum and stays because the benchmark's
+    per-layer tracer looks up ``weaklab.engines.simultaneous_eig``.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dims {a.dim} and {b.dim} differ")
-    scale = max(max_norm(a.matrix) * max_norm(b.matrix), 1e-300)
     comm = commutator_norm(a, b)
+    scale = max(max_norm(a.matrix) * max_norm(b.matrix), 1e-300)
     if comm > tol * scale:
         raise NotCommuting(
             f"max|[A,B]| = {comm:.3e} exceeds tol*|A||B| = {tol * scale:.3e}"
         )
-
-    vals_a, vecs = np.linalg.eigh(a.matrix)
-    radius = max(float(np.max(np.abs(vals_a))), 1e-300)
-    gap = DEGENERACY_RTOL * radius
-
-    vecs = vecs.copy()
-    vals_b = np.empty_like(vals_a)
-    start = 0
-    while start < len(vals_a):
-        stop = start + 1
-        while stop < len(vals_a) and vals_a[stop] - vals_a[stop - 1] <= gap:
-            stop += 1
-        block = vecs[:, start:stop]
-        b_sub = block.conj().T @ b.matrix @ block
-        b_sub = (b_sub + b_sub.conj().T) / 2.0
-        sub_vals, sub_vecs = np.linalg.eigh(b_sub)
-        vecs[:, start:stop] = block @ sub_vecs
-        vals_b[start:stop] = sub_vals
-        # one representative eigenvalue per cluster keeps pairs consistent
-        vals_a[start:stop] = np.mean(vals_a[start:stop])
-        start = stop
-
-    vecs = _fix_phases(vecs)
-
-    # confirm both inputs are diagonal in the constructed basis
-    check_tol = max(tol, 1e-9)
-    for m, name in ((a.matrix, "A"), (b.matrix, "B")):
-        d = vecs.conj().T @ m @ vecs
-        off = max_norm(d - np.diag(np.diag(d)))
-        if off > check_tol * max(max_norm(m), 1e-300):
-            raise NotCommuting(
-                f"constructed basis fails to diagonalize {name}: "
-                f"off-diagonal max {off:.3e}"
-            )
-
-    return JointEigenSystem(eigenvalues_a=vals_a, eigenvalues_b=vals_b, eigenvectors=vecs)
+    return hermitian_eig(a), hermitian_eig(b)

@@ -55,7 +55,6 @@ class Scenario:
     f: QuantumState
     observables: dict[str, Observable]
     expected: dict[str, complex] = field(default_factory=dict)
-    expected_note: str = ""
 
     def __post_init__(self):
         if self.i.dim != self.f.dim:
@@ -106,7 +105,6 @@ def build_three_box() -> Scenario:
         f=f,
         observables=observables,
         expected=expected,
-        expected_note="hand evaluation of <f|P_k|i>/<f|i> with the box states",
     )
 
 
@@ -155,8 +153,6 @@ def build_hardy() -> Scenario:
         f=QuantumState(f),
         observables=observables,
         expected=expected,
-        expected_note="hand evaluation of the occupation projectors between "
-        "(|O,NO> + |NO,O> + |NO,NO>)/sqrt(3) and |O-NO, O-NO>",
     )
 
 
@@ -178,7 +174,6 @@ def build_spin_amplifier(alpha: float) -> Scenario:
         f=QuantumState(fa),
         observables={"sigma_z": Observable(np.diag([1.0, -1.0]).astype(complex))},
         expected={"sigma_z": complex(expected)},
-        expected_note=f"(1 - tan a)/(1 + tan a) at a = {alpha!r}",
     )
 
 
@@ -193,7 +188,6 @@ def build_imaginary() -> Scenario:
         f=f,
         observables={"sigma_z": Observable(np.diag([1.0, -1.0]).astype(complex))},
         expected={"sigma_z": 1j},
-        expected_note="(1+i)/(1-i) = i by hand",
     )
 
 
@@ -313,7 +307,6 @@ def load_scenario(document) -> Scenario:
         f=f,
         observables=observables,
         expected=expected,
-        expected_note="loaded from document",
     )
 
 

@@ -219,6 +219,31 @@ def test_run_non_finite_scenario_value_exit_1(tmp_path, capsys, where, value, fi
         assert field in err and "finite" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--sigma-x", "1e300", "sigma squared"),
+        ("--sigma-x", "1e-300", "sigma squared"),
+        ("--sigma-x", "inf", "sigma"),
+        ("--sigma-y", "inf", "sigma"),
+        ("--hbar", "inf", "hbar"),
+    ],
+)
+def test_run_unusable_pointer_width_exit_1(capsys, flag, value, field):
+    run = ["run", "--scenario", "hardy", "--observable", "N_Oe", "--kx", "0.01",
+           "--sigma-x", "1", "--format", "json"]
+    if flag == "--sigma-y":
+        run += ["--observable-b", "N_Op", "--sigma-y", "1"]
+    for engine in ("exact", "fock"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(run + ["--engine", engine, flag, value])
+        assert code == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert f"error: {field} must be finite" in err and "Traceback" not in err
+
+
 def test_run_reads_negative_exponent_values(capsys):
     base = ["run", "--scenario", "spin", "--observable", "sigma_z",
             "--engine", "exact", "--sigma-x", "1", "--format", "json"]

@@ -1,5 +1,8 @@
-"""Linear-algebra primitives: tensor products, eigendecompositions,
-simultaneous diagonalization, commutators."""
+"""Linear-algebra primitives: tensor products, eigendecompositions, the
+commuting-pair eigensystems of the exact joint engine's branch sum,
+commutators."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -62,8 +65,16 @@ def test_state_inner_product():
 def test_observable_rejects_non_hermitian():
     with pytest.raises(NotHermitian, match=r"entry \(0, 1\): \(1\+0j\) vs conjugate-transpose -?0j"):
         Observable(np.array([[0, 1], [0, 0]], dtype=complex))
-    with pytest.raises(NotHermitian, match=r"entry \(1, 1\): \(nan"):
-        Observable(np.array([[1, 0], [0, np.nan]], dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.inf)])
+def test_observable_rejects_non_finite_entry(bad):
+    m = np.array([[1, 0], [0, 0]], dtype=complex)
+    m[1, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"entry \(1, 1\) is .*, not finite"):
+            Observable(m)
 
 
 def test_observable_expectation():
@@ -158,26 +169,26 @@ def test_eig_phase_convention_deterministic():
 # --- simultaneous_eig --------------------------------------------------------
 
 
+def assert_same_eigensystem(got, want):
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert np.array_equal(got.eigenvectors, want.eigenvectors)
+
+
 def test_joint_eig_product_observables():
     a = tensor(Observable(SIGMA_Z), Observable.identity(2))
     b = tensor(Observable.identity(2), Observable(SIGMA_Z))
-    joint = simultaneous_eig(a, b)
-    pairs = sorted(zip(joint.eigenvalues_a.round(12), joint.eigenvalues_b.round(12)))
+    ea, eb = simultaneous_eig(a, b)
+    # the branches (a_k, b_l) with nonzero overlap <b_l|a_k> are the
+    # four joint eigenvalue pairs
+    overlap = np.abs(eb.eigenvectors.conj().T @ ea.eigenvectors)
+    pairs = sorted(
+        (float(ea.eigenvalues[k]), float(eb.eigenvalues[l]))
+        for l, k in zip(*np.nonzero(overlap > 1e-12))
+    )
     assert pairs == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
 
 
-def test_joint_eig_identity_with_sigma_x():
-    joint = simultaneous_eig(Observable.identity(2), Observable(SIGMA_X))
-    assert np.allclose(joint.eigenvalues_a, [1, 1])
-    assert sorted(joint.eigenvalues_b.round(12)) == [-1, 1]
-
-
-def test_joint_eig_rejects_noncommuting():
-    with pytest.raises(NotCommuting):
-        simultaneous_eig(Observable(SIGMA_X), Observable(SIGMA_Z))
-
-
-def test_joint_eig_diagonalizes_both_random_commuting():
+def test_joint_eig_returns_each_observables_own_eigensystem():
     rng = np.random.default_rng(9)
     for dim in (3, 4, 6):
         # commuting pair with degeneracies: shared eigenbasis, repeated values
@@ -187,14 +198,27 @@ def test_joint_eig_diagonalizes_both_random_commuting():
         db = rng.integers(-2, 3, size=dim).astype(float)
         a = Observable((basis * da) @ basis.conj().T)
         b = Observable((basis * db) @ basis.conj().T)
-        joint = simultaneous_eig(a, b)
-        v = joint.eigenvectors
-        for m_obs in (a.matrix, b.matrix):
-            d = v.conj().T @ m_obs @ v
-            off = max_norm(d - np.diag(np.diag(d)))
-            assert off <= 1e-9 * max(max_norm(m_obs), 1.0)
-        assert np.allclose(v @ np.diag(joint.eigenvalues_a) @ v.conj().T, a.matrix, atol=1e-9)
-        assert np.allclose(v @ np.diag(joint.eigenvalues_b) @ v.conj().T, b.matrix, atol=1e-9)
+        ea, eb = simultaneous_eig(a, b)
+        assert_same_eigensystem(ea, hermitian_eig(a))
+        assert_same_eigensystem(eb, hermitian_eig(b))
+
+
+def test_joint_eig_accepts_pair_commuting_within_tol():
+    # [A, B] has max-norm 2 eps for this A, B and |A| = |B| = 1
+    eps = 1e-12
+    a = Observable(SIGMA_Z)
+    b = Observable(np.array([[1, eps], [eps, -1]], dtype=complex))
+    assert commutator_norm(a, b) == pytest.approx(2 * eps)
+    ea, eb = simultaneous_eig(a, b, tol=3 * eps)
+    assert_same_eigensystem(ea, hermitian_eig(a))
+    assert_same_eigensystem(eb, hermitian_eig(b))
+    with pytest.raises(NotCommuting, match="exceeds tol"):
+        simultaneous_eig(a, b, tol=eps)
+
+
+def test_joint_eig_rejects_noncommuting():
+    with pytest.raises(NotCommuting):
+        simultaneous_eig(Observable(SIGMA_X), Observable(SIGMA_Z))
 
 
 # --- commutator_norm ---------------------------------------------------------
