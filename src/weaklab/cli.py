@@ -22,7 +22,8 @@ is the same path with a single point.
 Exit codes: 0 success; 1 configuration/parse errors, including requests
 whose arrays would exceed ``engines.MAX_ARRAY_BYTES``; 2 numerical
 failures (orthogonal post-selection, noncommuting observables on the
-closed-form joint engine); 3 validation-suite failure.
+closed-form joint engine, a non-finite moment); 3 validation-suite
+failure.
 """
 
 from __future__ import annotations
@@ -377,6 +378,9 @@ def cmd_sweep(args) -> int:
     check_array_budget(
         args.points * spec.scenario.i.dim**2, f"--points {args.points}", UsageError
     )
+    for flag, value in (("--k-min", args.k_min), ("--k-max", args.k_max)):
+        if not math.isfinite(value):
+            raise UsageError(f"{flag} must be finite, got {value}")
     if args.k_min <= 0 and args.log:
         raise UsageError("--log requires --k-min > 0")
     if args.k_min > args.k_max:

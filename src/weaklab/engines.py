@@ -277,18 +277,36 @@ def _records(raw: dict, weakness: list, tag: str, eps_ps: float, truncated=None)
     """One MeasurementRecord per scale from columns of unnormalized
     forms: ``raw["ps_prob"][n]`` is the post-selection probability of
     row n and every other column holds conditional moments times it.
-    Every row passes the imaginary-residue check and the eps_ps floor."""
-    ps = _realize(np.asarray(raw["ps_prob"]), "ps_prob")
+
+    The columns are stacked into one (moments, scales) array that passes
+    three checks, each naming the first moment that fails it: every
+    value is finite (NumericalInconsistency), its imaginary residue is
+    consistent with zero (NumericalInconsistency) and the probability is
+    above the eps_ps floor (OrthogonalPostselection). One division then
+    turns the forms into conditional moments."""
+    names = ["ps_prob", *(name for name in raw if name != "ps_prob")]
+    forms = np.array([raw[name] for name in names])
+    bad = ~np.isfinite(forms)
+    if bad.any():
+        row, n = np.argwhere(bad)[0]
+        raise NumericalInconsistency(
+            f"{names[row]} of record {n} is {complex(forms[row, n])}, not finite"
+        )
+    residue = np.max(np.abs(forms.imag), axis=1, initial=0.0)
+    over = np.flatnonzero(residue > IMAG_RESIDUE_TOL)
+    if over.size:
+        raise NumericalInconsistency(
+            f"{names[over[0]]} has imaginary residue {residue[over[0]]:.3e}; "
+            "conditional moments of Hermitian observables must be real"
+        )
+    values = forms.real
+    ps = values[0]
     low = np.flatnonzero(ps < eps_ps)
     if low.size:
         raise OrthogonalPostselection(
             f"post-selection probability {ps[low[0]]:.3e} below floor {eps_ps:.1e}"
         )
-    moments = {
-        name: (_realize(np.asarray(column), name) / ps).tolist()
-        for name, column in raw.items()
-        if name != "ps_prob"
-    }
+    moments = (values[1:] / ps).T.tolist()
     truncated = truncated or [False] * len(weakness)
     return [
         MeasurementRecord(
@@ -296,9 +314,9 @@ def _records(raw: dict, weakness: list, tag: str, eps_ps: float, truncated=None)
             weakness_ratio=w,
             engine_tag=tag,
             truncation_warning=trunc,
-            **{name: column[n] for name, column in moments.items()},
+            **dict(zip(names[1:], row)),
         )
-        for n, (p, w, trunc) in enumerate(zip(ps.tolist(), weakness, truncated))
+        for p, row, w, trunc in zip(ps.tolist(), moments, weakness, truncated)
     ]
 
 

@@ -7,6 +7,7 @@ Hermiticity) at construction time. All operations are pure functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -81,7 +82,10 @@ class Observable:
     Hermiticity is enforced at construction: the max-norm of (M - M+)
     must not exceed 1e-12 times the max-norm of M. NotHermitian names the
     worst entry and both of its values. A NaN or infinite entry raises
-    ValueError naming the entry before the Hermiticity test.
+    ValueError naming the entry before the Hermiticity test. The matrix
+    is read-only, so the eigendecomposition (``hermitian_eig``) and the
+    spectral radius are computed on first use and stored on the
+    instance.
     """
 
     matrix: np.ndarray
@@ -116,8 +120,22 @@ class Observable:
         return float(np.vdot(state.amplitudes, self.matrix @ state.amplitudes).real)
 
     def spectral_radius(self) -> float:
-        """Largest absolute eigenvalue."""
+        """Largest absolute eigenvalue, from one ``eigvalsh`` per
+        instance: the first call computes it and every later call
+        returns the stored value."""
+        return self._spectral_radius
+
+    @functools.cached_property
+    def _spectral_radius(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvalsh(self.matrix))))
+
+    @functools.cached_property
+    def _eigensystem(self) -> "EigenSystem":
+        vals, vecs = np.linalg.eigh(self.matrix)
+        vecs = _fix_phases(vecs)
+        vals.flags.writeable = False
+        vecs.flags.writeable = False
+        return EigenSystem(eigenvalues=vals, eigenvectors=vecs)
 
     @staticmethod
     def identity(dim: int) -> "Observable":
@@ -130,7 +148,9 @@ class EigenSystem:
 
     eigenvalues are real and ascending; eigenvectors are the orthonormal
     columns of `eigenvectors`, phase-fixed so the largest-magnitude
-    component of each column is real and positive.
+    component of each column is real and positive. The arrays that
+    ``hermitian_eig`` returns are read-only, since one EigenSystem is
+    shared by every caller decomposing the same Observable.
     """
 
     eigenvalues: np.ndarray
@@ -174,10 +194,13 @@ def hermitian_eig(a: Observable) -> EigenSystem:
 
     Returns real eigenvalues in ascending order with orthonormal,
     phase-fixed eigenvectors. The Observable constructor has already
-    checked Hermiticity, so the matrix goes to ``eigh`` as it is.
+    checked Hermiticity, so the matrix goes to ``eigh`` as it is. The
+    decomposition is computed once per Observable instance and stored
+    on it: every later call returns the same EigenSystem, whose arrays
+    are read-only, so a joint run and its two single runs share the
+    decompositions of A and B.
     """
-    vals, vecs = np.linalg.eigh(a.matrix)
-    return EigenSystem(eigenvalues=vals, eigenvectors=_fix_phases(vecs))
+    return a._eigensystem
 
 
 def commutator_norm(a: Observable, b: Observable) -> float:

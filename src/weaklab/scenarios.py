@@ -23,10 +23,13 @@ input norm deviates from 1 by more than 1e-6).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,15 +51,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named pre/post-selection with observables and expected values."""
+    """A named pre/post-selection with observables and expected values.
+
+    ``observables`` and ``expected`` are stored as read-only copies of
+    the maps passed in, so a scenario shared between callers (the cached
+    presets) cannot be changed by one of them."""
 
     name: str
     i: QuantumState
     f: QuantumState
-    observables: dict[str, Observable]
-    expected: dict[str, complex] = field(default_factory=dict)
+    observables: Mapping[str, Observable]
+    expected: Mapping[str, complex] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "observables", MappingProxyType(dict(self.observables)))
+        object.__setattr__(self, "expected", MappingProxyType(dict(self.expected)))
         if self.i.dim != self.f.dim:
             raise ParseError(
                 f"pre/post states have dims {self.i.dim} and {self.f.dim}"
@@ -92,6 +101,7 @@ def _projector(dim: int, index: int) -> Observable:
     return Observable(m)
 
 
+@functools.cache
 def build_three_box() -> Scenario:
     """Three-box problem: both of two box occupations have conditional
     value 1 while the third is -1, outside the projector's {0, 1} range."""
@@ -108,6 +118,7 @@ def build_three_box() -> Scenario:
     )
 
 
+@functools.cache
 def build_hardy() -> Scenario:
     """Two-particle occupation scenario with joint conditional values
     (0, 1, 1, -1): each particle is in the overlapping arm, yet never
@@ -160,6 +171,8 @@ def build_spin_amplifier(alpha: float) -> Scenario:
     """Qubit scenario whose conditional spin value (1 - tan a)/(1 + tan a)
     grows without bound as the post-selection approaches orthogonality
     at a = 3 pi / 4 (mod pi)."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"spin angle alpha must be finite, got {alpha}")
     i = QuantumState(np.array([1, 1]) / math.sqrt(2))
     fa = np.array([math.cos(alpha), math.sin(alpha)])
     denom = math.cos(alpha) + math.sin(alpha)
@@ -177,6 +190,7 @@ def build_spin_amplifier(alpha: float) -> Scenario:
     )
 
 
+@functools.cache
 def build_imaginary() -> Scenario:
     """Qubit scenario with a purely imaginary conditional spin value: the
     pointer shift appears in momentum, not position."""
@@ -192,6 +206,9 @@ def build_imaginary() -> Scenario:
 
 
 #: Preset registry used by the CLI; spin takes its angle as an argument.
+#: The other presets are built once per process and shared: every call
+#: returns the same read-only Scenario, whose observables keep their
+#: eigendecompositions (``qcore.hermitian_eig``) from call to call.
 PRESETS = {
     "three-box": build_three_box,
     "hardy": build_hardy,

@@ -32,13 +32,12 @@ class WeakValueEstimate:
 
     kind is one of direct_single, direct_joint_symmetrized,
     extracted_single, extracted_joint. Direct kinds depend only on
-    (A, B, i, f); extracted kinds record the couplings they were
-    measured at.
+    (A, B, i, f); extracted kinds carry the finite-coupling error of
+    the run they came from.
     """
 
     value: complex
     kind: str
-    couplings: tuple[float, ...] = ()
 
 
 def _overlap_or_raise(i: QuantumState, f: QuantumState) -> complex:
@@ -90,11 +89,7 @@ def extract_single(rec: MeasurementRecord, c: SingleCoupling) -> WeakValueEstima
         raise ZeroCoupling("cannot extract a weak value at K = 0")
     re = rec.x_mean / c.K
     im = (2.0 * c.pointer.sigma**2 / c.pointer.hbar) * rec.px_mean / c.K
-    return WeakValueEstimate(
-        value=complex(re, im),
-        kind="extracted_single",
-        couplings=(c.K,),
-    )
+    return WeakValueEstimate(value=complex(re, im), kind="extracted_single")
 
 
 def extract_joint(
@@ -123,8 +118,4 @@ def extract_joint(
     im = (
         4.0 * c.pointer_y.sigma**2 / c.pointer_y.hbar
     ) * rec.x_py_mean / kk - cross.imag
-    return WeakValueEstimate(
-        value=complex(re, im),
-        kind="extracted_joint",
-        couplings=(c.Kx, c.Ky),
-    )
+    return WeakValueEstimate(value=complex(re, im), kind="extracted_joint")

@@ -9,7 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
+from weaklab import qcore, scenarios
 from weaklab.cli import CSV_HEADER, RunSpec, _execute, build_parser, main
+from weaklab.engines import _pointer_frame
 from weaklab.scenarios import build_three_box, scenario_to_document
 
 
@@ -244,6 +246,98 @@ def test_run_unusable_pointer_width_exit_1(capsys, flag, value, field):
         assert f"error: {field} must be finite" in err and "Traceback" not in err
 
 
+def test_run_non_finite_moment_exit_2():
+    """An overflowing coupling makes a moment NaN; the run refuses it
+    instead of writing nan with exit 0 (numpy's overflow warnings still
+    print first)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "weaklab.cli", "run", "--scenario", "three-box",
+         "--observable", "P1", "--engine", "exact", "--sigma-x", "1",
+         "--kx", "1e308", "--format", "csv"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "numerical failure: x_mean of record 0 is" in proc.stderr
+    assert "not finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--k-min", "--k-max"])
+def test_sweep_non_finite_range_exit_1(capsys, flag):
+    """Refused before the couplings are spaced, so numpy never warns
+    (the suite turns a RuntimeWarning into an error)."""
+    bounds = {"--k-min": "0.01", "--k-max": "0.1", flag: "inf"}
+    code = run_cli(
+        ["sweep", "--scenario", "three-box", "--observable", "P1", "--engine", "exact",
+         "--sigma-x", "1", "--points", "3", "--log"]
+        + [x for pair in bounds.items() for x in pair]
+    )
+    assert code == 1
+    assert f"error: {flag} must be finite, got inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_run_non_finite_spin_angle_exit_1(capsys, alpha):
+    code = run_cli(["run", "--scenario", "spin", "--alpha", alpha, "--observable",
+                    "sigma_z", "--engine", "exact", "--sigma-x", "1", "--kx", "0.01",
+                    "--format", "json"])
+    assert code == 1
+    assert f"error: spin angle alpha must be finite, got {alpha}" in capsys.readouterr().err
+
+
+def test_joint_run_decomposes_each_observable_once(monkeypatch):
+    """A joint exact run and its two extracted singles share one eigh
+    and one eigvalsh per observable, here on observables no earlier
+    test has decomposed; a second run decomposes nothing."""
+    calls = {"eigh": [], "eigvalsh": []}
+    linalg = qcore.np.linalg
+    for name, original in (("eigh", linalg.eigh), ("eigvalsh", linalg.eigvalsh)):
+        def counted(m, _name=name, _original=original):
+            calls[_name].append(m)
+            return _original(m)
+        monkeypatch.setattr(linalg, name, counted)
+    args = build_parser().parse_args(
+        ["run", "--scenario", "hardy", "--observable", "N_NOe", "--observable-b",
+         "N_NOp", "--engine", "exact", "--kx", "0.01", "--sigma-x", "1",
+         "--format", "json"]
+    )
+    spec = RunSpec.from_args(args)
+    fresh = scenarios.build_hardy.__wrapped__()
+    assert fresh is not spec.scenario
+    spec = RunSpec(**{**vars(spec), "scenario": fresh})
+    a, b = fresh.observable("N_NOe"), fresh.observable("N_NOp")
+    for _ in range(2):
+        _execute(spec, 0.01, 0.01, [1.0])
+        for name in calls:
+            assert [id(m) for m in calls[name]] == [id(a.matrix), id(b.matrix)], name
+
+
+def _cold_caches():
+    for build in (scenarios.build_three_box, scenarios.build_hardy, scenarios.build_imaginary):
+        build.cache_clear()
+    _pointer_frame.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--scenario", "hardy", "--observable", "N_Oe", "--observable-b", "N_NOp",
+         "--engine", "fock", "--kx", "0.02", "--sigma-x", "1", "--format", "json"],
+        ["run", "--scenario", "three-box", "--observable", "P3", "--engine", "exact",
+         "--kx", "0.01", "--sigma-x", "1", "--format", "json"],
+        ["validate"],
+    ],
+    ids=["joint-fock", "single-exact", "validate"],
+)
+def test_output_identical_with_cold_and_warm_caches(capsys, argv):
+    _cold_caches()
+    assert main(list(argv)) == 0
+    cold = capsys.readouterr().out
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == cold
+
+
 def test_run_reads_negative_exponent_values(capsys):
     base = ["run", "--scenario", "spin", "--observable", "sigma_z",
             "--engine", "exact", "--sigma-x", "1", "--format", "json"]
@@ -460,7 +554,7 @@ def test_batched_sweep_matches_single_runs(case, tmp_path):
             else:
                 assert value == want, name
         assert one_direct == direct
-        assert est.couplings == one_est.couplings
+        assert est.kind == one_est.kind
 
 
 def test_sweep_byte_identical(tmp_path):

@@ -274,6 +274,18 @@ def test_pointer_frame_arrays_are_read_only():
             array[0] = 0.0
 
 
+@pytest.mark.parametrize("engine", [run_single_exact, run_fock])
+def test_non_finite_moment_is_refused(engine):
+    """A coupling too strong to represent overflows the engine's
+    arithmetic; the record refuses the NaN moment by name."""
+    scn = build_three_box()
+    c = SingleCoupling(A=scn.observable("P1"), K=1e308, pointer=unit_pointer())
+    with pytest.warns(RuntimeWarning), pytest.raises(
+        NumericalInconsistency, match=r"of record 0 is .*nan.*, not finite"
+    ):
+        engine(scn.i, scn.f, c)
+
+
 def test_fock_records_equal_on_cold_and_warm_frame_cache():
     f = QuantumState(np.array([math.cos(0.3), math.sin(0.3)]))
     single = SingleCoupling(A=SIGMA_Z, K=0.05, pointer=unit_pointer())

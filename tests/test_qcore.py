@@ -166,6 +166,29 @@ def test_eig_phase_convention_deterministic():
         assert pivot.real > 0
 
 
+def test_eig_is_computed_once_per_observable_and_read_only():
+    a = Observable(SIGMA_X)
+    es = hermitian_eig(a)
+    assert hermitian_eig(a) is es
+    for array in (es.eigenvalues, es.eigenvectors):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    # an equal matrix in a new Observable gets its own, identical result
+    again = hermitian_eig(Observable(SIGMA_X))
+    assert again is not es
+    assert np.array_equal(again.eigenvectors, es.eigenvectors)
+
+
+def test_spectral_radius_is_computed_once_per_observable(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    a = Observable(3.0 * SIGMA_Z)
+    assert a.spectral_radius() == a.spectral_radius() == 3.0
+    assert len(calls) == 1
+
+
 # --- simultaneous_eig --------------------------------------------------------
 
 

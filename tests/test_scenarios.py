@@ -57,6 +57,12 @@ def test_spin_amplifier_pole_raises():
         build_spin_amplifier(3 * math.pi / 4 + math.pi)
 
 
+@pytest.mark.parametrize("alpha", [math.inf, math.nan])
+def test_spin_amplifier_rejects_non_finite_angle(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        build_spin_amplifier(alpha)
+
+
 def test_imaginary_structure():
     scn = build_imaginary()
     assert scn.expected["sigma_z"] == 1j
@@ -86,6 +92,33 @@ def test_presets_deterministic():
         assert np.array_equal(a.f.amplitudes, b.f.amplitudes)
         for label in a.observables:
             assert np.array_equal(a.observables[label].matrix, b.observables[label].matrix)
+
+
+def test_fixed_presets_are_built_once():
+    for build in (build_three_box, build_hardy, build_imaginary):
+        assert build() is build()
+    assert build_spin_amplifier(0.2) is not build_spin_amplifier(0.2)
+
+
+@pytest.mark.parametrize(
+    "scn", [build_hardy(), load_scenario(scenario_to_document(build_three_box()))],
+    ids=["preset", "loaded"],
+)
+def test_scenario_maps_are_read_only(scn):
+    with pytest.raises(TypeError):
+        scn.observables["new"] = None
+    with pytest.raises(TypeError):
+        scn.expected["P1"] = 0j
+
+
+def test_scenario_keeps_its_own_copy_of_the_maps():
+    scn = build_three_box()
+    observables, expected = dict(scn.observables), dict(scn.expected)
+    copy = type(scn)(scn.name, scn.i, scn.f, observables, expected)
+    observables.clear()
+    expected.clear()
+    assert sorted(copy.observables) == ["P1", "P2", "P3"]
+    assert copy.expected == scn.expected
 
 
 def test_unknown_observable_label():

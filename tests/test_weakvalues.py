@@ -150,7 +150,6 @@ def test_extract_single_identity_run():
     assert est.value.real == pytest.approx(1.0, abs=1e-12)
     assert est.value.imag == pytest.approx(0.0, abs=1e-12)
     assert est.kind == "extracted_single"
-    assert est.couplings == (0.25,)
 
 
 def test_extract_single_three_box_negative_probability():
