@@ -15,27 +15,31 @@ CSV schema (version 1)::
     ...rows ascending in k...
     # fitted_error_order=<least-squares log-log slope>   (sweep only)
 
-A sweep is one batched engine call per observable: everything that
-does not depend on the coupling strength is computed once, and ``run``
-is the same path with a single point.
+A sweep is one batched engine call per observable, each returning a
+``MeasurementBatch`` of columns: everything that does not depend on the
+coupling strength is computed once, each extraction formula runs once
+on the columns, and the CSV rows are formatted in one pass over one
+(points x 8) table. ``run`` is the same path with a single point and
+reads row 0.
 
 Exit codes: 0 success; 1 configuration/parse errors, including requests
-whose arrays would exceed ``engines.MAX_ARRAY_BYTES``; 2 numerical
-failures (orthogonal post-selection, noncommuting observables on the
-closed-form joint engine, a non-finite moment); 3 validation-suite
-failure.
+whose arrays would exceed ``engines.MAX_ARRAY_BYTES`` and couplings
+whose pointer displacements would overflow (named as kx or ky); 2
+numerical failures (orthogonal post-selection, noncommuting observables
+on the closed-form joint engine, a non-finite moment); 3
+validation-suite failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +48,7 @@ from .engines import (
     DEFAULT_N_MAX,
     MOMENTS,
     JointCoupling,
+    MeasurementBatch,
     MeasurementRecord,
     SingleCoupling,
     check_array_budget,
@@ -78,6 +83,9 @@ __all__ = ["main", "RunSpec", "RunReport", "serialize_report"]
 CSV_HEADER = (
     "k,ps_prob,re_extracted,im_extracted,re_direct,im_direct,abs_err,weakness_ratio"
 )
+#: One CSV data row, each column in the format of ``_fmt_float``:
+#: formatted over ``table + 0.0``, it prints each x as _fmt_float(x).
+_CSV_ROW = ",".join(["%.17g"] * 8) + "\n"
 
 
 class UsageError(Exception):
@@ -151,38 +159,37 @@ class RunReport:
 
 
 def _fmt_float(x: float) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if x == 0.0:
-        return "0"  # collapse -0.0
-    return format(x, ".17g")
+    """x at 17 significant digits, the one float format of every JSON
+    and CSV payload: adding 0.0 turns -0.0 into 0.0, printed as 0, and
+    nan and +-inf print as nan, inf and -inf."""
+    return "%.17g" % (float(x) + 0.0)
 
 
 def _emit_json(obj, indent: int = 0) -> str:
+    """Deterministic JSON text of a report payload. Floats and strings,
+    nearly every node of a report, are tested first; strings and keys go
+    through the encoder ``json.dumps`` applies to them."""
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite float {obj!r} in JSON report")
+        return _fmt_float(obj)
+    if isinstance(obj, str):
+        return _json_str(obj)
     pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = ",\n".join(
+            f"{pad}  {_json_str(str(k))}: {_emit_json(v, indent + 1)}"
+            for k, v in obj.items()
+        )
+        return "{\n" + inner + "\n" + pad + "}"
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        if not math.isfinite(obj):
-            raise ValueError(f"non-finite float {obj!r} in JSON report")
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {_emit_json(v, indent + 1)}"
-            for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -234,19 +241,17 @@ def serialize_report(report: RunReport) -> str:
     return _emit_json(report_payload(report)) + "\n"
 
 
-def _csv_row(k, rec, extracted, direct) -> str:
-    return ",".join(
-        [
-            _fmt_float(k),
-            _fmt_float(rec.ps_prob),
-            _fmt_float(extracted.real),
-            _fmt_float(extracted.imag),
-            _fmt_float(direct.real),
-            _fmt_float(direct.imag),
-            _fmt_float(abs(extracted - direct)),
-            _fmt_float(rec.weakness_ratio),
-        ]
-    )
+def _csv_rows(ks, batch: MeasurementBatch, extracted: np.ndarray, direct: complex):
+    """The CSV data rows of a batch run at couplings ks, and their
+    abs_err column. One (points x 8) table is formatted in one pass;
+    abs_err is hypot of the part differences, which is
+    abs(extracted - direct) for each row."""
+    re, im = extracted.real, extracted.imag
+    abs_err = np.hypot(re - direct.real, im - direct.imag)
+    n = len(re)
+    table = np.array([ks, batch.ps_prob, re, im, np.full(n, direct.real),
+                      np.full(n, direct.imag), abs_err, batch.weakness_ratio]).T + 0.0
+    return "".join([_CSV_ROW % tuple(row) for row in table.tolist()]), abs_err
 
 
 def fit_error_order(ks, errs) -> float:
@@ -277,7 +282,7 @@ def _resolve_scenario(name_or_path: str, alpha: float) -> Scenario:
     )
 
 
-def _run_engine(spec: RunSpec, c, scales: list[float]) -> list[MeasurementRecord]:
+def _run_engine(spec: RunSpec, c, scales: list[float]) -> MeasurementBatch:
     scn = spec.scenario
     if spec.engine == "fock":
         return run_fock(scn.i, scn.f, c, n_max=spec.n_max, scales=scales)
@@ -286,50 +291,51 @@ def _run_engine(spec: RunSpec, c, scales: list[float]) -> list[MeasurementRecord
     return run_single_exact(scn.i, scn.f, c, scales=scales)
 
 
-def _extracted_singles(spec: RunSpec, c: SingleCoupling, scales: list[float]):
-    """One batched single-coupling run and its extraction at each scale."""
-    records = _run_engine(spec, c, scales)
-    return records, [extract_single(rec, c.scaled(t)) for rec, t in zip(records, scales)]
-
-
 def _execute(spec: RunSpec, kx: float, ky: float, scales: list[float]):
     """Engine runs at couplings t (kx, ky) for each scale t, with
     extraction and ground truth; ky is ignored for single runs.
 
-    Returns (records, extracted estimates, direct value, singles pairs
-    or None), the lists holding one entry per scale."""
+    Returns (batch, extracted, direct, singles): the MeasurementBatch of
+    the run, the extracted estimate holding one value per scale, the
+    direct value and, for joint runs, the pair of single estimates (one
+    value per scale when extracted, one for all when direct), else
+    None. Each engine call and each extraction runs once per batch."""
     scn = spec.scenario
     a = scn.observable(spec.observable)
     pointer_x = GaussianPointer(spec.sigma_x, spec.hbar)
 
     if spec.observable_b is None:
-        records, ests = _extracted_singles(
-            spec, SingleCoupling(A=a, K=kx, pointer=pointer_x), scales
-        )
-        return records, ests, direct_weak_value(a, scn.i, scn.f), None
+        c = SingleCoupling(A=a, K=kx, pointer=pointer_x)
+        batch = _run_engine(spec, c, scales)
+        return batch, extract_single(batch, c), direct_weak_value(a, scn.i, scn.f), None
 
     b = scn.observable(spec.observable_b)
     pointer_y = GaussianPointer(spec.sigma_y, spec.hbar)
     c = JointCoupling(
         A=a, B=b, Kx=kx, Ky=ky, pointer_x=pointer_x, pointer_y=pointer_y
     )
-    records = _run_engine(spec, c, scales)
+    batch = _run_engine(spec, c, scales)
 
     if spec.singles_mode == "direct":
-        pair = (
-            WeakValueEstimate(direct_weak_value(a, scn.i, scn.f), "direct_single"),
-            WeakValueEstimate(direct_weak_value(b, scn.i, scn.f), "direct_single"),
+        singles = tuple(
+            WeakValueEstimate(direct_weak_value(obs, scn.i, scn.f), "direct_single")
+            for obs in (a, b)
         )
-        singles = [pair] * len(scales)
     else:
-        _, singles_a = _extracted_singles(spec, SingleCoupling(a, kx, pointer_x), scales)
-        _, singles_b = _extracted_singles(spec, SingleCoupling(b, ky, pointer_y), scales)
-        singles = list(zip(singles_a, singles_b))
-    ests = [
-        extract_joint(rec, (sa.value, sb.value), c.scaled(t))
-        for rec, (sa, sb), t in zip(records, singles, scales)
-    ]
-    return records, ests, direct_joint_weak_value(a, b, scn.i, scn.f), singles
+        singles = tuple(
+            extract_single(_run_engine(spec, cs, scales), cs)
+            for cs in (SingleCoupling(a, kx, pointer_x), SingleCoupling(b, ky, pointer_y))
+        )
+    est = extract_joint(batch, (singles[0].value, singles[1].value), c)
+    return batch, est, direct_joint_weak_value(a, b, scn.i, scn.f), singles
+
+
+def _first(est: WeakValueEstimate) -> WeakValueEstimate:
+    """Row 0 of an estimate: the first of its per-row values, or its one
+    direct value."""
+    if isinstance(est.value, np.ndarray):
+        return WeakValueEstimate(complex(est.value[0]), est.kind)
+    return est
 
 
 def _write_output(text: str, out: str | None):
@@ -348,23 +354,23 @@ def cmd_run(args) -> int:
     if spec.observable_b is not None:
         ky = args.kx if args.ky is None else args.ky
     t0 = time.perf_counter()
-    records, ests, direct, singles = _execute(spec, args.kx, ky, [1.0])
+    batch, est, direct, singles = _execute(spec, args.kx, ky, [1.0])
     wall = time.perf_counter() - t0
-    report = RunReport(
-        spec=spec,
-        kx=args.kx,
-        ky=ky,
-        record=records[0],
-        singles=None if singles is None else singles[0],
-        extracted=ests[0],
-        direct=direct,
-    )
     if args.format == "json":
-        text = serialize_report(report)
+        text = serialize_report(
+            RunReport(
+                spec=spec,
+                kx=args.kx,
+                ky=ky,
+                record=batch[0],
+                singles=None if singles is None else tuple(map(_first, singles)),
+                extracted=_first(est),
+                direct=direct,
+            )
+        )
     else:
-        text = "\n".join(
-            ["# schema=1", CSV_HEADER, _csv_row(args.kx, records[0], ests[0].value, direct)]
-        ) + "\n"
+        rows, _ = _csv_rows([args.kx], batch, est.value, direct)
+        text = f"# schema=1\n{CSV_HEADER}\n{rows}"
     _write_output(text, args.out)
     print(f"wall time: {wall:.3f} s", file=sys.stderr)
     return 0
@@ -394,17 +400,13 @@ def cmd_sweep(args) -> int:
 
     t0 = time.perf_counter()
     # unit couplings scaled by k: row k runs at Kx = Ky = k
-    records, ests, direct, _ = _execute(spec, 1.0, 1.0, ks.tolist())
+    batch, est, direct, _ = _execute(spec, 1.0, 1.0, ks.tolist())
     wall = time.perf_counter() - t0
 
-    lines = ["# schema=1", CSV_HEADER]
-    errs = []
-    for k, rec, est in zip(ks, records, ests):
-        lines.append(_csv_row(k, rec, est.value, direct))
-        errs.append(abs(est.value - direct))
+    rows, errs = _csv_rows(ks, batch, est.value, direct)
     order = fit_error_order(ks, errs)
-    lines.append(f"# fitted_error_order={_fmt_float(order)}")
-    _write_output("\n".join(lines) + "\n", args.out)
+    text = f"# schema=1\n{CSV_HEADER}\n{rows}# fitted_error_order={_fmt_float(order)}\n"
+    _write_output(text, args.out)
     print(f"wall time: {wall:.3f} s", file=sys.stderr)
     return 0
 

@@ -41,14 +41,19 @@ factorization error grows as t^2 |Kx Ky px py| ||[A, B]|| / 2, so only an
 exact zero keeps it at rounding level on every grid point and scale.
 
 The three ``run_*`` engines are batched over a coupling scale: with
-``scales=(t_1, ..., t_n)`` record n is the run at couplings
-t_n (Kx, Ky), and everything independent of the coupling strength
-(eigenbases, branch amplitudes, spectral radii, momentum frames, Fock
-block eigenvectors) is computed once per batch. Without ``scales`` an
-engine returns the one record at t = 1, so a single run and a sweep row
-take the same code path. A pointer's Fock operators and momentum frame
-depend only on (pointer, n_max) and are built once per process for each
-such pair (``_pointer_frame``).
+``scales=(t_1, ..., t_n)`` they return a ``MeasurementBatch`` whose row
+n is the run at couplings t_n (Kx, Ky), and everything independent of
+the coupling strength (eigenbases, branch amplitudes, spectral radii,
+momentum frames, Fock block eigenvectors) is computed once per batch.
+The batch holds each record field as one read-only column, checked and
+clamped as a whole, and builds a ``MeasurementRecord`` only when a row
+is indexed. Without ``scales`` an engine returns the one record at
+t = 1, so a single run and a sweep row take the same code path. Every
+``run_*`` engine refuses a coupling whose branch displacements
+overflow the pointer integrals (ValueError naming kx or ky) before it
+forms any integral or Fock phase. A pointer's Fock operators and
+momentum frame depend only on (pointer, n_max) and are built once per
+process for each such pair (``_pointer_frame``).
 
 One table, ``MOMENTS``, names the seven record moments and the pointer
 operator each takes on the x and y axis; every engine evaluates it. The
@@ -62,6 +67,7 @@ needs only the top two rows of w.
 from __future__ import annotations
 
 import collections
+import collections.abc
 import functools
 import math
 import warnings
@@ -83,6 +89,7 @@ __all__ = [
     "SingleCoupling",
     "JointCoupling",
     "MeasurementRecord",
+    "MeasurementBatch",
     "MOMENTS",
     "run_single_exact",
     "run_joint_exact",
@@ -157,15 +164,11 @@ class SingleCoupling:
         if not math.isfinite(self.K):
             raise ValueError(f"coupling K must be finite, got {self.K}")
 
-    def scaled(self, t: float) -> "SingleCoupling":
-        """The same coupling at strength t K."""
-        return SingleCoupling(self.A, t * self.K, self.pointer)
-
-    def weakness_ratios(self, scales) -> list[float]:
+    def weakness_ratios(self, ts: np.ndarray) -> np.ndarray:
         """|t K| x spectral radius of A over sigma for each scale t;
-        small means weak."""
-        radius = self.A.spectral_radius()
-        return [abs(t * self.K) * radius / self.pointer.sigma for t in scales]
+        small means weak. Refuses couplings that overflow
+        (``_axis_weakness``)."""
+        return _axis_weakness(ts, self.K, self.A, self.pointer, "kx")
 
 
 @dataclass(frozen=True)
@@ -192,23 +195,36 @@ class JointCoupling:
                 f"{self.pointer_x.hbar} and {self.pointer_y.hbar}"
             )
 
-    def scaled(self, t: float) -> "JointCoupling":
-        """The same couplings at strengths t (Kx, Ky)."""
-        return JointCoupling(
-            self.A, self.B, t * self.Kx, t * self.Ky, self.pointer_x, self.pointer_y
+    def weakness_ratios(self, ts: np.ndarray) -> np.ndarray:
+        """Worst of the per-axis weakness ratios at couplings t (Kx, Ky)
+        for each scale t. Refuses couplings that overflow
+        (``_axis_weakness``)."""
+        return np.maximum(
+            _axis_weakness(ts, self.Kx, self.A, self.pointer_x, "kx"),
+            _axis_weakness(ts, self.Ky, self.B, self.pointer_y, "ky"),
         )
 
-    def weakness_ratios(self, scales) -> list[float]:
-        """Worst of the per-axis weakness ratios at couplings t (Kx, Ky)
-        for each scale t."""
-        ra, rb = self.A.spectral_radius(), self.B.spectral_radius()
-        return [
-            max(
-                abs(t * self.Kx) * ra / self.pointer_x.sigma,
-                abs(t * self.Ky) * rb / self.pointer_y.sigma,
-            )
-            for t in scales
-        ]
+
+def _axis_weakness(ts: np.ndarray, K: float, A: Observable, p: GaussianPointer, flag: str):
+    """|t K| r / sigma for each scale t, with r the spectral radius of A:
+    the weakness ratio of one pointer axis.
+
+    Two branches sit at most 2 |t K| r apart, and the pointer integrals
+    square that distance and divide it by 8 sigma^2. If that is not
+    finite, every integral and Fock phase of the run would be inf or
+    nan, so the coupling is refused with a ValueError naming ``flag``
+    before any is formed. The test runs on Python floats, which
+    overflow to inf without numpy's warnings."""
+    radius = A.spectral_radius()
+    k = abs(K) * max(map(abs, ts.tolist()), default=0.0)
+    span = 2.0 * k * radius
+    if not math.isfinite(span * span / (8.0 * p.sigma**2)):
+        raise ValueError(
+            f"coupling |{flag}| = {k!r} is too strong to represent: branch "
+            f"displacements 2 |{flag}| x spectral radius {radius!r} overflow "
+            "the pointer integrals"
+        )
+    return np.abs(ts * K) * radius / p.sigma
 
 
 @dataclass(frozen=True)
@@ -239,6 +255,58 @@ class MeasurementRecord:
         object.__setattr__(self, "ps_prob", min(max(self.ps_prob, 0.0), 1.0))
 
 
+#: The float fields of a MeasurementRecord, in field order: ps_prob
+#: first, then the other moments and weakness_ratio.
+_RECORD_FLOATS = (*MOMENTS, "weakness_ratio")
+_FLOAT_ROW = {name: row for row, name in enumerate(_RECORD_FLOATS)}
+
+
+class MeasurementBatch(collections.abc.Sequence):
+    """The records of one batched engine call, held as columns.
+
+    Row n is the run at coupling scale ``scales[n]``. ``scales``,
+    ``ps_prob``, every ``MOMENTS`` name and ``weakness_ratio`` are
+    read-only float arrays with one entry per row, ``truncation_warning``
+    a read-only bool array, and ``engine_tag`` one string for every row.
+    Rows with no y pointer hold zeros in the y-axis moments, as a
+    MeasurementRecord does. ``batch[n]`` builds the MeasurementRecord of
+    row n on demand, so the batch also serves as a list of records;
+    batches compare equal when their records do.
+
+    The float fields are the rows of one (fields, rows) table, in
+    MeasurementRecord field order; a column is a view of its row, made
+    when it is read.
+    """
+
+    def __init__(self, scales, table: np.ndarray, truncation_warning, engine_tag: str):
+        for array in (scales, table, truncation_warning):
+            array.setflags(write=False)
+        self.scales = scales
+        self.truncation_warning = truncation_warning
+        self.engine_tag = engine_tag
+        self._table = table
+
+    def __getattr__(self, name):
+        if name not in _FLOAT_ROW:
+            raise AttributeError(f"'MeasurementBatch' object has no attribute {name!r}")
+        return self._table[_FLOAT_ROW[name]]
+
+    def __len__(self) -> int:
+        return len(self.scales)
+
+    def __getitem__(self, n: int) -> MeasurementRecord:
+        return MeasurementRecord(
+            *self._table[:, n].tolist(),
+            engine_tag=self.engine_tag,
+            truncation_warning=bool(self.truncation_warning[n]),
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, MeasurementBatch):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 def _realize(value, name: str):
     """Discard the imaginary residue of a conditional moment, or of each
     entry of an array of them, after checking it is consistent with
@@ -261,63 +329,66 @@ def _check_dims(i: QuantumState, f: QuantumState, dim: int):
 
 
 def _scale_array(scales) -> np.ndarray:
-    """Coupling scales as a 1-D float array; None is the single scale 1."""
-    ts = np.asarray((1.0,) if scales is None else scales, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(ts)):
+    """Coupling scales as a new 1-D float array; None is the single
+    scale 1."""
+    ts = np.array((1.0,) if scales is None else scales, dtype=float).reshape(-1)
+    if not np.isfinite(ts).all():
         raise ValueError("coupling scales must be finite")
     return ts
 
 
-def _batch_result(records: list, scales):
-    """The one record of an unbatched call, else the list of records."""
-    return records[0] if scales is None else records
+def _batch_result(batch: MeasurementBatch, scales):
+    """The one record of an unbatched call, else the whole batch."""
+    return batch[0] if scales is None else batch
 
 
-def _records(raw: dict, weakness: list, tag: str, eps_ps: float, truncated=None):
-    """One MeasurementRecord per scale from columns of unnormalized
+def _records(raw: dict, ts: np.ndarray, weakness, tag: str, eps_ps: float, truncated=None):
+    """The MeasurementBatch at scales ts from columns of unnormalized
     forms: ``raw["ps_prob"][n]`` is the post-selection probability of
     row n and every other column holds conditional moments times it.
 
     The columns are stacked into one (moments, scales) array that passes
-    three checks, each naming the first moment that fails it: every
-    value is finite (NumericalInconsistency), its imaginary residue is
-    consistent with zero (NumericalInconsistency) and the probability is
-    above the eps_ps floor (OrthogonalPostselection). One division then
-    turns the forms into conditional moments."""
+    four checks, each naming the first moment or row that fails it:
+    every value is finite (NumericalInconsistency), its imaginary residue
+    is consistent with zero (NumericalInconsistency), the probability is
+    above the eps_ps floor (OrthogonalPostselection) and within [0, 1]
+    up to 1e-12 (NumericalInconsistency, as MeasurementRecord checks one
+    row). One division then turns the forms into conditional moments,
+    and the probabilities are clamped into [0, 1]."""
     names = ["ps_prob", *(name for name in raw if name != "ps_prob")]
     forms = np.array([raw[name] for name in names])
-    bad = ~np.isfinite(forms)
-    if bad.any():
-        row, n = np.argwhere(bad)[0]
+    if not np.isfinite(forms).all():
+        row, n = np.argwhere(~np.isfinite(forms))[0]
         raise NumericalInconsistency(
             f"{names[row]} of record {n} is {complex(forms[row, n])}, not finite"
         )
-    residue = np.max(np.abs(forms.imag), axis=1, initial=0.0)
-    over = np.flatnonzero(residue > IMAG_RESIDUE_TOL)
-    if over.size:
+    if np.abs(forms.imag).max(initial=0.0) > IMAG_RESIDUE_TOL:
+        residue = np.abs(forms.imag).max(axis=1)
+        row = (residue > IMAG_RESIDUE_TOL).argmax()
         raise NumericalInconsistency(
-            f"{names[over[0]]} has imaginary residue {residue[over[0]]:.3e}; "
+            f"{names[row]} has imaginary residue {residue[row]:.3e}; "
             "conditional moments of Hermitian observables must be real"
         )
     values = forms.real
     ps = values[0]
-    low = np.flatnonzero(ps < eps_ps)
-    if low.size:
+    lowest, highest = ps.min(initial=math.inf), ps.max(initial=-math.inf)
+    if lowest < eps_ps:
         raise OrthogonalPostselection(
-            f"post-selection probability {ps[low[0]]:.3e} below floor {eps_ps:.1e}"
+            f"post-selection probability {ps[(ps < eps_ps).argmax()]:.3e} "
+            f"below floor {eps_ps:.1e}"
         )
-    moments = (values[1:] / ps).T.tolist()
-    truncated = truncated or [False] * len(weakness)
-    return [
-        MeasurementRecord(
-            ps_prob=p,
-            weakness_ratio=w,
-            engine_tag=tag,
-            truncation_warning=trunc,
-            **dict(zip(names[1:], row)),
+    if lowest < -1e-12 or highest > 1.0 + 1e-12:
+        outside = (ps < -1e-12) | (ps > 1.0 + 1e-12)
+        raise NumericalInconsistency(
+            f"post-selection probability {float(ps[outside.argmax()])!r} outside [0, 1]"
         )
-        for p, row, w, trunc in zip(ps.tolist(), moments, weakness, truncated)
-    ]
+    table = np.zeros((len(_RECORD_FLOATS), len(ts)))
+    table[[_FLOAT_ROW[name] for name in names[1:]]] = values[1:] / ps
+    in_range = 0.0 <= lowest and highest <= 1.0
+    table[0] = ps if in_range else np.minimum(np.maximum(ps, 0.0), 1.0)
+    table[-1] = weakness
+    truncated = np.zeros(len(ts), bool) if truncated is None else np.array(truncated, bool)
+    return MeasurementBatch(ts, table, truncated, tag)
 
 
 def _moment_matrices(displacements: np.ndarray, p: GaussianPointer) -> dict:
@@ -369,16 +440,16 @@ def run_single_exact(
     is a sum of Gaussians displaced by K a_k with amplitudes
     <f|a_k><a_k|i>, and all moments assemble from pairwise pointer
     integrals. Exact to machine precision at any K. With ``scales``,
-    returns the list of records at couplings t K, one per scale t.
+    returns the MeasurementBatch whose row n ran at coupling t_n K.
     """
     _check_dims(i, f, c.A.dim)
     ts = _scale_array(scales)
+    weakness = c.weakness_ratios(ts)
     es = hermitian_eig(c.A)
     amp = _branch_amplitudes(i, f, es.eigenvectors)
     mats = _moment_matrices(np.outer(ts * c.K, es.eigenvalues), c.pointer)
     forms = {name: amp.conj() @ mats[op] @ amp for name, (op, _) in SINGLE_MOMENTS.items()}
-    records = _records(forms, c.weakness_ratios(ts.tolist()), "exact-single", eps_ps)
-    return _batch_result(records, scales)
+    return _batch_result(_records(forms, ts, weakness, "exact-single", eps_ps), scales)
 
 
 def run_joint_exact(
@@ -398,10 +469,12 @@ def run_joint_exact(
     sum_{l,l'} (amp^+ Mx amp)[l, l'] My[l, l'] with Mx, My the
     branch-pair matrices of 1D pointer integrals on each axis. Refuses
     noncommuting pairs (NotCommuting); use run_fock for those. With
-    ``scales``, returns the list of records at couplings t (Kx, Ky).
+    ``scales``, returns the MeasurementBatch whose row n ran at
+    couplings t_n (Kx, Ky).
     """
     _check_dims(i, f, c.A.dim)
     ts = _scale_array(scales)
+    weakness = c.weakness_ratios(ts)
     ea, eb = simultaneous_eig(c.A, c.B)
     ai, ab, fb = _branch_factors(i, f, ea, eb)
     amp = ai[:, None] * ab * fb
@@ -417,8 +490,7 @@ def run_joint_exact(
         name: np.einsum("nji,nij->n", on_x[op_x], my[op_y])
         for name, (op_x, op_y) in MOMENTS.items()
     }
-    records = _records(forms, c.weakness_ratios(ts.tolist()), "exact-joint", eps_ps)
-    return _batch_result(records, scales)
+    return _batch_result(_records(forms, ts, weakness, "exact-joint", eps_ps), scales)
 
 
 _Frame = collections.namedtuple("_Frame", "fock p x top vacuum")
@@ -495,6 +567,7 @@ def _warn_truncation(population: float) -> bool:
 
 
 def _fock_single(i, f, c: SingleCoupling, n_max, eps_ps, ts):
+    weakness = c.weakness_ratios(ts)
     frame = _pointer_frame(c.pointer, n_max)
     es = hermitian_eig(c.A)
 
@@ -512,7 +585,7 @@ def _fock_single(i, f, c: SingleCoupling, n_max, eps_ps, ts):
         phi = f.amplitudes.conj() @ psi
         for name, value in _grid_moments(phi[:, None], SINGLE_MOMENTS, frame).items():
             raw[name].append(value)
-    return _records(raw, c.weakness_ratios(ts.tolist()), "fock-single", eps_ps, truncated)
+    return _records(raw, ts, weakness, "fock-single", eps_ps, truncated)
 
 
 def _fock_joint(i, f, c: JointCoupling, n_max, eps_ps, ts):
@@ -524,6 +597,7 @@ def _fock_joint(i, f, c: JointCoupling, n_max, eps_ps, ts):
     it has the same eigenvectors and negated eigenvalues. Only the rows
     j < (N+1)/2 go through ``eigh`` (861 of 1681 blocks at n_max 40);
     the other rows are their mirror, for odd and even N alike."""
+    weakness = c.weakness_ratios(ts)
     fx = _pointer_frame(c.pointer_x, n_max)
     fy = _pointer_frame(c.pointer_y, n_max)
 
@@ -557,7 +631,7 @@ def _fock_joint(i, f, c: JointCoupling, n_max, eps_ps, ts):
         phi = psi @ f.amplitudes.conj()
         for name, value in _grid_moments(phi, MOMENTS, fx, fy).items():
             raw[name].append(value)
-    return _records(raw, c.weakness_ratios(ts.tolist()), "fock-joint", eps_ps, truncated)
+    return _records(raw, ts, weakness, "fock-joint", eps_ps, truncated)
 
 
 def _fock_branch_sum(i, f, c: JointCoupling, n_max, eps_ps, ts):
@@ -570,6 +644,7 @@ def _fock_branch_sum(i, f, c: JointCoupling, n_max, eps_ps, ts):
     with amp[k, l] = <f|b_l><b_l|a_k><a_k|i> and Gx[j, k] =
     exp(-i t Kx px_j a_k/hbar) vacx[j] (Gy likewise on the y axis). Each
     scale costs O(N d^2) on an N-point grid before the moments."""
+    weakness = c.weakness_ratios(ts)
     fx = _pointer_frame(c.pointer_x, n_max)
     fy = _pointer_frame(c.pointer_y, n_max)
     ea, eb = hermitian_eig(c.A), hermitian_eig(c.B)
@@ -594,7 +669,7 @@ def _fock_branch_sum(i, f, c: JointCoupling, n_max, eps_ps, ts):
         phi = (w * fb) @ gy.T
         for name, value in _grid_moments(phi, MOMENTS, fx, fy).items():
             raw[name].append(value)
-    return _records(raw, c.weakness_ratios(ts.tolist()), "fock-joint", eps_ps, truncated)
+    return _records(raw, ts, weakness, "fock-joint", eps_ps, truncated)
 
 
 def run_fock(
@@ -617,12 +692,12 @@ def run_fock(
     evolution as an error t^2 |Kx Ky px py| ||[A, B]|| / 2 that no fixed
     bound keeps at rounding level. If the evolved state populates
     the top two truncation levels above 1e-8 a TruncationWarning is
-    issued and flagged on the record. With ``scales``, returns the list
-    of records at couplings t (Kx, Ky); the momentum frames and block
-    eigenvectors are computed once, and each scale costs one phase, the
-    products with the block eigenvectors and the moments on the momentum
-    grid. Raises InvalidTruncation if the (n_max+1)^2 d x d blocks would
-    exceed MAX_ARRAY_BYTES.
+    issued and flagged on the record. With ``scales``, returns the
+    MeasurementBatch whose row n ran at couplings t_n (Kx, Ky); the
+    momentum frames and block eigenvectors are computed once, and each
+    scale costs one phase, the products with the block eigenvectors and
+    the moments on the momentum grid. Raises InvalidTruncation if the
+    (n_max+1)^2 d x d blocks would exceed MAX_ARRAY_BYTES.
     """
     if isinstance(c, SingleCoupling):
         engine = _fock_single

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engines import EPS_PS, JointCoupling, MeasurementRecord, SingleCoupling
+from .engines import EPS_PS, JointCoupling, MeasurementBatch, SingleCoupling
 from .errors import DimensionMismatch, OrthogonalPostselection, ZeroCoupling
 from .qcore import Observable, QuantumState
 
@@ -33,7 +33,8 @@ class WeakValueEstimate:
     kind is one of direct_single, direct_joint_symmetrized,
     extracted_single, extracted_joint. Direct kinds depend only on
     (A, B, i, f); extracted kinds carry the finite-coupling error of
-    the run they came from.
+    the run they came from. An estimate extracted from a
+    MeasurementBatch holds a complex array, one value per row.
     """
 
     value: complex
@@ -77,45 +78,76 @@ def direct_joint_weak_value(
     return complex(np.vdot(f.amplitudes, sym @ i.amplitudes)) / ip
 
 
-def extract_single(rec: MeasurementRecord, c: SingleCoupling) -> WeakValueEstimate:
+#: The coupling scale of a lone MeasurementRecord: it ran at its
+#: coupling itself.
+_UNIT_SCALE = np.ones(1)
+_UNIT_SCALE.flags.writeable = False
+
+
+def _row_scales(rec) -> np.ndarray:
+    """Coupling scale of each row of a MeasurementBatch or of a lone
+    MeasurementRecord."""
+    return rec.scales if isinstance(rec, MeasurementBatch) else _UNIT_SCALE
+
+
+def _estimate(rec, re: np.ndarray, im: np.ndarray, kind: str) -> WeakValueEstimate:
+    """The estimate re + i im extracted from rec: a complex array for a
+    batch (its parts assigned, not computed, so an infinite part stays
+    exact), one complex for a record."""
+    if not isinstance(rec, MeasurementBatch):
+        return WeakValueEstimate(complex(re[0], im[0]), kind)
+    value = re.astype(complex)
+    value.imag = im
+    return WeakValueEstimate(value, kind)
+
+
+def extract_single(rec, c: SingleCoupling) -> WeakValueEstimate:
     """Recover a single weak value from conditional pointer moments.
 
     Real part from the position shift, imaginary part from the momentum
     shift scaled by the pointer width:
 
         Re = <X>_fi / K,     Im = (2 sigma^2 / hbar) <Px>_fi / K.
+
+    rec is a MeasurementRecord run at coupling c, or a MeasurementBatch
+    whose row n ran at t_n K: the formula then runs once on its columns
+    and the estimate's value is a complex array with one entry per row.
+    Raises ZeroCoupling, before dividing, if any coupling is 0.
     """
-    if c.K == 0.0:
+    kt = _row_scales(rec) * c.K
+    if not kt.all():
         raise ZeroCoupling("cannot extract a weak value at K = 0")
-    re = rec.x_mean / c.K
-    im = (2.0 * c.pointer.sigma**2 / c.pointer.hbar) * rec.px_mean / c.K
-    return WeakValueEstimate(value=complex(re, im), kind="extracted_single")
+    re = rec.x_mean / kt
+    im = (2.0 * c.pointer.sigma**2 / c.pointer.hbar) * rec.px_mean / kt
+    return _estimate(rec, re, im, "extracted_single")
 
 
-def extract_joint(
-    rec: MeasurementRecord,
-    singles: tuple[complex, complex],
-    c: JointCoupling,
-) -> WeakValueEstimate:
+def extract_joint(rec, singles, c: JointCoupling) -> WeakValueEstimate:
     """Recover a joint weak value from X-Y pointer correlations.
 
     Combines the conditional correlation moments with the two single
-    weak values (direct or themselves extracted; the caller chooses and
-    records which):
+    weak values a and b (direct or themselves extracted; the caller
+    chooses and records which):
 
         Re = 2 <XY>_fi / (Kx Ky) - Re(a* b)
         Im = (4 sigma_y^2 / hbar) <X Py>_fi / (Kx Ky) - Im(a* b)
 
     For commuting A, B this is the weak value of AB; otherwise it is the
-    weak value of the symmetrized product (AB + BA)/2.
+    weak value of the symmetrized product (AB + BA)/2. rec is a
+    MeasurementRecord or a MeasurementBatch, as for extract_single, and
+    each single weak value a complex or a complex array with one entry
+    per row. a* b is expanded into real parts, which is Python's complex
+    product term for term. Raises ZeroCoupling, before dividing, if any
+    Kx Ky is 0.
     """
-    if c.Kx * c.Ky == 0.0:
+    ts = _row_scales(rec)
+    kk = (ts * c.Kx) * (ts * c.Ky)
+    if not kk.all():
         raise ZeroCoupling("cannot extract a joint weak value at Kx*Ky = 0")
     a_w, b_w = singles
-    cross = np.conj(a_w) * b_w
-    kk = c.Kx * c.Ky
-    re = 2.0 * rec.xy_mean / kk - cross.real
+    ar, ai, br, bi = a_w.real, a_w.imag, b_w.real, b_w.imag
+    re = 2.0 * rec.xy_mean / kk - (ar * br + ai * bi)
     im = (
         4.0 * c.pointer_y.sigma**2 / c.pointer_y.hbar
-    ) * rec.x_py_mean / kk - cross.imag
-    return WeakValueEstimate(value=complex(re, im), kind="extracted_joint")
+    ) * rec.x_py_mean / kk - (ar * bi - ai * br)
+    return _estimate(rec, re, im, "extracted_joint")

@@ -8,9 +8,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from weaklab import qcore, scenarios
-from weaklab.cli import CSV_HEADER, RunSpec, _execute, build_parser, main
+from weaklab.cli import CSV_HEADER, _CSV_ROW, RunSpec, _execute, _fmt_float, build_parser, main
 from weaklab.engines import _pointer_frame
 from weaklab.scenarios import build_three_box, scenario_to_document
 
@@ -246,21 +247,59 @@ def test_run_unusable_pointer_width_exit_1(capsys, flag, value, field):
         assert f"error: {field} must be finite" in err and "Traceback" not in err
 
 
-def test_run_non_finite_moment_exit_2():
-    """An overflowing coupling makes a moment NaN; the run refuses it
-    instead of writing nan with exit 0 (numpy's overflow warnings still
-    print first)."""
+OVERFLOW_CASES = {
+    "run-exact": ["run", "--scenario", "three-box", "--observable", "P1", "--engine",
+                  "exact", "--kx", "1e308", "--format", "csv"],
+    "run-fock": ["run", "--scenario", "hardy", "--observable", "N_Oe", "--observable-b",
+                 "N_NOp", "--engine", "fock", "--kx", "0.01", "--ky", "1e200",
+                 "--format", "json"],
+    "sweep-exact": ["sweep", "--scenario", "three-box", "--observable", "P1", "--engine",
+                    "exact", "--k-min", "1", "--k-max", "1e200", "--points", "3", "--log"],
+    "sweep-fock": ["sweep", "--scenario", "hardy", "--observable", "N_Oe",
+                   "--observable-b", "N_NOp", "--engine", "fock", "--k-min", "1",
+                   "--k-max", "1e200", "--points", "3", "--log"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+def test_overflowing_coupling_exit_1(case):
+    """A coupling whose pointer displacements overflow once squared is
+    refused by name before any pointer integral or Fock phase is formed:
+    exit 1 with no numpy warning, even with RuntimeWarning an error."""
+    argv = OVERFLOW_CASES[case]
+    flag = "ky" if "--ky" in argv else "kx"
     proc = subprocess.run(
-        [sys.executable, "-m", "weaklab.cli", "run", "--scenario", "three-box",
-         "--observable", "P1", "--engine", "exact", "--sigma-x", "1",
-         "--kx", "1e308", "--format", "csv"],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "weaklab.cli", *argv,
+         "--sigma-x", "1"],
         capture_output=True, text=True,
     )
-    assert proc.returncode == 2
+    assert proc.returncode == 1
     assert proc.stdout == ""
-    assert "numerical failure: x_mean of record 0 is" in proc.stderr
-    assert "not finite" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert f"error: coupling |{flag}| = " in proc.stderr
+    assert "too strong to represent" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("engine", ["exact", "fock"])
+@pytest.mark.parametrize("observables", [["P3"], ["N_Oe", "--observable-b", "N_NOp"]],
+                         ids=["single", "joint"])
+def test_linear_sweep_through_zero_coupling_exit_1(capsys, engine, observables):
+    """A linearly spaced sweep from k = 0 has a row at K = 0, where no
+    weak value can be extracted: exit 1 before anything is divided by
+    it, so numpy never warns."""
+    scenario = "three-box" if observables == ["P3"] else "hardy"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(
+            ["sweep", "--scenario", scenario, "--observable", *observables,
+             "--engine", engine, "--sigma-x", "1", "--k-min", "0", "--k-max", "0.1",
+             "--points", "3"]
+        )
+    assert code == 1
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: cannot extract a weak value at K = 0" in captured.err
 
 
 @pytest.mark.parametrize("flag", ["--k-min", "--k-max"])
@@ -543,10 +582,11 @@ def test_batched_sweep_matches_single_runs(case, tmp_path):
     kx, ky = args.kx, args.ky if args.ky is not None else args.kx
     scales = np.geomspace(1e-3, 1e-1, 7).tolist()
 
-    records, ests, direct, _ = _execute(spec, kx, ky, scales)
-    assert len(records) == len(ests) == len(scales)
-    for t, rec, est in zip(scales, records, ests):
-        (one,), (one_est,), one_direct, _ = _execute(spec, t * kx, t * ky, [1.0])
+    batch, est, direct, _ = _execute(spec, kx, ky, scales)
+    assert len(batch) == len(est.value) == len(scales)
+    for t, rec in zip(scales, batch):
+        one_batch, one_est, one_direct, _ = _execute(spec, t * kx, t * ky, [1.0])
+        (one,) = one_batch
         for name, value in vars(rec).items():
             want = getattr(one, name)
             if isinstance(value, float):
@@ -567,6 +607,72 @@ def test_sweep_byte_identical(tmp_path):
     assert run_cli(args + ["--out", str(a)]) == 0
     assert run_cli(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# --- identities the columnar CSV path rests on -----------------------------------
+
+
+def _bits(x) -> str:
+    """A float's exact value, sign of zero included."""
+    return float(x).hex()
+
+
+def _reference_fmt(x: float) -> str:
+    """The output float format spelled out case by case."""
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    if x == 0.0:
+        return "0"
+    return format(x, ".17g")
+
+
+@given(x=st.floats())
+@example(x=-0.0)
+@example(x=0.0)
+@example(x=math.inf)
+@example(x=-math.inf)
+@example(x=math.nan)
+@example(x=5e-324)
+@example(x=-5e-324)
+@example(x=sys.float_info.max)
+def test_row_format_matches_fmt_float(x):
+    """"%.17g" of x + 0.0, which _fmt_float and the one-pass CSV row
+    format print, is the case-by-case format: 17 significant digits,
+    -0.0 as 0, and nan and +-inf as nan, inf and -inf. The CSV row gives
+    the same text from a numpy row."""
+    want = _reference_fmt(x)
+    assert "%.17g" % (x + 0.0) == _fmt_float(x) == _fmt_float(np.float64(x)) == want
+    row = (np.full(8, x) + 0.0).tolist()
+    assert _CSV_ROW % tuple(row) == ",".join([want] * 8) + "\n"
+
+
+finite = st.floats(min_value=-1e150, max_value=1e150)
+
+
+@given(re=finite, im=finite, dre=finite, dim=finite)
+@example(re=5e-324, im=-0.0, dre=0.0, dim=5e-324)
+@example(re=1e150, im=-1e150, dre=-1e150, dim=1e150)
+def test_part_hypot_matches_complex_abs(re, im, dre, dim):
+    """abs_err as np.hypot of the part differences over columns equals
+    Python's abs(extracted - direct) for each row, bit for bit."""
+    got = np.hypot(np.array([re]) - dre, np.array([im]) - dim)[0]
+    assert _bits(got) == _bits(abs(complex(re, im) - complex(dre, dim)))
+
+
+@given(ar=finite, ai=finite, br=finite, bi=finite)
+@example(ar=-0.0, ai=0.0, br=0.0, bi=-0.0)
+@example(ar=5e-324, ai=-5e-324, br=1e150, bi=1e150)
+def test_real_cross_term_matches_complex_product(ar, ai, br, bi):
+    """conj(a) b expanded on real arrays, as extract_joint does, equals
+    Python's complex product and numpy's complex scalar product bit for
+    bit."""
+    a, b = complex(ar, ai), complex(br, bi)
+    r, i = (np.array([x]) for x in (ar, ai))
+    re, im = (r * br + i * bi)[0], (r * bi - i * br)[0]
+    for want in (a.conjugate() * b, np.conj(a) * b):
+        assert (_bits(re), _bits(im)) == (_bits(want.real), _bits(want.imag))
 
 
 # --- validate -------------------------------------------------------------------

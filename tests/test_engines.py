@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weaklab.engines import (
+    EPS_PS,
     MAX_ARRAY_BYTES,
     TRUNCATION_TOL,
     JointCoupling,
+    MeasurementBatch,
     MeasurementRecord,
     SingleCoupling,
     heisenberg_moment,
@@ -22,6 +24,7 @@ from weaklab.engines import (
     run_joint_exact,
     run_single_exact,
     _pointer_frame,
+    _records,
 )
 from weaklab.errors import (
     DimensionMismatch,
@@ -275,15 +278,79 @@ def test_pointer_frame_arrays_are_read_only():
 
 
 @pytest.mark.parametrize("engine", [run_single_exact, run_fock])
-def test_non_finite_moment_is_refused(engine):
-    """A coupling too strong to represent overflows the engine's
-    arithmetic; the record refuses the NaN moment by name."""
+def test_overflowing_coupling_is_refused(engine):
+    """A coupling whose branch displacements overflow once squared is
+    refused by name before any pointer integral or Fock phase is formed,
+    so numpy never warns (the suite turns RuntimeWarning into an error);
+    a scale that overflows only its product with K is refused too."""
     scn = build_three_box()
     c = SingleCoupling(A=scn.observable("P1"), K=1e308, pointer=unit_pointer())
-    with pytest.warns(RuntimeWarning), pytest.raises(
-        NumericalInconsistency, match=r"of record 0 is .*nan.*, not finite"
-    ):
+    with pytest.raises(ValueError, match=r"\|kx\| = 1e\+308 is too strong"):
         engine(scn.i, scn.f, c)
+    c = dataclasses.replace(c, K=1e200)
+    with pytest.raises(ValueError, match=r"\|kx\| = inf is too strong"):
+        engine(scn.i, scn.f, c, scales=[1.0, 1e200])
+
+
+@pytest.mark.parametrize("engine", [run_joint_exact, run_fock])
+def test_overflowing_joint_coupling_is_refused_by_axis(engine):
+    scn = build_hardy()
+    jc = JointCoupling(
+        A=scn.observable("N_Oe"), B=scn.observable("N_Op"), Kx=0.01, Ky=1e160,
+        pointer_x=unit_pointer(), pointer_y=unit_pointer(),
+    )
+    with pytest.raises(ValueError, match=r"\|ky\| = 1e\+160 is too strong"):
+        engine(scn.i, scn.f, jc)
+    # a coupling whose displacements square to a finite value over
+    # 8 sigma^2 runs (truncated, on the Fock engine)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        engine(scn.i, scn.f, dataclasses.replace(jc, Ky=1e150))
+
+
+def test_records_refuse_non_finite_moment_by_name():
+    raw = {"ps_prob": [0.5, 0.5], "x_mean": [0.1, math.nan], "px_mean": [0.0, 0.0]}
+    with pytest.raises(NumericalInconsistency, match=r"x_mean of record 1 is .*nan.*, not finite"):
+        _records(raw, np.array([1.0, 2.0]), np.zeros(2), "exact-single", EPS_PS)
+
+
+def test_records_check_and_clamp_probabilities_as_columns():
+    """The batch applies MeasurementRecord's range check and clamp to
+    the whole ps_prob column, and divides by the unclamped value."""
+    raw = {"ps_prob": [0.5, 1.0 + 5e-13], "x_mean": [0.25, 1.0], "px_mean": [0.0, 0.0]}
+    batch = _records(raw, np.array([1.0, 2.0]), np.array([0.1, 0.2]), "exact-single", EPS_PS)
+    assert batch.ps_prob.tolist() == [0.5, 1.0]
+    assert batch.x_mean.tolist() == [0.5, 1.0 / (1.0 + 5e-13)]
+    raw["ps_prob"] = [0.5, 1.5]
+    with pytest.raises(NumericalInconsistency, match=r"probability 1\.5 outside \[0, 1\]"):
+        _records(raw, np.array([1.0, 2.0]), np.zeros(2), "exact-single", EPS_PS)
+
+
+def test_batch_is_read_only_columns_and_a_sequence_of_records():
+    f = QuantumState(np.array([0.8, 0.6]))
+    jc = JointCoupling(
+        A=SIGMA_Z, B=SIGMA_Z, Kx=0.05, Ky=-0.03,
+        pointer_x=unit_pointer(), pointer_y=GaussianPointer(0.7),
+    )
+    scales = np.array([0.5, 1.0, 2.0])
+    batch = run_joint_exact(PLUS_X, f, jc, scales=scales)
+    assert isinstance(batch, MeasurementBatch) and len(batch) == 3
+    scales[0] = 9.0  # the batch holds its own copy of the scales
+    assert batch.scales.tolist() == [0.5, 1.0, 2.0]
+    for name in ("scales", "truncation_warning", *MOMENTS, "weakness_ratio"):
+        with pytest.raises(ValueError):
+            getattr(batch, name)[0] = 0.0
+    for n, rec in enumerate(batch):
+        assert rec == batch[n - 3]
+        for name in (*MOMENTS, "weakness_ratio"):
+            assert getattr(rec, name) == getattr(batch, name)[n]
+        assert rec.engine_tag == batch.engine_tag == "exact-joint"
+    with pytest.raises(IndexError):
+        batch[3]
+    single = run_single_exact(PLUS_X, f, SingleCoupling(SIGMA_Z, 0.05, unit_pointer()),
+                              scales=[1.0, 2.0])
+    assert single.y_mean.tolist() == single.x_py_mean.tolist() == [0.0, 0.0]
+    assert single != batch
 
 
 def test_fock_records_equal_on_cold_and_warm_frame_cache():
@@ -316,8 +383,8 @@ def test_batch_without_scales_is_one_record_and_empty_batch_is_empty():
     c = SingleCoupling(A=SIGMA_Z, K=0.05, pointer=unit_pointer())
     f = QuantumState(np.array([0.8, 0.6]))
     assert isinstance(run_single_exact(PLUS_X, f, c), MeasurementRecord)
-    assert run_single_exact(PLUS_X, f, c, scales=[]) == []
-    assert run_fock(PLUS_X, f, c, scales=[]) == []
+    assert len(run_single_exact(PLUS_X, f, c, scales=[])) == 0
+    assert len(run_fock(PLUS_X, f, c, scales=[])) == 0
     with pytest.raises(ValueError):
         run_single_exact(PLUS_X, f, c, scales=[0.1, math.inf])
 
