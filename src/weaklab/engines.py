@@ -2,16 +2,22 @@
 
 Three routes compute the same conditional moments:
 
-* ``run_single_exact`` / ``run_joint_exact`` -- closed form. The initial
-  state is expanded in the eigenbasis of the coupled observable; each
-  branch carries a Gaussian displaced by coupling x eigenvalue, and
-  moments reduce to the pointer module's overlap integrals. For a
-  commuting pair the two couplings factorize, so the branches are the
-  d^2 pairs (a_k, b_l) of A's and B's own eigenbases, with amplitude
-  <f|b_l><b_l|a_k><a_k|i> (the sequential branch sum of Mitchison, Jozsa
-  and Popescu, PRA 76, 062105 (2007)). Exact at any coupling strength.
-* ``run_fock`` -- exact unitary evolution in a truncated oscillator
-  space. Valid for noncommuting observable pairs, where the closed-form
+* One branch sum (``_branch_sum``) serves ``run_single_exact``,
+  ``run_joint_exact`` and ``run_fock`` for a single coupling or an
+  exactly commuting pair. The initial state is expanded in the coupled
+  observables' own eigenbases; each branch carries a pointer Gaussian
+  displaced by coupling x eigenvalue, with amplitude <f|a_k><a_k|i> for
+  a single coupling and <f|b_l><b_l|a_k><a_k|i> for the d^2 branches
+  (a_k, b_l) of a commuting pair (the sequential branch sum of Mitchison,
+  Jozsa and Popescu, PRA 76, 062105 (2007)). Every moment contracts the
+  amplitudes with branch-pair matrices of pointer integrals, one
+  (scales, d, d) stack per pointer operator and axis. Two rules supply
+  those matrices: the closed-form Gaussian integrals of the pointer
+  module (``_moment_matrices``, the exact engines, exact at any coupling
+  strength) and the Gauss-Hermite rule of the truncated oscillator
+  (``_grid_matrices``, the Fock engine).
+* ``run_fock`` on a noncommuting pair -- exact unitary evolution in a
+  truncated oscillator space (``_fock_joint``), where the closed-form
   joint route refuses to run.
 * ``heisenberg_moment`` -- order-by-order nested-commutator expansion of
   a post-selected pointer observable, returning each order separately so
@@ -23,22 +29,24 @@ Three routes compute the same conditional moments:
   H through its factors A (x) Px and B (x) Py and O through |f><f|, X
   and the y-axis operator.
 
-The Fock propagator exploits that the pointer momenta commute with the
-coupling Hamiltonian: in the momentum eigenbasis the evolution is block
-diagonal over momentum grid points, with one system-dimension Hermitian
-block each. This is algebraically identical to eigendecomposing the full
+The Fock engine works on the momentum grid: the eigenvalues p_j of the
+truncated P, which are the Gauss-Hermite nodes scaled by sqrt(2) hbar /
+(2 sigma), with the vacuum's squared components as weights (Golub and
+Welsch, Math. Comp. 23, 221 (1969)). The pointer momenta commute with the
+coupling, so branch k of a single coupling or commuting pair is the grid
+vector G[j, k] = exp(-i t K p_j a_k / hbar) vac[j], and the branch-pair
+matrices are G^+ op G. The noncommuting evolution is block diagonal over
+grid points, with one system-dimension Hermitian block each; this is
+algebraically identical to eigendecomposing the full
 H = Kx A Px + Ky B Py on the product space, at a tiny fraction of the
 cost. The truncated P is odd under parity, so its eigenvalues come in
 pairs p and -p, and the block at the mirrored grid point (-px, -py) is
-exactly minus the block at (px, py): the joint engine diagonalizes only
+exactly minus the block at (px, py): the block engine diagonalizes only
 half of the grid and takes the other half's eigenvectors and negated
-eigenvalues from the mirror. When A and B commute exactly
-(``commutator_norm(A, B) == 0.0``) the coupling factorizes into one
-factor per axis and the joint engine skips the blocks altogether: the
-post-selected state is the same branch sum as the exact engine's
-(``_fock_branch_sum``). The selection has no tolerance: the
-factorization error grows as t^2 |Kx Ky px py| ||[A, B]|| / 2, so only an
-exact zero keeps it at rounding level on every grid point and scale.
+eigenvalues from the mirror. A joint pair takes the branch sum only when
+``commutator_norm(A, B) == 0.0``: the factorization error grows as
+t^2 |Kx Ky px py| ||[A, B]|| / 2, so only an exact zero keeps it at
+rounding level on every grid point and scale.
 
 The three ``run_*`` engines are batched over a coupling scale: with
 ``scales=(t_1, ..., t_n)`` they return a ``MeasurementBatch`` whose row
@@ -49,19 +57,18 @@ The batch holds each record field as one read-only column, checked and
 clamped as a whole, and builds a ``MeasurementRecord`` only when a row
 is indexed. Without ``scales`` an engine returns the one record at
 t = 1, so a single run and a sweep row take the same code path. Every
-``run_*`` engine refuses a coupling whose branch displacements
-overflow the pointer integrals (ValueError naming kx or ky) before it
-forms any integral or Fock phase. A pointer's Fock operators and
-momentum frame depend only on (pointer, n_max) and are built once per
-process for each such pair (``_pointer_frame``).
+``run_*`` engine, and the series, refuses a coupling whose branch
+displacements overflow the pointer integrals (ValueError naming kx or
+ky) before it forms any integral, Fock phase or power of H. A pointer's
+Fock operators and momentum frame depend only on (pointer, n_max) and
+are built once per process for each such pair (``_pointer_frame``).
 
 One table, ``MOMENTS``, names the seven record moments and the pointer
 operator each takes on the x and y axis; every engine evaluates it. The
-exact engines read each operator's matrix of pointer integrals between
-branches. Both Fock engines take the moments on the momentum grid they
-evolve on, so the state never returns to the ladder basis: P is the
-grid itself, X is the frame's cached w^+ X w, and the truncation check
-needs only the top two rows of w.
+block engine takes the moments on the momentum grid it evolves on, so
+the state never returns to the ladder basis: P is the grid itself, X is
+the frame's cached w^+ X w, and the truncation check needs only the top
+two rows of w.
 """
 
 from __future__ import annotations
@@ -309,8 +316,10 @@ class MeasurementBatch(collections.abc.Sequence):
 
 def _realize(value, name: str):
     """Discard the imaginary residue of a conditional moment, or of each
-    entry of an array of them, after checking it is consistent with
-    zero."""
+    entry of an array of them, after checking that it is finite and its
+    residue is consistent with zero."""
+    if not np.isfinite(value).all():
+        raise NumericalInconsistency(f"{name} is {value}, not finite")
     imag = np.imag(value)
     worst = np.max(np.abs(imag), initial=0.0)
     if worst > IMAG_RESIDUE_TOL:
@@ -405,25 +414,57 @@ def _moment_matrices(displacements: np.ndarray, p: GaussianPointer) -> dict:
     }
 
 
-def _branch_amplitudes(i: QuantumState, f: QuantumState, vecs: np.ndarray):
-    """<f|v_k><v_k|i> for each eigenvector column v_k."""
-    return (f.amplitudes.conj() @ vecs) * (vecs.conj().T @ i.amplitudes)
-
-
-def _branch_factors(i: QuantumState, f: QuantumState, ea, eb):
-    """The three factors of the amplitude <f|b_l><b_l|a_k><a_k|i> of
-    branch (a_k, b_l), for the eigenvector columns a_k of ea and b_l of
-    eb: <a_k|i>, the (k, l) matrix of <b_l|a_k>, and <f|b_l>."""
-    ai = ea.eigenvectors.conj().T @ i.amplitudes
-    ba = eb.eigenvectors.conj().T @ ea.eigenvectors
-    return ai, ba.T, f.amplitudes.conj() @ eb.eigenvectors
-
-
 def _stack_times(m: np.ndarray, a: np.ndarray) -> np.ndarray:
     """m[n] @ a for every matrix of an (n, d, d) stack, as one 2-D
     product: a stacked matmul makes n small ones, at twice the cost for
     a 50-point sweep at d = 4."""
     return (m.reshape(-1, m.shape[-1]) @ a).reshape(m.shape)
+
+
+def _branch_sum(i: QuantumState, f: QuantumState, eigs, mats):
+    """Unnormalized MOMENTS of the post-selected pointer state as a sum
+    over branches, and the population of its top two ladder levels.
+
+    ``eigs`` holds the eigensystem of each coupled observable, and
+    ``mats`` holds per pointer axis the (scales, d, d) branch-pair
+    matrices of the pointer operators "1", "X" and "P", from
+    ``_moment_matrices`` or ``_grid_matrices``. One eigensystem is a
+    single coupling: branch k has amplitude amp[k] = <f|a_k><a_k|i> and
+    each moment is amp^+ M amp. Two are a commuting pair: branch (k, l)
+    has amplitude amp[k, l] = <f|b_l><b_l|a_k><a_k|i>, and each moment is
+    sum_{l,l'} (amp^+ Mx amp)[l, l'] My[l, l'], with amp^+ Mx amp formed
+    once per x operator. Returns the forms as ``_records`` takes them,
+    and the top-level population per scale when the matrices carry
+    ``_grid_matrices``' "top" entry T (None otherwise)."""
+    ea = eigs[0]
+    ai = ea.eigenvectors.conj().T @ i.amplitudes
+    if len(eigs) == 1:
+        (m,) = mats
+        amp = (f.amplitudes.conj() @ ea.eigenvectors) * ai
+        forms = {name: amp.conj() @ m[op] @ amp for name, (op, _) in SINGLE_MOMENTS.items()}
+        if "top" not in m:
+            return forms, None
+        # each branch keeps its own system state a_k, so no pair interferes
+        return forms, np.diagonal(m["top"], axis1=1, axis2=2).real @ np.abs(ai) ** 2
+    (mx, my), eb = mats, eigs[1]
+    # c[k, l] = <b_l|a_k><a_k|i>: the x branches that share system state b_l
+    c = ai[:, None] * (eb.eigenvectors.conj().T @ ea.eigenvectors).T
+    amp = c * (f.amplitudes.conj() @ eb.eigenvectors)
+    # (amp^+ Mx amp)^T = (Mx amp)^T conj(amp) once per x operator,
+    # shared by the moments that use it
+    on_x = {op: _stack_times(_stack_times(mx[op], amp).swapaxes(1, 2), amp.conj()) for op in "1XP"}
+    forms = {
+        name: np.einsum("nji,nij->n", on_x[op_x], my[op_y])
+        for name, (op_x, op_y) in MOMENTS.items()
+    }
+    if "top" not in mx:
+        return forms, None
+    # the y phases have unit modulus and the x branches of one b_l share
+    # its y pointer state, so each axis's top levels need only c
+    top_x = np.einsum("kl,nkl->n", c.conj(), _stack_times(mx["top"], c))
+    norms = np.einsum("kl,nkl->nl", c.conj(), _stack_times(mx["1"], c))
+    top_y = np.einsum("nl,nl->n", norms, np.diagonal(my["top"], axis1=1, axis2=2))
+    return forms, np.maximum(top_x.real, top_y.real)
 
 
 def run_single_exact(
@@ -439,16 +480,16 @@ def run_single_exact(
     Expands |i> in the eigenbasis of A; the post-selected pointer state
     is a sum of Gaussians displaced by K a_k with amplitudes
     <f|a_k><a_k|i>, and all moments assemble from pairwise pointer
-    integrals. Exact to machine precision at any K. With ``scales``,
-    returns the MeasurementBatch whose row n ran at coupling t_n K.
+    integrals (``_branch_sum``). Exact to machine precision at any K.
+    With ``scales``, returns the MeasurementBatch whose row n ran at
+    coupling t_n K.
     """
     _check_dims(i, f, c.A.dim)
     ts = _scale_array(scales)
     weakness = c.weakness_ratios(ts)
     es = hermitian_eig(c.A)
-    amp = _branch_amplitudes(i, f, es.eigenvectors)
     mats = _moment_matrices(np.outer(ts * c.K, es.eigenvalues), c.pointer)
-    forms = {name: amp.conj() @ mats[op] @ amp for name, (op, _) in SINGLE_MOMENTS.items()}
+    forms, _ = _branch_sum(i, f, (es,), (mats,))
     return _batch_result(_records(forms, ts, weakness, "exact-single", eps_ps), scales)
 
 
@@ -465,9 +506,8 @@ def run_joint_exact(
     The couplings factorize, so the post-selected pointer state is a sum
     over the d^2 branches (a_k, b_l) of A's and B's own eigenbases: a 2D
     product Gaussian displaced by (Kx a_k, Ky b_l) with amplitude
-    amp[k, l] = <f|b_l><b_l|a_k><a_k|i>. Each moment is then
-    sum_{l,l'} (amp^+ Mx amp)[l, l'] My[l, l'] with Mx, My the
-    branch-pair matrices of 1D pointer integrals on each axis. Refuses
+    <f|b_l><b_l|a_k><a_k|i>, contracted with the branch-pair matrices of
+    1D pointer integrals on each axis (``_branch_sum``). Refuses
     noncommuting pairs (NotCommuting); use run_fock for those. With
     ``scales``, returns the MeasurementBatch whose row n ran at
     couplings t_n (Kx, Ky).
@@ -476,20 +516,9 @@ def run_joint_exact(
     ts = _scale_array(scales)
     weakness = c.weakness_ratios(ts)
     ea, eb = simultaneous_eig(c.A, c.B)
-    ai, ab, fb = _branch_factors(i, f, ea, eb)
-    amp = ai[:, None] * ab * fb
     mx = _moment_matrices(np.outer(ts * c.Kx, ea.eigenvalues), c.pointer_x)
     my = _moment_matrices(np.outer(ts * c.Ky, eb.eigenvalues), c.pointer_y)
-    # (amp^+ Mx amp)^T = (Mx amp)^T conj(amp) once per x operator,
-    # shared by the moments that use it
-    on_x = {
-        op: _stack_times(_stack_times(m, amp).swapaxes(1, 2), amp.conj())
-        for op, m in mx.items()
-    }
-    forms = {
-        name: np.einsum("nji,nij->n", on_x[op_x], my[op_y])
-        for name, (op_x, op_y) in MOMENTS.items()
-    }
+    forms, _ = _branch_sum(i, f, (ea, eb), (mx, my))
     return _batch_result(_records(forms, ts, weakness, "exact-joint", eps_ps), scales)
 
 
@@ -527,6 +556,29 @@ def _pointer_frame(p: GaussianPointer, n_max: int) -> _Frame:
     return frame
 
 
+def _grid_matrices(frame: _Frame, eigenvalues: np.ndarray, ks: np.ndarray, hbar: float) -> dict:
+    """The branch-pair matrices of ``_moment_matrices`` as the
+    Gauss-Hermite rule of the momentum grid of frame, for branch
+    eigenvalues a_k and one coupling ks[n] per scale.
+
+    Branch k of scale n is the grid vector G[n, j, k] =
+    exp(-i ks[n] p_j a_k / hbar) vac[j], and the matrix of pointer
+    operator op is G^+ op G, with op the identity ("1"), the frame's X
+    ("X") or the grid itself ("P"). One more entry, "top", is
+    T = (top G)^+ (top G), whose diagonal is the population each branch
+    puts in the top two ladder levels."""
+    g = np.exp((-1j * ks / hbar)[:, None, None] * np.outer(frame.p, eigenvalues))
+    g *= frame.vacuum[:, None]
+    gh = g.conj().swapaxes(1, 2)
+    top = frame.top @ g
+    return {
+        "1": gh @ g,
+        "X": gh @ (frame.x @ g),
+        "P": gh @ (frame.p[:, None] * g),
+        "top": top.conj().swapaxes(1, 2) @ top,
+    }
+
+
 def _on_grid(op: str, frame: _Frame, a: np.ndarray) -> np.ndarray:
     """Pointer operator op of MOMENTS applied along the first axis of
     amplitudes a on the momentum grid of frame."""
@@ -537,67 +589,28 @@ def _on_grid(op: str, frame: _Frame, a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _grid_moments(phi: np.ndarray, table: dict, fx: _Frame, fy: _Frame | None = None):
-    """Unnormalized moments ``table`` of the post-selected pointer state
-    phi[j, m] on the momentum grid (px_j, py_m) of frames fx and fy (one
-    column and no y operator for a single pointer). Each x operator is
-    applied once and shared by the rows that use it."""
+def _grid_moments(phi: np.ndarray, fx: _Frame, fy: _Frame):
+    """Unnormalized MOMENTS of the post-selected pointer state phi[j, m]
+    on the momentum grid (px_j, py_m) of frames fx and fy. Each x
+    operator is applied once and shared by the rows that use it."""
     on_x = {op: _on_grid(op, fx, phi) for op in "1XP"}
     return {
         name: np.vdot(phi, _on_grid(op_y, fy, on_x[op_x].T).T)
-        for name, (op_x, op_y) in table.items()
+        for name, (op_x, op_y) in MOMENTS.items()
     }
 
 
-def _population(psi: np.ndarray) -> float:
-    """Total population (squared norm) of a block of amplitudes."""
-    return float(np.sum(np.abs(psi) ** 2))
-
-
-def _warn_truncation(population: float) -> bool:
-    if population > TRUNCATION_TOL:
-        warnings.warn(
-            f"top Fock levels hold population {population:.3e}; "
-            "increase n_max for reliable moments",
-            TruncationWarning,
-            stacklevel=4,  # the caller of run_fock
-        )
-        return True
-    return False
-
-
-def _fock_single(i, f, c: SingleCoupling, n_max, eps_ps, ts):
-    weakness = c.weakness_ratios(ts)
-    frame = _pointer_frame(c.pointer, n_max)
-    es = hermitian_eig(c.A)
-
-    # evolution is diagonal over momentum grid points: each point sees
-    # the system Hamiltonian t K p A, already diagonal in A's eigenbasis
-    coeff = es.eigenvectors.conj().T @ np.einsum("s,j->sj", i.amplitudes, frame.vacuum)
-    grid = np.outer(es.eigenvalues, frame.p)
-    raw = {name: [] for name in SINGLE_MOMENTS}
-    truncated = []
-    for t in ts.tolist():
-        phases = np.exp(-1j * (t * c.K) / c.pointer.hbar * grid)
-        psi = es.eigenvectors @ (phases * coeff)  # (system, p)
-        truncated.append(_warn_truncation(_population(psi @ frame.top.T)))
-
-        phi = f.amplitudes.conj() @ psi
-        for name, value in _grid_moments(phi[:, None], SINGLE_MOMENTS, frame).items():
-            raw[name].append(value)
-    return _records(raw, ts, weakness, "fock-single", eps_ps, truncated)
-
-
-def _fock_joint(i, f, c: JointCoupling, n_max, eps_ps, ts):
+def _fock_joint(i, f, c: JointCoupling, n_max, ts):
     """Joint Fock engine on the momentum grid (px_j, py_m), where the
-    coupling is one d x d Hermitian block per grid point.
+    coupling is one d x d Hermitian block per grid point. Returns the
+    forms as ``_records`` takes them and the top-level population of
+    each scale.
 
     Both momentum grids are exactly antisymmetric (``_pointer_frame``),
     so the block at (N-1-j, M-1-m) is exactly minus the block at (j, m):
     it has the same eigenvectors and negated eigenvalues. Only the rows
     j < (N+1)/2 go through ``eigh`` (861 of 1681 blocks at n_max 40);
     the other rows are their mirror, for odd and even N alike."""
-    weakness = c.weakness_ratios(ts)
     fx = _pointer_frame(c.pointer_x, n_max)
     fy = _pointer_frame(c.pointer_y, n_max)
 
@@ -617,59 +630,21 @@ def _fock_joint(i, f, c: JointCoupling, n_max, eps_ps, ts):
     coeff0 = (i.amplitudes.conj() @ evecs).conj() * np.outer(fx.vacuum, fy.vacuum)[..., None]
 
     raw = {name: [] for name in MOMENTS}
-    truncated = []
-    for t in ts.tolist():
+    top = np.zeros(len(ts))
+    for row, t in enumerate(ts.tolist()):
         coeff = coeff0 * np.exp(-1j * (t * s) / c.pointer_x.hbar * evals)
         psi = (evecs @ coeff[..., None])[..., 0]  # (px, py, system)
 
         # the ladder-basis change along one axis is unitary and keeps the
         # norm along the other, so the top two levels of each axis need
         # only the top two rows of its basis change
-        top = max(_population(fx.top @ psi.reshape(n, -1)), _population(fy.top @ psi))
-        truncated.append(_warn_truncation(top))
-
+        top[row] = max(
+            np.sum(np.abs(fx.top @ psi.reshape(n, -1)) ** 2), np.sum(np.abs(fy.top @ psi) ** 2)
+        )
         phi = psi @ f.amplitudes.conj()
-        for name, value in _grid_moments(phi, MOMENTS, fx, fy).items():
+        for name, value in _grid_moments(phi, fx, fy).items():
             raw[name].append(value)
-    return _records(raw, ts, weakness, "fock-joint", eps_ps, truncated)
-
-
-def _fock_branch_sum(i, f, c: JointCoupling, n_max, eps_ps, ts):
-    """Joint Fock engine for exactly commuting A and B on the momentum
-    grid (px_j, py_m), with no block ``eigh``.
-
-    The coupling factorizes, exp(-i t (Kx A px + Ky B py)/hbar) =
-    exp(-i t Ky B py/hbar) exp(-i t Kx A px/hbar), so the post-selected
-    state is the branch sum of ``run_joint_exact``: phi = Gx @ amp @ Gy^T
-    with amp[k, l] = <f|b_l><b_l|a_k><a_k|i> and Gx[j, k] =
-    exp(-i t Kx px_j a_k/hbar) vacx[j] (Gy likewise on the y axis). Each
-    scale costs O(N d^2) on an N-point grid before the moments."""
-    weakness = c.weakness_ratios(ts)
-    fx = _pointer_frame(c.pointer_x, n_max)
-    fy = _pointer_frame(c.pointer_y, n_max)
-    ea, eb = hermitian_eig(c.A), hermitian_eig(c.B)
-    ai, ab, fb = _branch_factors(i, f, ea, eb)
-    grid_x = np.outer(fx.p, ea.eigenvalues)
-    grid_y = np.outer(fy.p, eb.eigenvalues)
-    hbar = c.pointer_x.hbar
-
-    raw = {name: [] for name in MOMENTS}
-    truncated = []
-    for t in ts.tolist():
-        gx = np.exp(-1j * (t * c.Kx) / hbar * grid_x) * fx.vacuum[:, None]
-        gy = np.exp(-1j * (t * c.Ky) / hbar * grid_y) * fy.vacuum[:, None]
-        # w[j, l]: the state on x grid point j in B's eigenbasis, before
-        # the y phases; the y phases have unit modulus and the vacuum has
-        # unit norm, so neither axis's top levels need the full state
-        w = (gx * ai) @ ab
-        top_y = np.sum(np.abs(fy.top @ gy) ** 2, axis=0)
-        top = max(_population(fx.top @ w), float(np.sum(np.abs(w) ** 2, axis=0) @ top_y))
-        truncated.append(_warn_truncation(top))
-
-        phi = (w * fb) @ gy.T
-        for name, value in _grid_moments(phi, MOMENTS, fx, fy).items():
-            raw[name].append(value)
-    return _records(raw, ts, weakness, "fock-joint", eps_ps, truncated)
+    return raw, top
 
 
 def run_fock(
@@ -684,37 +659,54 @@ def run_fock(
     """Exact unitary evolution in a truncated oscillator pointer space.
 
     Accepts a SingleCoupling or a JointCoupling; the joint case places no
-    commutation requirement on A and B. A joint pair with
-    ``commutator_norm(A, B) == 0.0`` exactly is evolved as a sum over
-    the branches of A's and B's eigenbases, with no block eigenvectors;
-    every other pair takes the block-eigh engine. The test has no
-    tolerance, since a nonzero commutator would enter the factorized
-    evolution as an error t^2 |Kx Ky px py| ||[A, B]|| / 2 that no fixed
-    bound keeps at rounding level. If the evolved state populates
-    the top two truncation levels above 1e-8 a TruncationWarning is
-    issued and flagged on the record. With ``scales``, returns the
-    MeasurementBatch whose row n ran at couplings t_n (Kx, Ky); the
-    momentum frames and block eigenvectors are computed once, and each
-    scale costs one phase, the products with the block eigenvectors and
-    the moments on the momentum grid. Raises InvalidTruncation if the
-    (n_max+1)^2 d x d blocks would exceed MAX_ARRAY_BYTES.
+    commutation requirement on A and B. A single coupling, and a joint
+    pair with ``commutator_norm(A, B) == 0.0`` exactly, is the branch sum
+    of the exact engines (``_branch_sum``) with the pointer integrals
+    taken by the Gauss-Hermite rule of the momentum grid
+    (``_grid_matrices``); every other pair takes the block-eigh engine
+    (``_fock_joint``). The test has no tolerance, since a nonzero
+    commutator would enter the factorized evolution as an error
+    t^2 |Kx Ky px py| ||[A, B]|| / 2 that no fixed bound keeps at
+    rounding level. Each row whose evolved state populates the top two
+    truncation levels above 1e-8 issues one TruncationWarning and is
+    flagged on the record. With ``scales``, returns the MeasurementBatch
+    whose row n ran at couplings t_n (Kx, Ky); the eigenbases, momentum
+    frames and block eigenvectors are computed once per call. Raises
+    InvalidTruncation before allocating if the (n_max+1)^2 d x d blocks,
+    or the branch sum's (scales, n_max+1, d) grid arrays, would exceed
+    MAX_ARRAY_BYTES.
     """
     if isinstance(c, SingleCoupling):
-        engine = _fock_single
+        axes, tag = [(c.A, c.K, c.pointer)], "fock-single"
     elif isinstance(c, JointCoupling):
-        # both joint engines are called from here, at the depth that
-        # _warn_truncation's stacklevel counts on
-        engine = _fock_branch_sum if commutator_norm(c.A, c.B) == 0.0 else _fock_joint
+        axes, tag = [(c.A, c.Kx, c.pointer_x), (c.B, c.Ky, c.pointer_y)], "fock-joint"
     else:
         raise TypeError(f"expected SingleCoupling or JointCoupling, got {type(c).__name__}")
-    _check_dims(i, f, c.A.dim)
-    check_array_budget(
-        (int(n_max) + 1) ** 2 * c.A.dim**2,
-        f"n_max={n_max} with system dimension {c.A.dim}",
-        InvalidTruncation,
-    )
+    d, levels = c.A.dim, int(n_max) + 1
+    _check_dims(i, f, d)
+    what = f"n_max={n_max} with system dimension {d}"
+    check_array_budget(levels**2 * d**2, what, InvalidTruncation)
     ts = _scale_array(scales)
-    return _batch_result(engine(i, f, c, n_max, eps_ps, ts), scales)
+    weakness = c.weakness_ratios(ts)
+    if len(axes) == 1 or commutator_norm(c.A, c.B) == 0.0:
+        check_array_budget(len(ts) * levels * d, f"{len(ts)} scales at {what}", InvalidTruncation)
+        eigs = [hermitian_eig(A) for A, _, _ in axes]
+        mats = [
+            _grid_matrices(_pointer_frame(p, n_max), es.eigenvalues, ts * K, p.hbar)
+            for es, (_, K, p) in zip(eigs, axes)
+        ]
+        forms, top = _branch_sum(i, f, eigs, mats)
+    else:
+        forms, top = _fock_joint(i, f, c, n_max, ts)
+    truncated = top > TRUNCATION_TOL
+    for population in top[truncated].tolist():
+        warnings.warn(
+            f"top Fock levels hold population {population:.3e}; "
+            "increase n_max for reliable moments",
+            TruncationWarning,
+            stacklevel=2,
+        )
+    return _batch_result(_records(forms, ts, weakness, tag, eps_ps, truncated), scales)
 
 
 # observable tags for the series engine
@@ -743,7 +735,10 @@ def heisenberg_moment(
     sum_k C(n,k) (-1)^k <H^(n-k) psi0| O |H^k psi0>: the engine applies
     H to psi0 ``order`` times on a (d, n_max+1, n_max+1) state tensor
     and never forms an operator on the product space. Raises
-    InvalidTruncation if that tensor would exceed MAX_ARRAY_BYTES.
+    InvalidTruncation if that tensor would exceed MAX_ARRAY_BYTES, a
+    ValueError naming kx or ky for a coupling the run_* engines refuse,
+    and NumericalInconsistency naming the order of a non-finite
+    contribution.
     """
     if not 0 <= order <= 4:
         raise ValueError(f"order must be in [0, 4], got {order}")
@@ -755,6 +750,7 @@ def heisenberg_moment(
         raise ValueError(f"n_max={n_max} too small for order {order}")
     d = c.A.dim
     _check_dims(i, f, d)
+    c.weakness_ratios(np.ones(1))  # refuses an overflowing coupling by name
     check_array_budget(
         d * (int(n_max) + 1) ** 2,
         f"n_max={n_max} with system dimension {d}",

@@ -399,6 +399,13 @@ def test_oversized_requests_exit_1_without_traceback(capsys):
     assert run_cli(sweep + ["--points", str(10**12)]) == 1
     err = capsys.readouterr().err
     assert "budget" in err and "Traceback" not in err
+    # within the points x d^2 bound, but the Fock branch sum's
+    # (points, n_max+1, d) grid arrays would take 375 MiB each
+    fock_sweep = [*sweep, "--points", "200000", "--n-max", "40"]
+    fock_sweep[fock_sweep.index("exact")] = "fock"
+    assert run_cli(fock_sweep) == 1
+    err = capsys.readouterr().err
+    assert "budget" in err and "Traceback" not in err
 
 
 def test_run_byte_identical_outputs(tmp_path):

@@ -2,13 +2,14 @@
 the commutator series, and the scaling laws of the conditional moments."""
 
 import dataclasses
+import functools
 import math
 import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weaklab.engines import (
@@ -24,6 +25,7 @@ from weaklab.engines import (
     run_joint_exact,
     run_single_exact,
     _pointer_frame,
+    _realize,
     _records,
 )
 from weaklab.errors import (
@@ -668,6 +670,25 @@ def test_series_refuses_oversized_truncation_before_allocating():
         heisenberg_moment(i, f, jc, "O_xy", order=2, n_max=10**8)
 
 
+def test_series_refuses_overflowing_coupling_by_name():
+    """The series applies the run_* engines' coupling refusal before it
+    forms any power of H, so numpy never warns (the suite turns
+    RuntimeWarning into an error)."""
+    scn = build_hardy()
+    jc = JointCoupling(
+        A=scn.observable("N_Oe"), B=scn.observable("N_Op"), Kx=1e200, Ky=1e200,
+        pointer_x=unit_pointer(), pointer_y=unit_pointer(),
+    )
+    with pytest.raises(ValueError, match=r"\|kx\| = 1e\+200 is too strong"):
+        heisenberg_moment(scn.i, scn.f, jc, "O_xy", order=4)
+
+
+@pytest.mark.parametrize("value", [math.nan, complex(0.0, math.inf), math.inf])
+def test_realize_refuses_non_finite_value_by_name(value):
+    with pytest.raises(NumericalInconsistency, match="order-2 contribution is .*, not finite"):
+        _realize(value, "order-2 contribution")
+
+
 def test_series_argument_validation():
     i, f, jc = noncommuting_case()
     with pytest.raises(ValueError):
@@ -681,40 +702,56 @@ def test_series_argument_validation():
 # --- Fock joint engine against a dense reference -----------------------------
 
 
-def dense_fock_joint(i, f, jc, n_max, scales):
-    """Reference Fock joint engine: H = Kx A (x) Px (x) 1 + Ky B (x) 1 (x) Py
-    formed as one dense Kronecker-product matrix on the truncated product
-    space, one full eigh, psi0 evolved to each scale t and post-selected
-    on <f|. Returns per scale the seven moments (ps_prob and the six
-    conditional moments) and the population of the top two levels of
-    the more populated axis."""
-    fx = build_fock(jc.pointer_x, n_max)
-    fy = build_fock(jc.pointer_y, n_max)
-    eye_p = np.eye(fx.dim)
-    ham = jc.Kx * np.kron(np.kron(jc.A.matrix, fx.P), eye_p) + jc.Ky * np.kron(
-        np.kron(jc.B.matrix, eye_p), fy.P
+def dense_fock_joint(i, f, c, n_max, scales):
+    """Reference Fock engine: H = Kx A (x) Px (x) 1 + Ky B (x) 1 (x) Py for
+    a JointCoupling, or H = K A (x) P for a SingleCoupling, formed as one
+    dense Kronecker-product matrix on the truncated product space, one
+    full eigh, psi0 evolved to each scale t and post-selected on <f|.
+    Returns per scale the record's moments (ps_prob and the conditional
+    moments) and the population of the top two levels of the more
+    populated axis."""
+    if isinstance(c, SingleCoupling):
+        axes = [(c.A, c.K, build_fock(c.pointer, n_max))]
+        names = {"x_mean": ("X",), "px_mean": ("P",)}
+    else:
+        axes = [(c.A, c.Kx, build_fock(c.pointer_x, n_max)),
+                (c.B, c.Ky, build_fock(c.pointer_y, n_max))]
+        names = {
+            "x_mean": ("X", "1"),
+            "px_mean": ("P", "1"),
+            "y_mean": ("1", "X"),
+            "py_mean": ("1", "P"),
+            "xy_mean": ("X", "X"),
+            "x_py_mean": ("X", "P"),
+        }
+    eye_p = np.eye(n_max + 1)
+
+    def on_axes(ops):
+        """Kronecker product of one operator per pointer axis."""
+        return functools.reduce(np.kron, ops)
+
+    ham = sum(
+        k * np.kron(a.matrix, on_axes([fk.P if m == n else eye_p for m in range(len(axes))]))
+        for n, (a, k, fk) in enumerate(axes)
     )
     vals, vecs = np.linalg.eigh(ham)
-    psi0 = np.kron(np.kron(i.amplitudes, fx.vacuum_state()), fy.vacuum_state())
+    psi0 = np.kron(i.amplitudes, on_axes([fk.vacuum_state() for _, _, fk in axes]))
     coeff = vecs.conj().T @ psi0
     operators = {
-        "x_mean": (fx.X, eye_p),
-        "px_mean": (fx.P, eye_p),
-        "y_mean": (eye_p, fy.X),
-        "py_mean": (eye_p, fy.P),
-        "xy_mean": (fx.X, fy.X),
-        "x_py_mean": (fx.X, fy.P),
+        name: on_axes([{"1": eye_p, "X": fk.X, "P": fk.P}[op] for op, (_, _, fk) in zip(ops, axes)])
+        for name, ops in names.items()
     }
+    hbar = axes[0][2].base.hbar
     results = []
     for t in scales:
-        psi = vecs @ (np.exp(-1j * t / jc.pointer_x.hbar * vals) * coeff)
-        psi = psi.reshape(jc.A.dim, fx.dim, fy.dim)  # (system, x level, y level)
-        top = max(np.sum(np.abs(psi[:, -2:, :]) ** 2), np.sum(np.abs(psi[:, :, -2:]) ** 2))
+        psi = vecs @ (np.exp(-1j * t / hbar * vals) * coeff)
+        psi = psi.reshape(i.dim, *[n_max + 1] * len(axes))  # (system, x level[, y level])
+        top = max(np.sum(np.abs(np.moveaxis(psi, n + 1, 0)[-2:]) ** 2) for n in range(len(axes)))
         phi = np.tensordot(f.amplitudes.conj(), psi, axes=1).reshape(-1)
         ps = np.vdot(phi, phi).real
         moments = {"ps_prob": ps}
-        for name, (op_x, op_y) in operators.items():
-            value = np.vdot(phi, np.kron(op_x, op_y) @ phi) / ps
+        for name, op in operators.items():
+            value = np.vdot(phi, op @ phi) / ps
             assert abs(value.imag) <= 1e-10
             moments[name] = value.real
         results.append((moments, top))
@@ -723,30 +760,45 @@ def dense_fock_joint(i, f, jc, n_max, scales):
 
 @st.composite
 def fock_joint_problem(draw):
-    """A joint problem, or one that commutes exactly (the last item
-    returned says which), with either coupling or both possibly zero,
-    n_max 3..8 (even and odd grids) and one to three signed scales up
-    to 10, strong enough at small n_max to populate the top levels."""
-    commuting = draw(st.booleans())
-    i, f, jc = draw(exactly_commuting_problem() if commuting else joint_problem())
-    zeroed = draw(st.sampled_from([(), ("Kx",), ("Ky",), ("Kx", "Ky")]))
-    jc = dataclasses.replace(jc, **{name: 0.0 for name in zeroed})
+    """A joint problem with either coupling or both possibly zero, one
+    that commutes exactly, or a single coupling of A to the x pointer
+    (the last item returned names which), with n_max 3..8 (even and odd
+    grids) and one to three signed scales up to 10, strong enough at
+    small n_max to populate the top levels."""
+    kind = draw(st.sampled_from(["noncommuting", "commuting", "single"]))
+    i, f, c = draw(exactly_commuting_problem() if kind == "commuting" else joint_problem())
+    if kind == "single":
+        c = SingleCoupling(c.A, c.Kx, c.pointer_x)
+    else:
+        zeroed = draw(st.sampled_from([(), ("Kx",), ("Ky",), ("Kx", "Ky")]))
+        c = dataclasses.replace(c, **{name: 0.0 for name in zeroed})
     n_max = draw(st.integers(3, 8))
     scales = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3))
-    return i, f, jc, n_max, scales, commuting
+    return i, f, c, n_max, scales, kind
+
+
+def truncated_single_problem():
+    """A d = 3 single coupling strong enough at n_max 5 to flag two of
+    its three rows, so the single branch sum's top-level population is
+    checked whatever hypothesis draws."""
+    rng = np.random.default_rng(11)
+    i, f = pre_post_states(rng, 3)
+    c = SingleCoupling(Observable(random_hermitian(rng, 3)), -0.8, GaussianPointer(0.7))
+    return i, f, c, 5, [0.01, 0.5, 2.0], "single"
 
 
 @settings(max_examples=40, deadline=None)
 @given(problem=fock_joint_problem())
+@example(problem=truncated_single_problem())
 def test_fock_joint_matches_dense_reference(problem):
-    i, f, jc, n_max, scales, commuting = problem
-    if commuting:
+    i, f, c, n_max, scales, kind = problem
+    if kind == "commuting":
         # run_fock selects the branch-sum engine on exactly this test
-        assert commutator_norm(jc.A, jc.B) == 0.0
+        assert commutator_norm(c.A, c.B) == 0.0
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = run_fock(i, f, jc, n_max=n_max, scales=scales)
-    want = dense_fock_joint(i, f, jc, n_max, scales)
+        got = run_fock(i, f, c, n_max=n_max, scales=scales)
+    want = dense_fock_joint(i, f, c, n_max, scales)
     for rec, (moments, top) in zip(got, want):
         for name, value in moments.items():
             assert getattr(rec, name) == pytest.approx(value, abs=1e-12), name
