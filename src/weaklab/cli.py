@@ -49,7 +49,6 @@ from .engines import (
     MOMENTS,
     JointCoupling,
     MeasurementBatch,
-    MeasurementRecord,
     SingleCoupling,
     check_array_budget,
     run_fock,
@@ -78,7 +77,7 @@ from .weakvalues import (
     extract_single,
 )
 
-__all__ = ["main", "RunSpec", "RunReport", "serialize_report"]
+__all__ = ["main", "RunSpec", "serialize_report"]
 
 CSV_HEADER = (
     "k,ps_prob,re_extracted,im_extracted,re_direct,im_direct,abs_err,weakness_ratio"
@@ -135,26 +134,6 @@ class RunSpec:
         )
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Everything a single engine run produced, plus its ground truth.
-
-    Absolute errors are not stored; they are recomputed from the
-    extracted/direct values at serialization time.
-    """
-
-    spec: RunSpec
-    kx: float
-    ky: float | None
-    record: MeasurementRecord
-    singles: tuple[WeakValueEstimate, WeakValueEstimate] | None
-    extracted: WeakValueEstimate
-    direct: complex
-
-    def abs_err(self) -> float:
-        return abs(self.extracted.value - self.direct)
-
-
 # --- deterministic serialization -------------------------------------------
 
 
@@ -199,19 +178,26 @@ def _emit_json(obj, indent: int = 0) -> str:
 
 
 def _estimate_payload(est: WeakValueEstimate) -> dict:
-    return {"re": est.value.real, "im": est.value.imag, "kind": est.kind}
+    """The payload of row 0 of an estimate: the first of its per-row
+    values, or its one direct value."""
+    value = complex(np.ravel(est.value)[0])
+    return {"re": value.real, "im": value.imag, "kind": est.kind}
 
 
-def report_payload(report: RunReport) -> dict:
-    rec, spec = report.record, report.spec
+def serialize_report(spec: RunSpec, kx: float, ky: float | None, batch: MeasurementBatch,
+                     est: WeakValueEstimate, direct: complex, singles) -> str:
+    """The JSON report of row 0 of a run: ``_execute``'s batch, estimate,
+    direct value and singles at couplings (kx, ky). abs_err is computed
+    here from the extracted and direct values."""
+    rec, extracted = batch[0], complex(est.value[0])
     payload = {
         "schema": 1,
         "scenario": spec.scenario.name,
         "engine": spec.engine,
         "observable": spec.observable,
         "observable_b": spec.observable_b,
-        "kx": report.kx,
-        "ky": report.ky,
+        "kx": kx,
+        "ky": ky,
         "sigma_x": spec.sigma_x,
         "sigma_y": spec.sigma_y,
         "hbar": spec.hbar,
@@ -224,21 +210,17 @@ def report_payload(report: RunReport) -> dict:
             "truncation_warning": rec.truncation_warning,
         },
         "singles": None
-        if report.singles is None
+        if singles is None
         else {
-            "a": _estimate_payload(report.singles[0]),
-            "b": _estimate_payload(report.singles[1]),
+            "a": _estimate_payload(singles[0]),
+            "b": _estimate_payload(singles[1]),
         },
-        "extracted": {"re": report.extracted.value.real, "im": report.extracted.value.imag},
-        "direct": {"re": report.direct.real, "im": report.direct.imag},
-        "abs_err": report.abs_err(),
+        "extracted": {"re": extracted.real, "im": extracted.imag},
+        "direct": {"re": direct.real, "im": direct.imag},
+        "abs_err": abs(extracted - direct),
         "weakness_ratio": rec.weakness_ratio,
     }
-    return payload
-
-
-def serialize_report(report: RunReport) -> str:
-    return _emit_json(report_payload(report)) + "\n"
+    return _emit_json(payload) + "\n"
 
 
 def _csv_rows(ks, batch: MeasurementBatch, extracted: np.ndarray, direct: complex):
@@ -330,14 +312,6 @@ def _execute(spec: RunSpec, kx: float, ky: float, scales: list[float]):
     return batch, est, direct_joint_weak_value(a, b, scn.i, scn.f), singles
 
 
-def _first(est: WeakValueEstimate) -> WeakValueEstimate:
-    """Row 0 of an estimate: the first of its per-row values, or its one
-    direct value."""
-    if isinstance(est.value, np.ndarray):
-        return WeakValueEstimate(complex(est.value[0]), est.kind)
-    return est
-
-
 def _write_output(text: str, out: str | None):
     if out:
         Path(out).write_text(text)
@@ -357,17 +331,7 @@ def cmd_run(args) -> int:
     batch, est, direct, singles = _execute(spec, args.kx, ky, [1.0])
     wall = time.perf_counter() - t0
     if args.format == "json":
-        text = serialize_report(
-            RunReport(
-                spec=spec,
-                kx=args.kx,
-                ky=ky,
-                record=batch[0],
-                singles=None if singles is None else tuple(map(_first, singles)),
-                extracted=_first(est),
-                direct=direct,
-            )
-        )
+        text = serialize_report(spec, args.kx, ky, batch, est, direct, singles)
     else:
         rows, _ = _csv_rows([args.kx], batch, est.value, direct)
         text = f"# schema=1\n{CSV_HEADER}\n{rows}"

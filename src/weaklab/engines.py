@@ -1,5 +1,12 @@
 """Post-selected pointer moments under the weak-measurement coupling.
 
+A coupling is a list of pointer axes: ``SingleCoupling`` has one and
+``JointCoupling`` two, each an (observable, K, pointer, flag) tuple in
+its ``axes``, with flag the CLI name of its coupling ("kx", "ky"). The
+engines read couplings through ``axes``: one ``weakness_ratios`` serves
+both classes, one body (``_run_exact``) serves both exact engines, and
+the branch sum takes one (scales, d, d) matrix set per axis.
+
 Three routes compute the same conditional moments:
 
 * One branch sum (``_branch_sum``) serves ``run_single_exact``,
@@ -12,10 +19,15 @@ Three routes compute the same conditional moments:
   Jozsa and Popescu, PRA 76, 062105 (2007)). Every moment contracts the
   amplitudes with branch-pair matrices of pointer integrals, one
   (scales, d, d) stack per pointer operator and axis. Two rules supply
-  those matrices: the closed-form Gaussian integrals of the pointer
-  module (``_moment_matrices``, the exact engines, exact at any coupling
+  those matrices, and the branch sum applies the one it is given to
+  each axis: the closed-form Gaussian integrals of the pointer module
+  (``_moment_matrices``, the exact engines, exact at any coupling
   strength) and the Gauss-Hermite rule of the truncated oscillator
-  (``_grid_matrices``, the Fock engine).
+  (``_grid_matrices``, the Fock engine). The exact engines share one
+  body: dimensions, scales, the coupling refusal, the eigensystems
+  (``simultaneous_eig`` for a pair, which refuses a noncommuting one,
+  so an overflowing noncommuting pair is refused by name first), the
+  branch sum and the records.
 * ``run_fock`` on a noncommuting pair -- exact unitary evolution in a
   truncated oscillator space (``_fock_joint``), where the closed-form
   joint route refuses to run.
@@ -59,14 +71,20 @@ is indexed. Without ``scales`` an engine returns the one record at
 t = 1, so a single run and a sweep row take the same code path. Every
 ``run_*`` engine, and the series, refuses a coupling whose branch
 displacements overflow the pointer integrals (ValueError naming kx or
-ky) before it forms any integral, Fock phase or power of H. A pointer's
+ky) before it forms any integral, Fock phase or power of H. The series
+also refuses, with the same ValueError, a coupling whose bound on the
+values it forms overflows: |H| <= h, the sum over the axes of
+|K| x spectral radius x max|p| on the frame's momentum grid, and no
+value exceeds (2 h max(1, 1/hbar))^order |X| |y operator|. A pointer's
 Fock operators and momentum frame depend only on (pointer, n_max) and
 are built once per process for each such pair (``_pointer_frame``).
 
 One table, ``MOMENTS``, names the seven record moments and the pointer
-operator each takes on the x and y axis; every engine evaluates it. The
-block engine takes the moments on the momentum grid it evolves on, so
-the state never returns to the ladder basis: P is the grid itself, X is
+operator each takes on the x and y axis; every engine evaluates it, and
+one ``_realize`` checks the moments of every engine and the series
+(finite, imaginary residue consistent with zero) before taking their
+real parts. The block engine takes the moments on the momentum grid it
+evolves on, so the state never returns to the ladder basis: P is the grid itself, X is
 the frame's cached w^+ X w, and the truncation check needs only the top
 two rows of w.
 """
@@ -156,8 +174,43 @@ def check_array_budget(n_values: int, what: str, error: type[Exception]):
         )
 
 
+def _too_strong(flag: str, k: float, why: str) -> ValueError:
+    """The refusal of a coupling |flag| = k that overflows a run."""
+    return ValueError(f"coupling |{flag}| = {k!r} is too strong to represent: {why}")
+
+
+class _Coupling:
+    """What both coupling classes share. Each lists its coupled pointer
+    axes as ``axes``: one (observable, K, pointer, flag) tuple per axis,
+    x first, with flag the CLI name of its coupling ("kx" or "ky")."""
+
+    def weakness_ratios(self, ts: np.ndarray) -> np.ndarray:
+        """Worst over the axes of |t K| r / sigma for each scale t, with r
+        the spectral radius of the axis's observable; small means weak.
+
+        Two branches of an axis sit at most 2 |t K| r apart, and the
+        pointer integrals square that distance and divide it by
+        8 sigma^2. If that is not finite, every integral and Fock phase
+        of the run would be inf or nan, so the coupling is refused with a
+        ValueError naming the axis's flag before any is formed. The test
+        runs on Python floats, which overflow to inf without numpy's
+        warnings."""
+        ratios = []
+        for A, K, p, flag in self.axes:
+            radius = A.spectral_radius()
+            k = abs(K) * max(map(abs, ts.tolist()), default=0.0)
+            span = 2.0 * k * radius
+            if not math.isfinite(span * span / (8.0 * p.sigma**2)):
+                raise _too_strong(
+                    flag, k, f"branch displacements 2 |{flag}| x spectral radius "
+                    f"{radius!r} overflow the pointer integrals"
+                )
+            ratios.append(np.abs(ts * K) * radius / p.sigma)
+        return functools.reduce(np.maximum, ratios)
+
+
 @dataclass(frozen=True)
-class SingleCoupling:
+class SingleCoupling(_Coupling):
     """Impulsive coupling K A Px of one observable to one pointer.
 
     K = gT absorbs the interaction time; all outputs depend on K only.
@@ -171,15 +224,13 @@ class SingleCoupling:
         if not math.isfinite(self.K):
             raise ValueError(f"coupling K must be finite, got {self.K}")
 
-    def weakness_ratios(self, ts: np.ndarray) -> np.ndarray:
-        """|t K| x spectral radius of A over sigma for each scale t;
-        small means weak. Refuses couplings that overflow
-        (``_axis_weakness``)."""
-        return _axis_weakness(ts, self.K, self.A, self.pointer, "kx")
+    @property
+    def axes(self):
+        return ((self.A, self.K, self.pointer, "kx"),)
 
 
 @dataclass(frozen=True)
-class JointCoupling:
+class JointCoupling(_Coupling):
     """Local couplings Kx A Px + Ky B Py to a two-dimensional pointer."""
 
     A: Observable
@@ -202,36 +253,9 @@ class JointCoupling:
                 f"{self.pointer_x.hbar} and {self.pointer_y.hbar}"
             )
 
-    def weakness_ratios(self, ts: np.ndarray) -> np.ndarray:
-        """Worst of the per-axis weakness ratios at couplings t (Kx, Ky)
-        for each scale t. Refuses couplings that overflow
-        (``_axis_weakness``)."""
-        return np.maximum(
-            _axis_weakness(ts, self.Kx, self.A, self.pointer_x, "kx"),
-            _axis_weakness(ts, self.Ky, self.B, self.pointer_y, "ky"),
-        )
-
-
-def _axis_weakness(ts: np.ndarray, K: float, A: Observable, p: GaussianPointer, flag: str):
-    """|t K| r / sigma for each scale t, with r the spectral radius of A:
-    the weakness ratio of one pointer axis.
-
-    Two branches sit at most 2 |t K| r apart, and the pointer integrals
-    square that distance and divide it by 8 sigma^2. If that is not
-    finite, every integral and Fock phase of the run would be inf or
-    nan, so the coupling is refused with a ValueError naming ``flag``
-    before any is formed. The test runs on Python floats, which
-    overflow to inf without numpy's warnings."""
-    radius = A.spectral_radius()
-    k = abs(K) * max(map(abs, ts.tolist()), default=0.0)
-    span = 2.0 * k * radius
-    if not math.isfinite(span * span / (8.0 * p.sigma**2)):
-        raise ValueError(
-            f"coupling |{flag}| = {k!r} is too strong to represent: branch "
-            f"displacements 2 |{flag}| x spectral radius {radius!r} overflow "
-            "the pointer integrals"
-        )
-    return np.abs(ts * K) * radius / p.sigma
+    @property
+    def axes(self):
+        return ((self.A, self.Kx, self.pointer_x, "kx"), (self.B, self.Ky, self.pointer_y, "ky"))
 
 
 @dataclass(frozen=True)
@@ -314,20 +338,26 @@ class MeasurementBatch(collections.abc.Sequence):
         return list(self) == list(other)
 
 
-def _realize(value, name: str):
-    """Discard the imaginary residue of a conditional moment, or of each
-    entry of an array of them, after checking that it is finite and its
-    residue is consistent with zero."""
-    if not np.isfinite(value).all():
-        raise NumericalInconsistency(f"{name} is {value}, not finite")
-    imag = np.imag(value)
-    worst = np.max(np.abs(imag), initial=0.0)
-    if worst > IMAG_RESIDUE_TOL:
+def _realize(forms: np.ndarray, names) -> np.ndarray:
+    """The real parts of forms, whose first axis runs over names and
+    second axis, if any, over records, after two checks that each name
+    the first value or name that fails them: every value is finite and
+    each name's imaginary residue is consistent with zero (both
+    NumericalInconsistency)."""
+    if not np.isfinite(forms).all():
+        index = tuple(np.argwhere(~np.isfinite(forms))[0])
+        record = f" of record {index[1]}" if len(index) > 1 else ""
         raise NumericalInconsistency(
-            f"{name} has imaginary residue {worst:.3e}; "
+            f"{names[index[0]]}{record} is {complex(forms[index])}, not finite"
+        )
+    if np.abs(forms.imag).max(initial=0.0) > IMAG_RESIDUE_TOL:
+        residue = np.abs(forms.imag).reshape(len(names), -1).max(axis=1)
+        row = (residue > IMAG_RESIDUE_TOL).argmax()
+        raise NumericalInconsistency(
+            f"{names[row]} has imaginary residue {residue[row]:.3e}; "
             "conditional moments of Hermitian observables must be real"
         )
-    return np.real(value)
+    return forms.real
 
 
 def _check_dims(i: QuantumState, f: QuantumState, dim: int):
@@ -358,27 +388,14 @@ def _records(raw: dict, ts: np.ndarray, weakness, tag: str, eps_ps: float, trunc
 
     The columns are stacked into one (moments, scales) array that passes
     four checks, each naming the first moment or row that fails it:
-    every value is finite (NumericalInconsistency), its imaginary residue
-    is consistent with zero (NumericalInconsistency), the probability is
-    above the eps_ps floor (OrthogonalPostselection) and within [0, 1]
-    up to 1e-12 (NumericalInconsistency, as MeasurementRecord checks one
-    row). One division then turns the forms into conditional moments,
-    and the probabilities are clamped into [0, 1]."""
+    ``_realize``'s two (every value finite, every imaginary residue
+    consistent with zero), the probability above the eps_ps floor
+    (OrthogonalPostselection) and within [0, 1] up to 1e-12
+    (NumericalInconsistency, as MeasurementRecord checks one row). One
+    division then turns the forms into conditional moments, and the
+    probabilities are clamped into [0, 1]."""
     names = ["ps_prob", *(name for name in raw if name != "ps_prob")]
-    forms = np.array([raw[name] for name in names])
-    if not np.isfinite(forms).all():
-        row, n = np.argwhere(~np.isfinite(forms))[0]
-        raise NumericalInconsistency(
-            f"{names[row]} of record {n} is {complex(forms[row, n])}, not finite"
-        )
-    if np.abs(forms.imag).max(initial=0.0) > IMAG_RESIDUE_TOL:
-        residue = np.abs(forms.imag).max(axis=1)
-        row = (residue > IMAG_RESIDUE_TOL).argmax()
-        raise NumericalInconsistency(
-            f"{names[row]} has imaginary residue {residue[row]:.3e}; "
-            "conditional moments of Hermitian observables must be real"
-        )
-    values = forms.real
+    values = _realize(np.array([raw[name] for name in names]), names)
     ps = values[0]
     lowest, highest = ps.min(initial=math.inf), ps.max(initial=-math.inf)
     if lowest < eps_ps:
@@ -400,11 +417,12 @@ def _records(raw: dict, ts: np.ndarray, weakness, tag: str, eps_ps: float, trunc
     return MeasurementBatch(ts, table, truncated, tag)
 
 
-def _moment_matrices(displacements: np.ndarray, p: GaussianPointer) -> dict:
-    """Branch-pair matrices of pointer integrals for displacements of
-    shape (..., d), keyed by the pointer operators of MOMENTS: overlap
-    ("1"), position moment ("X") and momentum moment ("P"), each of
-    shape (..., d, d)."""
+def _moment_matrices(eigenvalues: np.ndarray, ks: np.ndarray, p: GaussianPointer) -> dict:
+    """Branch-pair matrices of the closed-form pointer integrals for
+    branches displaced by ks[n] a_k, one coupling ks[n] per scale, keyed
+    by the pointer operators of MOMENTS: overlap ("1"), position moment
+    ("X") and momentum moment ("P"), each of shape (scales, d, d)."""
+    displacements = np.outer(ks, eigenvalues)
     d1 = displacements[..., :, None]
     d2 = displacements[..., None, :]
     return {
@@ -421,24 +439,26 @@ def _stack_times(m: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (m.reshape(-1, m.shape[-1]) @ a).reshape(m.shape)
 
 
-def _branch_sum(i: QuantumState, f: QuantumState, eigs, mats):
+def _branch_sum(i: QuantumState, f: QuantumState, axes, eigs, ts, matrices):
     """Unnormalized MOMENTS of the post-selected pointer state as a sum
     over branches, and the population of its top two ladder levels.
 
-    ``eigs`` holds the eigensystem of each coupled observable, and
-    ``mats`` holds per pointer axis the (scales, d, d) branch-pair
-    matrices of the pointer operators "1", "X" and "P", from
-    ``_moment_matrices`` or ``_grid_matrices``. One eigensystem is a
-    single coupling: branch k has amplitude amp[k] = <f|a_k><a_k|i> and
-    each moment is amp^+ M amp. Two are a commuting pair: branch (k, l)
-    has amplitude amp[k, l] = <f|b_l><b_l|a_k><a_k|i>, and each moment is
+    ``eigs`` holds the eigensystem of the observable of each coupling
+    axis in ``axes``, and ``matrices(eigenvalues, ks, pointer)`` is the
+    rule that gives an axis's (scales, d, d) branch-pair matrices of the
+    pointer operators "1", "X" and "P" at couplings ks = ts K:
+    ``_moment_matrices`` or ``_grid_matrices``. One axis is a single
+    coupling: branch k has amplitude amp[k] = <f|a_k><a_k|i> and each
+    moment is amp^+ M amp. Two are a commuting pair: branch (k, l) has
+    amplitude amp[k, l] = <f|b_l><b_l|a_k><a_k|i>, and each moment is
     sum_{l,l'} (amp^+ Mx amp)[l, l'] My[l, l'], with amp^+ Mx amp formed
     once per x operator. Returns the forms as ``_records`` takes them,
     and the top-level population per scale when the matrices carry
     ``_grid_matrices``' "top" entry T (None otherwise)."""
+    mats = [matrices(es.eigenvalues, ts * K, p) for es, (_, K, p, _) in zip(eigs, axes)]
     ea = eigs[0]
     ai = ea.eigenvectors.conj().T @ i.amplitudes
-    if len(eigs) == 1:
+    if len(mats) == 1:
         (m,) = mats
         amp = (f.amplitudes.conj() @ ea.eigenvectors) * ai
         forms = {name: amp.conj() @ m[op] @ amp for name, (op, _) in SINGLE_MOMENTS.items()}
@@ -467,6 +487,21 @@ def _branch_sum(i: QuantumState, f: QuantumState, eigs, mats):
     return forms, np.maximum(top_x.real, top_y.real)
 
 
+def _run_exact(i: QuantumState, f: QuantumState, c: _Coupling, eps_ps: float, scales, tag: str):
+    """The body of both exact engines, for any coupling by its axes.
+
+    The coupling refusal runs before the eigensystems are taken, so an
+    overflowing noncommuting pair is refused by name (ValueError), not
+    as NotCommuting. A pair takes its eigensystems from
+    ``simultaneous_eig``, which refuses noncommuting pairs."""
+    _check_dims(i, f, c.A.dim)
+    ts = _scale_array(scales)
+    weakness = c.weakness_ratios(ts)
+    eigs = simultaneous_eig(c.A, c.B) if len(c.axes) == 2 else (hermitian_eig(c.A),)
+    forms, _ = _branch_sum(i, f, c.axes, eigs, ts, _moment_matrices)
+    return _batch_result(_records(forms, ts, weakness, tag, eps_ps), scales)
+
+
 def run_single_exact(
     i: QuantumState,
     f: QuantumState,
@@ -484,13 +519,7 @@ def run_single_exact(
     With ``scales``, returns the MeasurementBatch whose row n ran at
     coupling t_n K.
     """
-    _check_dims(i, f, c.A.dim)
-    ts = _scale_array(scales)
-    weakness = c.weakness_ratios(ts)
-    es = hermitian_eig(c.A)
-    mats = _moment_matrices(np.outer(ts * c.K, es.eigenvalues), c.pointer)
-    forms, _ = _branch_sum(i, f, (es,), (mats,))
-    return _batch_result(_records(forms, ts, weakness, "exact-single", eps_ps), scales)
+    return _run_exact(i, f, c, eps_ps, scales, "exact-single")
 
 
 def run_joint_exact(
@@ -512,14 +541,7 @@ def run_joint_exact(
     ``scales``, returns the MeasurementBatch whose row n ran at
     couplings t_n (Kx, Ky).
     """
-    _check_dims(i, f, c.A.dim)
-    ts = _scale_array(scales)
-    weakness = c.weakness_ratios(ts)
-    ea, eb = simultaneous_eig(c.A, c.B)
-    mx = _moment_matrices(np.outer(ts * c.Kx, ea.eigenvalues), c.pointer_x)
-    my = _moment_matrices(np.outer(ts * c.Ky, eb.eigenvalues), c.pointer_y)
-    forms, _ = _branch_sum(i, f, (ea, eb), (mx, my))
-    return _batch_result(_records(forms, ts, weakness, "exact-joint", eps_ps), scales)
+    return _run_exact(i, f, c, eps_ps, scales, "exact-joint")
 
 
 _Frame = collections.namedtuple("_Frame", "fock p x top vacuum")
@@ -556,27 +578,24 @@ def _pointer_frame(p: GaussianPointer, n_max: int) -> _Frame:
     return frame
 
 
-def _grid_matrices(frame: _Frame, eigenvalues: np.ndarray, ks: np.ndarray, hbar: float) -> dict:
+def _grid_matrices(eigenvalues: np.ndarray, ks: np.ndarray, p: GaussianPointer, n_max) -> dict:
     """The branch-pair matrices of ``_moment_matrices`` as the
-    Gauss-Hermite rule of the momentum grid of frame, for branch
-    eigenvalues a_k and one coupling ks[n] per scale.
+    Gauss-Hermite rule of the momentum grid of p's frame at n_max, for
+    branch eigenvalues a_k and one coupling ks[n] per scale.
 
     Branch k of scale n is the grid vector G[n, j, k] =
     exp(-i ks[n] p_j a_k / hbar) vac[j], and the matrix of pointer
-    operator op is G^+ op G, with op the identity ("1"), the frame's X
-    ("X") or the grid itself ("P"). One more entry, "top", is
-    T = (top G)^+ (top G), whose diagonal is the population each branch
-    puts in the top two ladder levels."""
-    g = np.exp((-1j * ks / hbar)[:, None, None] * np.outer(frame.p, eigenvalues))
+    operator op is G^+ op G, with op applied on the grid by ``_on_grid``.
+    One more entry, "top", is T = (top G)^+ (top G), whose diagonal is
+    the population each branch puts in the top two ladder levels."""
+    frame = _pointer_frame(p, n_max)
+    g = np.exp((-1j * ks / p.hbar)[:, None, None] * np.outer(frame.p, eigenvalues))
     g *= frame.vacuum[:, None]
     gh = g.conj().swapaxes(1, 2)
     top = frame.top @ g
-    return {
-        "1": gh @ g,
-        "X": gh @ (frame.x @ g),
-        "P": gh @ (frame.p[:, None] * g),
-        "top": top.conj().swapaxes(1, 2) @ top,
-    }
+    mats = {op: gh @ _on_grid(op, frame, g) for op in "1XP"}
+    mats["top"] = top.conj().swapaxes(1, 2) @ top
+    return mats
 
 
 def _on_grid(op: str, frame: _Frame, a: np.ndarray) -> np.ndarray:
@@ -611,8 +630,7 @@ def _fock_joint(i, f, c: JointCoupling, n_max, ts):
     it has the same eigenvectors and negated eigenvalues. Only the rows
     j < (N+1)/2 go through ``eigh`` (861 of 1681 blocks at n_max 40);
     the other rows are their mirror, for odd and even N alike."""
-    fx = _pointer_frame(c.pointer_x, n_max)
-    fy = _pointer_frame(c.pointer_y, n_max)
+    fx, fy = (_pointer_frame(p, n_max) for _, _, p, _ in c.axes)
 
     # block Hamiltonians (Kx px A + Ky py B) / s over the momentum grid,
     # s the first nonzero coupling: scale t multiplies their eigenvalues
@@ -676,11 +694,7 @@ def run_fock(
     or the branch sum's (scales, n_max+1, d) grid arrays, would exceed
     MAX_ARRAY_BYTES.
     """
-    if isinstance(c, SingleCoupling):
-        axes, tag = [(c.A, c.K, c.pointer)], "fock-single"
-    elif isinstance(c, JointCoupling):
-        axes, tag = [(c.A, c.Kx, c.pointer_x), (c.B, c.Ky, c.pointer_y)], "fock-joint"
-    else:
+    if not isinstance(c, _Coupling):
         raise TypeError(f"expected SingleCoupling or JointCoupling, got {type(c).__name__}")
     d, levels = c.A.dim, int(n_max) + 1
     _check_dims(i, f, d)
@@ -688,14 +702,11 @@ def run_fock(
     check_array_budget(levels**2 * d**2, what, InvalidTruncation)
     ts = _scale_array(scales)
     weakness = c.weakness_ratios(ts)
-    if len(axes) == 1 or commutator_norm(c.A, c.B) == 0.0:
+    if len(c.axes) == 1 or commutator_norm(c.A, c.B) == 0.0:
         check_array_budget(len(ts) * levels * d, f"{len(ts)} scales at {what}", InvalidTruncation)
-        eigs = [hermitian_eig(A) for A, _, _ in axes]
-        mats = [
-            _grid_matrices(_pointer_frame(p, n_max), es.eigenvalues, ts * K, p.hbar)
-            for es, (_, K, p) in zip(eigs, axes)
-        ]
-        forms, top = _branch_sum(i, f, eigs, mats)
+        eigs = [hermitian_eig(A) for A, *_ in c.axes]
+        rule = functools.partial(_grid_matrices, n_max=n_max)
+        forms, top = _branch_sum(i, f, c.axes, eigs, ts, rule)
     else:
         forms, top = _fock_joint(i, f, c, n_max, ts)
     truncated = top > TRUNCATION_TOL
@@ -706,6 +717,7 @@ def run_fock(
             TruncationWarning,
             stacklevel=2,
         )
+    tag = "fock-single" if len(c.axes) == 1 else "fock-joint"
     return _batch_result(_records(forms, ts, weakness, tag, eps_ps, truncated), scales)
 
 
@@ -736,9 +748,11 @@ def heisenberg_moment(
     H to psi0 ``order`` times on a (d, n_max+1, n_max+1) state tensor
     and never forms an operator on the product space. Raises
     InvalidTruncation if that tensor would exceed MAX_ARRAY_BYTES, a
-    ValueError naming kx or ky for a coupling the run_* engines refuse,
-    and NumericalInconsistency naming the order of a non-finite
-    contribution.
+    ValueError naming kx or ky, before any power of H is formed, for a
+    coupling the run_* engines refuse or one whose bound
+    (2 |H| max(1, 1/hbar))^order |X| |y operator| on the values of the
+    series overflows, and NumericalInconsistency naming the order of a
+    non-finite contribution.
     """
     if not 0 <= order <= 4:
         raise ValueError(f"order must be in [0, 4], got {order}")
@@ -757,9 +771,30 @@ def heisenberg_moment(
         InvalidTruncation,
     )
 
-    fx = _pointer_frame(c.pointer_x, n_max).fock
-    fy = _pointer_frame(c.pointer_y, n_max).fock
+    frames = [_pointer_frame(p, n_max) for _, _, p, _ in c.axes]
+    fx, fy = (frame.fock for frame in frames)
     y_op = {"O_x": None, "O_xy": fy.X, "O_xpy": fy.P}[observable_tag]
+    hbar = c.pointer_x.hbar
+
+    # |H| <= h, the sum over the axes of |K| r max|p|, and order n adds
+    # 2^n products of H^k psi0 with X and y_op, times (i/hbar)^n / n!: no
+    # value the series forms exceeds the product of ``factors`` (row sums
+    # bound |X| and |y_op|). A coupling that overflows it is refused
+    # before any power of H is formed, naming the axis with the larger term
+    terms = [
+        abs(K) * A.spectral_radius() * float(np.abs(frame.p).max())
+        for (A, K, _, _), frame in zip(c.axes, frames)
+    ]
+    h = sum(terms)
+    factors = [max(1.0, 2.0 * h, 2.0 * h / hbar)] * order + [
+        max(1.0, float(np.abs(op).sum(axis=1).max())) for op in (fx.X, y_op) if op is not None
+    ]
+    if not math.isfinite(math.prod(factors)):
+        (_, K, _, flag), term = max(zip(c.axes, terms), key=lambda axis: axis[1])
+        raise _too_strong(
+            flag, abs(K), f"|{flag}| x spectral radius x max|p| = {term!r} "
+            f"overflows order {order} of the series"
+        )
 
     # H^k psi0 for k = 0..order on tensors indexed (system, x level,
     # y level); H acts through its factors A (x) Px and B (x) Py
@@ -777,13 +812,11 @@ def heisenberg_moment(
     left = [np.tensordot(f.amplitudes.conj(), v, axes=1) for v in powers]
     right = [fx.X @ phi if y_op is None else fx.X @ phi @ y_op.T for phi in left]
 
-    hbar = c.pointer_x.hbar
-    contributions = np.empty(order + 1)
+    values = np.empty(order + 1, dtype=complex)
     for n in range(order + 1):
         value = sum(
             math.comb(n, k) * (-1) ** k * np.vdot(left[n - k], right[k])
             for k in range(n + 1)
         )
-        value *= (1j / hbar) ** n / math.factorial(n)
-        contributions[n] = _realize(complex(value), f"order-{n} contribution")
-    return contributions
+        values[n] = value * ((1j / hbar) ** n / math.factorial(n))
+    return _realize(values, [f"order-{n} contribution" for n in range(order + 1)])

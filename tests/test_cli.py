@@ -247,9 +247,16 @@ def test_run_unusable_pointer_width_exit_1(capsys, flag, value, field):
         assert f"error: {field} must be finite" in err and "Traceback" not in err
 
 
+#: Stands for a scenario file holding NONCOMMUTING_DOC in OVERFLOW_CASES.
+NONCOMMUTING_FILE = "<noncommuting scenario file>"
+
 OVERFLOW_CASES = {
     "run-exact": ["run", "--scenario", "three-box", "--observable", "P1", "--engine",
                   "exact", "--kx", "1e308", "--format", "csv"],
+    # refused by name before the commuting test: exit 1, not NotCommuting's 2
+    "run-exact-noncommuting": ["run", "--scenario", NONCOMMUTING_FILE, "--observable", "sx",
+                               "--observable-b", "sz", "--engine", "exact", "--kx", "1e308",
+                               "--format", "json"],
     "run-fock": ["run", "--scenario", "hardy", "--observable", "N_Oe", "--observable-b",
                  "N_NOp", "--engine", "fock", "--kx", "0.01", "--ky", "1e200",
                  "--format", "json"],
@@ -262,11 +269,14 @@ OVERFLOW_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
-def test_overflowing_coupling_exit_1(case):
+def test_overflowing_coupling_exit_1(case, tmp_path):
     """A coupling whose pointer displacements overflow once squared is
-    refused by name before any pointer integral or Fock phase is formed:
-    exit 1 with no numpy warning, even with RuntimeWarning an error."""
-    argv = OVERFLOW_CASES[case]
+    refused by name before any pointer integral or Fock phase is formed,
+    and on the exact engine before the commuting test: exit 1 with no
+    numpy warning, even with RuntimeWarning an error."""
+    path = tmp_path / "noncommuting.json"
+    path.write_text(json.dumps(NONCOMMUTING_DOC))
+    argv = [str(path) if arg == NONCOMMUTING_FILE else arg for arg in OVERFLOW_CASES[case]]
     flag = "ky" if "--ky" in argv else "kx"
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "weaklab.cli", *argv,

@@ -671,22 +671,30 @@ def test_series_refuses_oversized_truncation_before_allocating():
 
 
 def test_series_refuses_overflowing_coupling_by_name():
-    """The series applies the run_* engines' coupling refusal before it
-    forms any power of H, so numpy never warns (the suite turns
-    RuntimeWarning into an error)."""
+    """The series refuses a coupling before it forms any power of H, so
+    numpy never warns (the suite turns RuntimeWarning into an error):
+    one the run_* engines refuse (1e200), and one whose pointer
+    integrals are finite but whose fourth power of H overflows (1e100)."""
     scn = build_hardy()
-    jc = JointCoupling(
-        A=scn.observable("N_Oe"), B=scn.observable("N_Op"), Kx=1e200, Ky=1e200,
-        pointer_x=unit_pointer(), pointer_y=unit_pointer(),
-    )
-    with pytest.raises(ValueError, match=r"\|kx\| = 1e\+200 is too strong"):
-        heisenberg_moment(scn.i, scn.f, jc, "O_xy", order=4)
+    for k in (1e200, 1e100):
+        jc = JointCoupling(
+            A=scn.observable("N_Oe"), B=scn.observable("N_Op"), Kx=k, Ky=k,
+            pointer_x=unit_pointer(), pointer_y=unit_pointer(),
+        )
+        with pytest.raises(ValueError, match=rf"\|kx\| = {re.escape(repr(k))} is too strong"):
+            heisenberg_moment(scn.i, scn.f, jc, "O_xy", order=4)
 
 
 @pytest.mark.parametrize("value", [math.nan, complex(0.0, math.inf), math.inf])
 def test_realize_refuses_non_finite_value_by_name(value):
+    """A (names,) array names the first non-finite entry; a (names,
+    records) array names it and its record."""
+    names = ["order-1 contribution", "order-2 contribution"]
     with pytest.raises(NumericalInconsistency, match="order-2 contribution is .*, not finite"):
-        _realize(value, "order-2 contribution")
+        _realize(np.array([0.5, value]), names)
+    forms = np.array([[0.5, 0.5], [0.1, 0.2], [0.3, value]])
+    with pytest.raises(NumericalInconsistency, match=r"x_mean of record 1 is .*, not finite"):
+        _realize(forms, ["ps_prob", "px_mean", "x_mean"])
 
 
 def test_series_argument_validation():
