@@ -15,12 +15,13 @@ CSV schema (version 1)::
     ...rows ascending in k...
     # fitted_error_order=<least-squares log-log slope>   (sweep only)
 
-A sweep is one batched engine call per observable, each returning a
-``MeasurementBatch`` of columns: everything that does not depend on the
-coupling strength is computed once, each extraction formula runs once
-on the columns, and the CSV rows are formatted in one pass over one
-(points x 8) table. ``run`` is the same path with a single point and
-reads row 0.
+Every engine call returns a ``MeasurementBatch``, one column per
+moment with one entry per coupling. A sweep is one such call per
+observable: everything that does not depend on the coupling strength is
+computed once, each extraction formula runs once on the columns, and
+the CSV rows are formatted in one pass over one (points x 8) table.
+``run`` is the same path with a single point and reads row 0 of the
+columns.
 
 Exit codes: 0 success; 1 configuration/parse errors, including requests
 whose arrays would exceed ``engines.MAX_ARRAY_BYTES`` and couplings
@@ -189,7 +190,7 @@ def serialize_report(spec: RunSpec, kx: float, ky: float | None, batch: Measurem
     """The JSON report of row 0 of a run: ``_execute``'s batch, estimate,
     direct value and singles at couplings (kx, ky). abs_err is computed
     here from the extracted and direct values."""
-    rec, extracted = batch[0], complex(est.value[0])
+    extracted = complex(est.value[0])
     payload = {
         "schema": 1,
         "scenario": spec.scenario.name,
@@ -204,10 +205,10 @@ def serialize_report(spec: RunSpec, kx: float, ky: float | None, batch: Measurem
         "n_max": spec.n_max if spec.engine == "fock" else None,
         "singles_mode": spec.singles_mode,
         "record": {
-            **{name: getattr(rec, name) for name in MOMENTS},
-            "weakness_ratio": rec.weakness_ratio,
-            "engine_tag": rec.engine_tag,
-            "truncation_warning": rec.truncation_warning,
+            **{name: getattr(batch, name)[0] for name in MOMENTS},
+            "weakness_ratio": batch.weakness_ratio[0],
+            "engine_tag": batch.engine_tag,
+            "truncation_warning": bool(batch.truncation_warning[0]),
         },
         "singles": None
         if singles is None
@@ -218,7 +219,7 @@ def serialize_report(spec: RunSpec, kx: float, ky: float | None, batch: Measurem
         "extracted": {"re": extracted.real, "im": extracted.imag},
         "direct": {"re": direct.real, "im": direct.imag},
         "abs_err": abs(extracted - direct),
-        "weakness_ratio": rec.weakness_ratio,
+        "weakness_ratio": batch.weakness_ratio[0],
     }
     return _emit_json(payload) + "\n"
 

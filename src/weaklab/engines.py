@@ -27,7 +27,7 @@ Three routes compute the same conditional moments:
   body: dimensions, scales, the coupling refusal, the eigensystems
   (``simultaneous_eig`` for a pair, which refuses a noncommuting one,
   so an overflowing noncommuting pair is refused by name first), the
-  branch sum and the records.
+  branch sum and the batch.
 * ``run_fock`` on a noncommuting pair -- exact unitary evolution in a
   truncated oscillator space (``_fock_joint``), where the closed-form
   joint route refuses to run.
@@ -35,11 +35,11 @@ Three routes compute the same conditional moments:
   a post-selected pointer observable, returning each order separately so
   parity properties of the series are directly testable. It never forms
   an operator on the product space: the binomial expansion
-  ad_H^n(O) = sum_k C(n,k) (-1)^k H^(n-k) O H^k turns order n into
-  sum_k C(n,k) (-1)^k <H^(n-k) psi0| O |H^k psi0>, so the engine builds
-  the vectors H^k psi0 on a (d, n_max+1, n_max+1) state tensor, applying
-  H through its factors A (x) Px and B (x) Py and O through |f><f|, X
-  and the y-axis operator.
+  ad_G^n(O) = sum_k C(n,k) (-1)^k G^(n-k) O G^k of G = H / hbar turns
+  order n into i^n / n! sum_k C(n,k) (-1)^k <G^(n-k) psi0| O |G^k psi0>,
+  so the engine builds the vectors G^k psi0 on a (d, n_max+1, n_max+1)
+  state tensor, applying G through its factors A (x) Px / hbar and
+  B (x) Py / hbar and O through |f><f|, X and the y-axis operator.
 
 The Fock engine works on the momentum grid: the eigenvalues p_j of the
 truncated P, which are the Gauss-Hermite nodes scaled by sqrt(2) hbar /
@@ -60,26 +60,25 @@ eigenvalues from the mirror. A joint pair takes the branch sum only when
 t^2 |Kx Ky px py| ||[A, B]|| / 2, so only an exact zero keeps it at
 rounding level on every grid point and scale.
 
-The three ``run_*`` engines are batched over a coupling scale: with
-``scales=(t_1, ..., t_n)`` they return a ``MeasurementBatch`` whose row
-n is the run at couplings t_n (Kx, Ky), and everything independent of
-the coupling strength (eigenbases, branch amplitudes, spectral radii,
-momentum frames, Fock block eigenvectors) is computed once per batch.
-The batch holds each record field as one read-only column, checked and
-clamped as a whole, and builds a ``MeasurementRecord`` only when a row
-is indexed. Without ``scales`` an engine returns the one record at
-t = 1, so a single run and a sweep row take the same code path. Every
-``run_*`` engine, and the series, refuses a coupling whose branch
-displacements overflow the pointer integrals (ValueError naming kx or
-ky) before it forms any integral, Fock phase or power of H. The series
-also refuses, with the same ValueError, a coupling whose bound on the
-values it forms overflows: |H| <= h, the sum over the axes of
-|K| x spectral radius x max|p| on the frame's momentum grid, and no
-value exceeds (2 h max(1, 1/hbar))^order |X| |y operator|. A pointer's
-Fock operators and momentum frame depend only on (pointer, n_max) and
-are built once per process for each such pair (``_pointer_frame``).
+Every ``run_*`` engine returns a ``MeasurementBatch``, one read-only
+column per moment, checked and clamped as a whole. With
+``scales=(t_1, ..., t_n)`` row n is the run at couplings t_n (Kx, Ky),
+and everything independent of the coupling strength (eigenbases,
+branch amplitudes, spectral radii, momentum frames, Fock block
+eigenvectors) is computed once per batch; without ``scales`` the batch
+is the one row at t = 1, so a single run and a sweep take the same
+code path. Every ``run_*`` engine, and the series, refuses a coupling
+whose branch displacements overflow the pointer integrals (ValueError
+naming kx or ky) before it forms any integral, Fock phase or power of
+H. The series also refuses, with the same ValueError, a coupling whose
+bound on the values it forms overflows: |H| <= h, the sum over the
+axes of |K| x spectral radius x max|p| on the frame's momentum grid,
+and no value exceeds max(1, 2 h / hbar)^order |X| |y operator|. A
+pointer's Fock operators and momentum frame depend only on
+(pointer, n_max) and are built once per process for each such pair
+(``_pointer_frame``).
 
-One table, ``MOMENTS``, names the seven record moments and the pointer
+One table, ``MOMENTS``, names the seven batch moments and the pointer
 operator each takes on the x and y axis; every engine evaluates it, and
 one ``_realize`` checks the moments of every engine and the series
 (finite, imaginary residue consistent with zero) before taking their
@@ -92,7 +91,6 @@ two rows of w.
 from __future__ import annotations
 
 import collections
-import collections.abc
 import functools
 import math
 import warnings
@@ -113,7 +111,6 @@ from .qcore import Observable, QuantumState, commutator_norm, hermitian_eig, sim
 __all__ = [
     "SingleCoupling",
     "JointCoupling",
-    "MeasurementRecord",
     "MeasurementBatch",
     "MOMENTS",
     "run_single_exact",
@@ -148,9 +145,9 @@ DEFAULT_N_MAX = 40
 #: before anything is allocated.
 MAX_ARRAY_BYTES = 2**28
 
-#: Each moment of a MeasurementRecord and the pointer operator it applies
+#: Each moment of a MeasurementBatch and the pointer operator it applies
 #: on the x and on the y axis ("1" identity, "X" position, "P" momentum);
-#: single-coupling records carry the rows with no y operator.
+#: single couplings take the moments with no y operator.
 MOMENTS = {
     "ps_prob": ("1", "1"),
     "x_mean": ("X", "1"),
@@ -258,92 +255,43 @@ class JointCoupling(_Coupling):
         return ((self.A, self.Kx, self.pointer_x, "kx"), (self.B, self.Ky, self.pointer_y, "ky"))
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Post-selection probability and conditional pointer moments.
-
-    Single-coupling runs leave the y-axis fields at zero (a spectator
-    pointer stays in its symmetric vacuum, so its conditional moments
-    vanish identically).
-    """
-
-    ps_prob: float
-    x_mean: float
-    px_mean: float
-    y_mean: float = 0.0
-    py_mean: float = 0.0
-    xy_mean: float = 0.0
-    x_py_mean: float = 0.0
-    weakness_ratio: float = 0.0
-    engine_tag: str = ""
-    truncation_warning: bool = False
-
-    def __post_init__(self):
-        if not (-1e-12 <= self.ps_prob <= 1.0 + 1e-12):
-            raise NumericalInconsistency(
-                f"post-selection probability {self.ps_prob!r} outside [0, 1]"
-            )
-        object.__setattr__(self, "ps_prob", min(max(self.ps_prob, 0.0), 1.0))
-
-
-#: The float fields of a MeasurementRecord, in field order: ps_prob
-#: first, then the other moments and weakness_ratio.
-_RECORD_FLOATS = (*MOMENTS, "weakness_ratio")
-_FLOAT_ROW = {name: row for row, name in enumerate(_RECORD_FLOATS)}
-
-
-class MeasurementBatch(collections.abc.Sequence):
-    """The records of one batched engine call, held as columns.
+@dataclass(frozen=True, eq=False)
+class MeasurementBatch:
+    """Post-selection probability and conditional pointer moments of one
+    engine call, held as columns.
 
     Row n is the run at coupling scale ``scales[n]``. ``scales``,
     ``ps_prob``, every ``MOMENTS`` name and ``weakness_ratio`` are
     read-only float arrays with one entry per row, ``truncation_warning``
     a read-only bool array, and ``engine_tag`` one string for every row.
-    Rows with no y pointer hold zeros in the y-axis moments, as a
-    MeasurementRecord does. ``batch[n]`` builds the MeasurementRecord of
-    row n on demand, so the batch also serves as a list of records;
-    batches compare equal when their records do.
-
-    The float fields are the rows of one (fields, rows) table, in
-    MeasurementRecord field order; a column is a view of its row, made
-    when it is read.
+    Single-coupling runs leave the y-axis moments at zero (a spectator
+    pointer stays in its symmetric vacuum, so its conditional moments
+    vanish identically).
     """
 
-    def __init__(self, scales, table: np.ndarray, truncation_warning, engine_tag: str):
-        for array in (scales, table, truncation_warning):
-            array.setflags(write=False)
-        self.scales = scales
-        self.truncation_warning = truncation_warning
-        self.engine_tag = engine_tag
-        self._table = table
+    scales: np.ndarray
+    ps_prob: np.ndarray
+    x_mean: np.ndarray
+    px_mean: np.ndarray
+    y_mean: np.ndarray
+    py_mean: np.ndarray
+    xy_mean: np.ndarray
+    x_py_mean: np.ndarray
+    weakness_ratio: np.ndarray
+    truncation_warning: np.ndarray
+    engine_tag: str
 
-    def __getattr__(self, name):
-        if name not in _FLOAT_ROW:
-            raise AttributeError(f"'MeasurementBatch' object has no attribute {name!r}")
-        return self._table[_FLOAT_ROW[name]]
-
-    def __len__(self) -> int:
-        return len(self.scales)
-
-    def __getitem__(self, n: int) -> MeasurementRecord:
-        return MeasurementRecord(
-            *self._table[:, n].tolist(),
-            engine_tag=self.engine_tag,
-            truncation_warning=bool(self.truncation_warning[n]),
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, MeasurementBatch):
-            return NotImplemented
-        return list(self) == list(other)
+    def __post_init__(self):
+        for name in ("scales", *MOMENTS, "weakness_ratio", "truncation_warning"):
+            getattr(self, name).setflags(write=False)
 
 
 def _realize(forms: np.ndarray, names) -> np.ndarray:
     """The real parts of forms, whose first axis runs over names and
-    second axis, if any, over records, after two checks that each name
-    the first value or name that fails them: every value is finite and
-    each name's imaginary residue is consistent with zero (both
-    NumericalInconsistency)."""
+    second axis, if any, over the rows of a batch ("record n" in the
+    messages), after two checks that each name the first value or name
+    that fails them: every value is finite and each name's imaginary
+    residue is consistent with zero (both NumericalInconsistency)."""
     if not np.isfinite(forms).all():
         index = tuple(np.argwhere(~np.isfinite(forms))[0])
         record = f" of record {index[1]}" if len(index) > 1 else ""
@@ -376,24 +324,19 @@ def _scale_array(scales) -> np.ndarray:
     return ts
 
 
-def _batch_result(batch: MeasurementBatch, scales):
-    """The one record of an unbatched call, else the whole batch."""
-    return batch[0] if scales is None else batch
-
-
 def _records(raw: dict, ts: np.ndarray, weakness, tag: str, eps_ps: float, truncated=None):
     """The MeasurementBatch at scales ts from columns of unnormalized
     forms: ``raw["ps_prob"][n]`` is the post-selection probability of
-    row n and every other column holds conditional moments times it.
+    row n and every other column holds conditional moments times it;
+    a moment missing from raw (the y axis of a single coupling) is zero.
 
     The columns are stacked into one (moments, scales) array that passes
     four checks, each naming the first moment or row that fails it:
     ``_realize``'s two (every value finite, every imaginary residue
     consistent with zero), the probability above the eps_ps floor
     (OrthogonalPostselection) and within [0, 1] up to 1e-12
-    (NumericalInconsistency, as MeasurementRecord checks one row). One
-    division then turns the forms into conditional moments, and the
-    probabilities are clamped into [0, 1]."""
+    (NumericalInconsistency). One division then turns the forms into
+    conditional moments, and the probabilities are clamped into [0, 1]."""
     names = ["ps_prob", *(name for name in raw if name != "ps_prob")]
     values = _realize(np.array([raw[name] for name in names]), names)
     ps = values[0]
@@ -408,13 +351,16 @@ def _records(raw: dict, ts: np.ndarray, weakness, tag: str, eps_ps: float, trunc
         raise NumericalInconsistency(
             f"post-selection probability {float(ps[outside.argmax()])!r} outside [0, 1]"
         )
-    table = np.zeros((len(_RECORD_FLOATS), len(ts)))
-    table[[_FLOAT_ROW[name] for name in names[1:]]] = values[1:] / ps
-    in_range = 0.0 <= lowest and highest <= 1.0
-    table[0] = ps if in_range else np.minimum(np.maximum(ps, 0.0), 1.0)
-    table[-1] = weakness
-    truncated = np.zeros(len(ts), bool) if truncated is None else np.array(truncated, bool)
-    return MeasurementBatch(ts, table, truncated, tag)
+    columns = dict(zip(names[1:], values[1:] / ps))
+    columns["ps_prob"] = ps if 0.0 <= lowest and highest <= 1.0 else np.clip(ps, 0.0, 1.0)
+    zeros = np.zeros(len(ts))
+    return MeasurementBatch(
+        scales=ts,
+        **{name: columns.get(name, zeros) for name in MOMENTS},
+        weakness_ratio=weakness,
+        truncation_warning=np.zeros(len(ts), bool) if truncated is None else truncated,
+        engine_tag=tag,
+    )
 
 
 def _moment_matrices(eigenvalues: np.ndarray, ks: np.ndarray, p: GaussianPointer) -> dict:
@@ -499,7 +445,7 @@ def _run_exact(i: QuantumState, f: QuantumState, c: _Coupling, eps_ps: float, sc
     weakness = c.weakness_ratios(ts)
     eigs = simultaneous_eig(c.A, c.B) if len(c.axes) == 2 else (hermitian_eig(c.A),)
     forms, _ = _branch_sum(i, f, c.axes, eigs, ts, _moment_matrices)
-    return _batch_result(_records(forms, ts, weakness, tag, eps_ps), scales)
+    return _records(forms, ts, weakness, tag, eps_ps)
 
 
 def run_single_exact(
@@ -516,8 +462,8 @@ def run_single_exact(
     is a sum of Gaussians displaced by K a_k with amplitudes
     <f|a_k><a_k|i>, and all moments assemble from pairwise pointer
     integrals (``_branch_sum``). Exact to machine precision at any K.
-    With ``scales``, returns the MeasurementBatch whose row n ran at
-    coupling t_n K.
+    Returns the MeasurementBatch whose row n ran at coupling t_n K for
+    each of ``scales``, or the one row at K without them.
     """
     return _run_exact(i, f, c, eps_ps, scales, "exact-single")
 
@@ -537,9 +483,9 @@ def run_joint_exact(
     product Gaussian displaced by (Kx a_k, Ky b_l) with amplitude
     <f|b_l><b_l|a_k><a_k|i>, contracted with the branch-pair matrices of
     1D pointer integrals on each axis (``_branch_sum``). Refuses
-    noncommuting pairs (NotCommuting); use run_fock for those. With
-    ``scales``, returns the MeasurementBatch whose row n ran at
-    couplings t_n (Kx, Ky).
+    noncommuting pairs (NotCommuting); use run_fock for those. Returns
+    the MeasurementBatch whose row n ran at couplings t_n (Kx, Ky) for
+    each of ``scales``, or the one row at (Kx, Ky) without them.
     """
     return _run_exact(i, f, c, eps_ps, scales, "exact-joint")
 
@@ -687,9 +633,10 @@ def run_fock(
     t^2 |Kx Ky px py| ||[A, B]|| / 2 that no fixed bound keeps at
     rounding level. Each row whose evolved state populates the top two
     truncation levels above 1e-8 issues one TruncationWarning and is
-    flagged on the record. With ``scales``, returns the MeasurementBatch
-    whose row n ran at couplings t_n (Kx, Ky); the eigenbases, momentum
-    frames and block eigenvectors are computed once per call. Raises
+    flagged in ``truncation_warning``. Returns the MeasurementBatch whose
+    row n ran at couplings t_n (Kx, Ky) for each of ``scales``, or the
+    one row at (Kx, Ky) without them; the eigenbases, momentum frames
+    and block eigenvectors are computed once per call. Raises
     InvalidTruncation before allocating if the (n_max+1)^2 d x d blocks,
     or the branch sum's (scales, n_max+1, d) grid arrays, would exceed
     MAX_ARRAY_BYTES.
@@ -718,7 +665,7 @@ def run_fock(
             stacklevel=2,
         )
     tag = "fock-single" if len(c.axes) == 1 else "fock-joint"
-    return _batch_result(_records(forms, ts, weakness, tag, eps_ps, truncated), scales)
+    return _records(forms, ts, weakness, tag, eps_ps, truncated)
 
 
 # observable tags for the series engine
@@ -743,14 +690,15 @@ def heisenberg_moment(
     probability). Each contribution is real; parity of the Gaussian
     vacuum makes alternate orders vanish identically.
 
-    Since H is Hermitian, order n equals (i/hbar)^n / n! times
-    sum_k C(n,k) (-1)^k <H^(n-k) psi0| O |H^k psi0>: the engine applies
-    H to psi0 ``order`` times on a (d, n_max+1, n_max+1) state tensor
-    and never forms an operator on the product space. Raises
-    InvalidTruncation if that tensor would exceed MAX_ARRAY_BYTES, a
-    ValueError naming kx or ky, before any power of H is formed, for a
-    coupling the run_* engines refuse or one whose bound
-    (2 |H| max(1, 1/hbar))^order |X| |y operator| on the values of the
+    Since H is Hermitian, order n equals i^n / n! times
+    sum_k C(n,k) (-1)^k <G^(n-k) psi0| O |G^k psi0> with G = H / hbar:
+    the engine applies G to psi0 ``order`` times on a
+    (d, n_max+1, n_max+1) state tensor and never forms an operator on
+    the product space or a power of 1/hbar. Raises InvalidTruncation if
+    that tensor would exceed MAX_ARRAY_BYTES, a ValueError naming kx or
+    ky, before any power of G is formed, for a coupling the run_*
+    engines refuse or one whose bound
+    max(1, 2 |H| / hbar)^order |X| |y operator| on the values of the
     series overflows, and NumericalInconsistency naming the order of a
     non-finite contribution.
     """
@@ -776,39 +724,42 @@ def heisenberg_moment(
     y_op = {"O_x": None, "O_xy": fy.X, "O_xpy": fy.P}[observable_tag]
     hbar = c.pointer_x.hbar
 
-    # |H| <= h, the sum over the axes of |K| r max|p|, and order n adds
-    # 2^n products of H^k psi0 with X and y_op, times (i/hbar)^n / n!: no
-    # value the series forms exceeds the product of ``factors`` (row sums
-    # bound |X| and |y_op|). A coupling that overflows it is refused
-    # before any power of H is formed, naming the axis with the larger term
+    # |G| <= g, G = H / hbar, the sum over the axes of |K| r max|p| / hbar,
+    # and order n adds 2^n products of G^k psi0 with X and y_op, times
+    # i^n / n!: no value the series forms exceeds the product of
+    # ``factors`` (row sums bound |X| and |y_op|). A coupling that
+    # overflows it is refused before any power of G is formed, naming
+    # the axis with the larger term
     terms = [
-        abs(K) * A.spectral_radius() * float(np.abs(frame.p).max())
+        abs(K) * A.spectral_radius() * float(np.abs(frame.p).max()) / hbar
         for (A, K, _, _), frame in zip(c.axes, frames)
     ]
-    h = sum(terms)
-    factors = [max(1.0, 2.0 * h, 2.0 * h / hbar)] * order + [
+    g = sum(terms)
+    factors = [max(1.0, 2.0 * g)] * order + [
         max(1.0, float(np.abs(op).sum(axis=1).max())) for op in (fx.X, y_op) if op is not None
     ]
     if not math.isfinite(math.prod(factors)):
         (_, K, _, flag), term = max(zip(c.axes, terms), key=lambda axis: axis[1])
         raise _too_strong(
-            flag, abs(K), f"|{flag}| x spectral radius x max|p| = {term!r} "
+            flag, abs(K), f"|{flag}| x spectral radius x max|p| / hbar = {term!r} "
             f"overflows order {order} of the series"
         )
 
-    # H^k psi0 for k = 0..order on tensors indexed (system, x level,
-    # y level); H acts through its factors A (x) Px and B (x) Py
+    # G^k psi0 for k = 0..order on tensors indexed (system, x level,
+    # y level); G acts through its factors A (x) Px / hbar and
+    # B (x) Py / hbar
+    px, py = fx.P / hbar, fy.P / hbar
     powers = [np.zeros((d, fx.dim, fy.dim), dtype=complex)]
     powers[0][:, fx.vacuum, fy.vacuum] = i.amplitudes
     for _ in range(order):
         v = powers[-1]
         powers.append(
-            c.Kx * np.tensordot(c.A.matrix, fx.P @ v, axes=1)
-            + c.Ky * np.tensordot(c.B.matrix, v @ fy.P.T, axes=1)
+            c.Kx * np.tensordot(c.A.matrix, px @ v, axes=1)
+            + c.Ky * np.tensordot(c.B.matrix, v @ py.T, axes=1)
         )
 
-    # O = |f><f| (x) X (x) y_op: project each H^k psi0 on <f| once, then
-    # <H^(n-k) psi0| O |H^k psi0> = <left[n-k]| X left[k] y_op^T>
+    # O = |f><f| (x) X (x) y_op: project each G^k psi0 on <f| once, then
+    # <G^(n-k) psi0| O |G^k psi0> = <left[n-k]| X left[k] y_op^T>
     left = [np.tensordot(f.amplitudes.conj(), v, axes=1) for v in powers]
     right = [fx.X @ phi if y_op is None else fx.X @ phi @ y_op.T for phi in left]
 
@@ -818,5 +769,5 @@ def heisenberg_moment(
             math.comb(n, k) * (-1) ** k * np.vdot(left[n - k], right[k])
             for k in range(n + 1)
         )
-        values[n] = value * ((1j / hbar) ** n / math.factorial(n))
+        values[n] = value * (1j**n / math.factorial(n))
     return _realize(values, [f"order-{n} contribution" for n in range(order + 1)])

@@ -33,11 +33,12 @@ class WeakValueEstimate:
     kind is one of direct_single, direct_joint_symmetrized,
     extracted_single, extracted_joint. Direct kinds depend only on
     (A, B, i, f); extracted kinds carry the finite-coupling error of
-    the run they came from. An estimate extracted from a
-    MeasurementBatch holds a complex array, one value per row.
+    the run they came from. A direct value is one complex; an extracted
+    value is a complex array with one entry per row of the
+    MeasurementBatch it came from.
     """
 
-    value: complex
+    value: complex | np.ndarray
     kind: str
 
 
@@ -78,30 +79,15 @@ def direct_joint_weak_value(
     return complex(np.vdot(f.amplitudes, sym @ i.amplitudes)) / ip
 
 
-#: The coupling scale of a lone MeasurementRecord: it ran at its
-#: coupling itself.
-_UNIT_SCALE = np.ones(1)
-_UNIT_SCALE.flags.writeable = False
-
-
-def _row_scales(rec) -> np.ndarray:
-    """Coupling scale of each row of a MeasurementBatch or of a lone
-    MeasurementRecord."""
-    return rec.scales if isinstance(rec, MeasurementBatch) else _UNIT_SCALE
-
-
-def _estimate(rec, re: np.ndarray, im: np.ndarray, kind: str) -> WeakValueEstimate:
-    """The estimate re + i im extracted from rec: a complex array for a
-    batch (its parts assigned, not computed, so an infinite part stays
-    exact), one complex for a record."""
-    if not isinstance(rec, MeasurementBatch):
-        return WeakValueEstimate(complex(re[0], im[0]), kind)
+def _estimate(re: np.ndarray, im: np.ndarray, kind: str) -> WeakValueEstimate:
+    """The estimate re + i im, one complex per row, its parts assigned,
+    not computed, so an infinite part stays exact."""
     value = re.astype(complex)
     value.imag = im
     return WeakValueEstimate(value, kind)
 
 
-def extract_single(rec, c: SingleCoupling) -> WeakValueEstimate:
+def extract_single(batch: MeasurementBatch, c: SingleCoupling) -> WeakValueEstimate:
     """Recover a single weak value from conditional pointer moments.
 
     Real part from the position shift, imaginary part from the momentum
@@ -109,20 +95,20 @@ def extract_single(rec, c: SingleCoupling) -> WeakValueEstimate:
 
         Re = <X>_fi / K,     Im = (2 sigma^2 / hbar) <Px>_fi / K.
 
-    rec is a MeasurementRecord run at coupling c, or a MeasurementBatch
-    whose row n ran at t_n K: the formula then runs once on its columns
-    and the estimate's value is a complex array with one entry per row.
-    Raises ZeroCoupling, before dividing, if any coupling is 0.
+    Row n of the batch ran at coupling t_n K; the formula runs once on
+    its columns and the estimate's value is a complex array with one
+    entry per row. Raises ZeroCoupling, before dividing, if any coupling
+    is 0.
     """
-    kt = _row_scales(rec) * c.K
+    kt = batch.scales * c.K
     if not kt.all():
         raise ZeroCoupling("cannot extract a weak value at K = 0")
-    re = rec.x_mean / kt
-    im = (2.0 * c.pointer.sigma**2 / c.pointer.hbar) * rec.px_mean / kt
-    return _estimate(rec, re, im, "extracted_single")
+    re = batch.x_mean / kt
+    im = (2.0 * c.pointer.sigma**2 / c.pointer.hbar) * batch.px_mean / kt
+    return _estimate(re, im, "extracted_single")
 
 
-def extract_joint(rec, singles, c: JointCoupling) -> WeakValueEstimate:
+def extract_joint(batch: MeasurementBatch, singles, c: JointCoupling) -> WeakValueEstimate:
     """Recover a joint weak value from X-Y pointer correlations.
 
     Combines the conditional correlation moments with the two single
@@ -133,21 +119,21 @@ def extract_joint(rec, singles, c: JointCoupling) -> WeakValueEstimate:
         Im = (4 sigma_y^2 / hbar) <X Py>_fi / (Kx Ky) - Im(a* b)
 
     For commuting A, B this is the weak value of AB; otherwise it is the
-    weak value of the symmetrized product (AB + BA)/2. rec is a
-    MeasurementRecord or a MeasurementBatch, as for extract_single, and
-    each single weak value a complex or a complex array with one entry
-    per row. a* b is expanded into real parts, which is Python's complex
-    product term for term. Raises ZeroCoupling, before dividing, if any
-    Kx Ky is 0.
+    weak value of the symmetrized product (AB + BA)/2. Row n of the
+    batch ran at couplings t_n (Kx, Ky), the value is a complex array
+    with one entry per row, as for extract_single, and each single weak
+    value is a complex or a complex array with one entry per row. a* b
+    is expanded into real parts, which is Python's complex product term
+    for term. Raises ZeroCoupling, before dividing, if any Kx Ky is 0.
     """
-    ts = _row_scales(rec)
+    ts = batch.scales
     kk = (ts * c.Kx) * (ts * c.Ky)
     if not kk.all():
         raise ZeroCoupling("cannot extract a joint weak value at Kx*Ky = 0")
     a_w, b_w = singles
     ar, ai, br, bi = a_w.real, a_w.imag, b_w.real, b_w.imag
-    re = 2.0 * rec.xy_mean / kk - (ar * br + ai * bi)
+    re = 2.0 * batch.xy_mean / kk - (ar * br + ai * bi)
     im = (
         4.0 * c.pointer_y.sigma**2 / c.pointer_y.hbar
-    ) * rec.x_py_mean / kk - (ar * bi - ai * br)
-    return _estimate(rec, re, im, "extracted_joint")
+    ) * batch.x_py_mean / kk - (ar * bi - ai * br)
+    return _estimate(re, im, "extracted_joint")

@@ -37,10 +37,10 @@ def report(number, ok, detail):
 def extracted_single(scn, label, k=0.01, sigma=1.0, engine=run_single_exact, n_max=None):
     c = SingleCoupling(A=scn.observable(label), K=k, pointer=GaussianPointer(sigma))
     if n_max is None:
-        rec = engine(scn.i, scn.f, c)
+        batch = engine(scn.i, scn.f, c)
     else:
-        rec = engine(scn.i, scn.f, c, n_max=n_max)
-    return extract_single(rec, c).value
+        batch = engine(scn.i, scn.f, c, n_max=n_max)
+    return extract_single(batch, c).value[0]
 
 
 def extracted_joint(scn, la, lb, k=0.01, sigma=1.0, fock=False, n_max=40):
@@ -49,14 +49,14 @@ def extracted_joint(scn, la, lb, k=0.01, sigma=1.0, fock=False, n_max=40):
         pointer_x=GaussianPointer(sigma), pointer_y=GaussianPointer(sigma),
     )
     if fock:
-        rec = run_fock(scn.i, scn.f, jc, n_max=n_max)
+        batch = run_fock(scn.i, scn.f, jc, n_max=n_max)
         a = extracted_single(scn, la, k, sigma, engine=run_fock, n_max=n_max)
         b = extracted_single(scn, lb, k, sigma, engine=run_fock, n_max=n_max)
     else:
-        rec = run_joint_exact(scn.i, scn.f, jc)
+        batch = run_joint_exact(scn.i, scn.f, jc)
         a = extracted_single(scn, la, k, sigma)
         b = extracted_single(scn, lb, k, sigma)
-    return extract_joint(rec, (a, b), jc).value
+    return extract_joint(batch, (a, b), jc).value[0]
 
 
 def test_criterion_1_pointer_integrals():
@@ -100,7 +100,7 @@ def test_criterion_3_imaginary_part_and_sigma_scaling():
     px = {}
     for sigma in (1.0, 2.0):
         c = SingleCoupling(A=scn.observable("sigma_z"), K=0.01, pointer=GaussianPointer(sigma))
-        px[sigma] = run_single_exact(scn.i, scn.f, c).px_mean
+        px[sigma] = run_single_exact(scn.i, scn.f, c).px_mean[0]
     ratio = px[2.0] / px[1.0]
     report(
         3,
@@ -142,12 +142,12 @@ def test_criterion_5_noncommuting_fock():
         A=sx, B=sz, Kx=k, Ky=k,
         pointer_x=GaussianPointer(1.0), pointer_y=GaussianPointer(1.0),
     )
-    rec = run_fock(i, f, jc, n_max=40)
+    batch = run_fock(i, f, jc, n_max=40)
     singles = []
     for obs in (sx, sz):
         c = SingleCoupling(A=obs, K=k, pointer=GaussianPointer(1.0))
-        singles.append(extract_single(run_fock(i, f, c, n_max=40), c).value)
-    got = extract_joint(rec, tuple(singles), jc).value
+        singles.append(extract_single(run_fock(i, f, c, n_max=40), c).value[0])
+    got = extract_joint(batch, tuple(singles), jc).value[0]
     want = direct_joint_weak_value(sx, sz, i, f)
     err = abs(got - want)
     elapsed = time.perf_counter() - t0
@@ -208,9 +208,9 @@ def test_criterion_8_engine_cross_validation():
     k, n_max = 0.05, 40
     worst, worst_case = 0.0, ""
 
-    def compare(r1, r2, tag):
+    def compare(b1, b2, tag):
         nonlocal worst, worst_case
-        d = max(abs(getattr(r1, m) - getattr(r2, m)) for m in MOMENTS)
+        d = max(abs(getattr(b1, m)[0] - getattr(b2, m)[0]) for m in MOMENTS)
         if d > worst:
             worst, worst_case = d, tag
 

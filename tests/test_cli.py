@@ -12,7 +12,7 @@ from hypothesis import example, given, strategies as st
 
 from weaklab import qcore, scenarios
 from weaklab.cli import CSV_HEADER, _CSV_ROW, RunSpec, _execute, _fmt_float, build_parser, main
-from weaklab.engines import _pointer_frame
+from weaklab.engines import MOMENTS, _pointer_frame
 from weaklab.scenarios import build_three_box, scenario_to_document
 
 
@@ -587,8 +587,8 @@ BATCH_CASES = {
 
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_batched_sweep_matches_single_runs(case, tmp_path):
-    """Every record field of a batch over the coupling scale matches a
-    length-one run at the same couplings."""
+    """Every row of a batch over the coupling scale matches a length-one
+    run at the same couplings, column by column."""
     path = tmp_path / "noncommuting.json"
     path.write_text(json.dumps(NONCOMMUTING_DOC))
     flags = [str(path) if a == "NONCOMMUTING" else a for a in BATCH_CASES[case]]
@@ -600,16 +600,14 @@ def test_batched_sweep_matches_single_runs(case, tmp_path):
     scales = np.geomspace(1e-3, 1e-1, 7).tolist()
 
     batch, est, direct, _ = _execute(spec, kx, ky, scales)
-    assert len(batch) == len(est.value) == len(scales)
-    for t, rec in zip(scales, batch):
-        one_batch, one_est, one_direct, _ = _execute(spec, t * kx, t * ky, [1.0])
-        (one,) = one_batch
-        for name, value in vars(rec).items():
-            want = getattr(one, name)
-            if isinstance(value, float):
-                assert value == pytest.approx(want, rel=0, abs=1e-12), name
-            else:
-                assert value == want, name
+    assert len(batch.scales) == len(est.value) == len(scales)
+    for row, t in enumerate(scales):
+        one, one_est, one_direct, _ = _execute(spec, t * kx, t * ky, [1.0])
+        for name in (*MOMENTS, "weakness_ratio"):
+            want = getattr(one, name)[0]
+            assert getattr(batch, name)[row] == pytest.approx(want, rel=0, abs=1e-12), name
+        assert batch.truncation_warning[row] == one.truncation_warning[0]
+        assert batch.engine_tag == one.engine_tag
         assert one_direct == direct
         assert est.kind == one_est.kind
 

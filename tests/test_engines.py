@@ -18,7 +18,6 @@ from weaklab.engines import (
     TRUNCATION_TOL,
     JointCoupling,
     MeasurementBatch,
-    MeasurementRecord,
     SingleCoupling,
     heisenberg_moment,
     run_fock,
@@ -39,7 +38,7 @@ from weaklab.errors import (
 from weaklab.pointer import GaussianPointer, build_fock
 from weaklab.qcore import Observable, QuantumState, commutator_norm
 from weaklab.scenarios import build_hardy, build_imaginary, build_spin_amplifier, build_three_box
-from weaklab.validation import CROSS_VALIDATION_TOL
+from weaklab.validation import CROSS_VALIDATION_TOL, _noncommuting_qubit
 from weaklab.weakvalues import direct_weak_value
 
 SIGMA_X = Observable(np.array([[0, 1], [1, 0]], dtype=complex))
@@ -47,6 +46,12 @@ SIGMA_Z = Observable(np.diag([1.0, -1.0]).astype(complex))
 PLUS_X = QuantumState(np.array([1, 1]) / math.sqrt(2))
 
 MOMENTS = ("ps_prob", "x_mean", "px_mean", "y_mean", "py_mean", "xy_mean", "x_py_mean")
+COLUMNS = ("scales", *MOMENTS, "weakness_ratio", "truncation_warning")
+
+
+def columns(batch):
+    """Every column of a batch as a list, and its engine tag."""
+    return {name: getattr(batch, name).tolist() for name in COLUMNS} | {"tag": batch.engine_tag}
 
 
 def unit_pointer():
@@ -105,9 +110,9 @@ def test_single_strong_coupling_still_normalized():
     scn = build_three_box()
     for label in ("P1", "P2", "P3"):
         c = SingleCoupling(A=scn.observable(label), K=5.0, pointer=unit_pointer())
-        rec = run_single_exact(scn.i, scn.f, c)
-        assert 0.0 <= rec.ps_prob <= 1.0
-        assert math.isfinite(rec.x_mean) and math.isfinite(rec.px_mean)
+        batch = run_single_exact(scn.i, scn.f, c)
+        assert 0.0 <= batch.ps_prob[0] <= 1.0
+        assert math.isfinite(batch.x_mean[0]) and math.isfinite(batch.px_mean[0])
 
 
 # --- joint exact -------------------------------------------------------------
@@ -159,10 +164,10 @@ def test_joint_strong_coupling_still_normalized():
         A=scn.observable("N_NOe"), B=scn.observable("N_NOp"), Kx=5.0, Ky=5.0,
         pointer_x=unit_pointer(), pointer_y=unit_pointer(),
     )
-    rec = run_joint_exact(scn.i, scn.f, jc)
-    assert 0.0 <= rec.ps_prob <= 1.0
+    batch = run_joint_exact(scn.i, scn.f, jc)
+    assert 0.0 <= batch.ps_prob[0] <= 1.0
     for field in MOMENTS:
-        assert math.isfinite(getattr(rec, field))
+        assert math.isfinite(getattr(batch, field)[0])
 
 
 # --- Fock engine -------------------------------------------------------------
@@ -205,11 +210,10 @@ def test_fock_batch_matches_exact_batch_with_unequal_couplings(kx, ky):
     scales = [0.1, 0.5, 1.0]
     exact = run_joint_exact(scn.i, scn.f, jc, scales=scales)
     fock = run_fock(scn.i, scn.f, jc, n_max=40, scales=scales)
-    for e, fk in zip(exact, fock):
-        for field in MOMENTS:
-            assert getattr(fk, field) == pytest.approx(getattr(e, field), abs=1e-6)
-        assert fk.weakness_ratio == e.weakness_ratio
-    assert max(abs(getattr(exact[-1], field)) for field in MOMENTS[1:]) > 1e-2
+    for field in MOMENTS:
+        assert getattr(fock, field) == pytest.approx(getattr(exact, field), abs=1e-6)
+    assert fock.weakness_ratio.tolist() == exact.weakness_ratio.tolist()
+    assert max(abs(getattr(exact, field)[-1]) for field in MOMENTS[1:]) > 1e-2
 
 
 def test_fock_unitarity_via_complete_postselection():
@@ -317,8 +321,9 @@ def test_records_refuse_non_finite_moment_by_name():
 
 
 def test_records_check_and_clamp_probabilities_as_columns():
-    """The batch applies MeasurementRecord's range check and clamp to
-    the whole ps_prob column, and divides by the unclamped value."""
+    """The batch checks the whole ps_prob column against [0, 1] up to
+    1e-12, clamps a rounding excursion, and divides by the unclamped
+    value; one row at a time as well."""
     raw = {"ps_prob": [0.5, 1.0 + 5e-13], "x_mean": [0.25, 1.0], "px_mean": [0.0, 0.0]}
     batch = _records(raw, np.array([1.0, 2.0]), np.array([0.1, 0.2]), "exact-single", EPS_PS)
     assert batch.ps_prob.tolist() == [0.5, 1.0]
@@ -326,9 +331,14 @@ def test_records_check_and_clamp_probabilities_as_columns():
     raw["ps_prob"] = [0.5, 1.5]
     with pytest.raises(NumericalInconsistency, match=r"probability 1\.5 outside \[0, 1\]"):
         _records(raw, np.array([1.0, 2.0]), np.zeros(2), "exact-single", EPS_PS)
+    row = {"ps_prob": [1.0 + 5e-13], "x_mean": [0.0], "px_mean": [0.0]}
+    assert _records(row, np.ones(1), np.zeros(1), "exact-single", EPS_PS).ps_prob.tolist() == [1.0]
+    row["ps_prob"] = [1.5]
+    with pytest.raises(NumericalInconsistency, match=r"probability 1\.5 outside \[0, 1\]"):
+        _records(row, np.ones(1), np.zeros(1), "exact-single", EPS_PS)
 
 
-def test_batch_is_read_only_columns_and_a_sequence_of_records():
+def test_batch_is_frozen_read_only_columns():
     f = QuantumState(np.array([0.8, 0.6]))
     jc = JointCoupling(
         A=SIGMA_Z, B=SIGMA_Z, Kx=0.05, Ky=-0.03,
@@ -336,23 +346,19 @@ def test_batch_is_read_only_columns_and_a_sequence_of_records():
     )
     scales = np.array([0.5, 1.0, 2.0])
     batch = run_joint_exact(PLUS_X, f, jc, scales=scales)
-    assert isinstance(batch, MeasurementBatch) and len(batch) == 3
+    assert isinstance(batch, MeasurementBatch)
     scales[0] = 9.0  # the batch holds its own copy of the scales
     assert batch.scales.tolist() == [0.5, 1.0, 2.0]
-    for name in ("scales", "truncation_warning", *MOMENTS, "weakness_ratio"):
+    for name in COLUMNS:
+        assert getattr(batch, name).shape == (3,), name
         with pytest.raises(ValueError):
             getattr(batch, name)[0] = 0.0
-    for n, rec in enumerate(batch):
-        assert rec == batch[n - 3]
-        for name in (*MOMENTS, "weakness_ratio"):
-            assert getattr(rec, name) == getattr(batch, name)[n]
-        assert rec.engine_tag == batch.engine_tag == "exact-joint"
-    with pytest.raises(IndexError):
-        batch[3]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        batch.x_mean = batch.y_mean
+    assert batch.engine_tag == "exact-joint"
     single = run_single_exact(PLUS_X, f, SingleCoupling(SIGMA_Z, 0.05, unit_pointer()),
                               scales=[1.0, 2.0])
     assert single.y_mean.tolist() == single.x_py_mean.tolist() == [0.0, 0.0]
-    assert single != batch
 
 
 def test_fock_records_equal_on_cold_and_warm_frame_cache():
@@ -367,7 +373,7 @@ def test_fock_records_equal_on_cold_and_warm_frame_cache():
         cold = run_fock(PLUS_X, f, c, n_max=20, scales=[0.5, 1.0])
         warm = run_fock(PLUS_X, f, c, n_max=20, scales=[0.5, 1.0])
         assert _pointer_frame.cache_info().hits > 0
-        assert cold == warm
+        assert columns(cold) == columns(warm)
 
 
 @pytest.mark.parametrize("n_max", [7, 8, 40])
@@ -383,10 +389,16 @@ def test_pointer_frame_grid_is_exactly_antisymmetric(n_max):
 
 def test_batch_without_scales_is_one_record_and_empty_batch_is_empty():
     c = SingleCoupling(A=SIGMA_Z, K=0.05, pointer=unit_pointer())
+    jc = JointCoupling(SIGMA_X, SIGMA_Z, 0.05, -0.03, unit_pointer(), unit_pointer())
+    commuting = dataclasses.replace(jc, A=SIGMA_Z)
     f = QuantumState(np.array([0.8, 0.6]))
-    assert isinstance(run_single_exact(PLUS_X, f, c), MeasurementRecord)
-    assert len(run_single_exact(PLUS_X, f, c, scales=[])) == 0
-    assert len(run_fock(PLUS_X, f, c, scales=[])) == 0
+    for engine, coupling in ((run_single_exact, c), (run_joint_exact, commuting),
+                             (run_fock, c), (run_fock, commuting), (run_fock, jc)):
+        batch = engine(PLUS_X, f, coupling)
+        assert isinstance(batch, MeasurementBatch) and batch.scales.tolist() == [1.0]
+        assert columns(batch) == columns(engine(PLUS_X, f, coupling, scales=[1.0]))
+    assert len(run_single_exact(PLUS_X, f, c, scales=[]).scales) == 0
+    assert run_fock(PLUS_X, f, c, scales=[]).ps_prob.shape == (0,)
     with pytest.raises(ValueError):
         run_single_exact(PLUS_X, f, c, scales=[0.1, math.inf])
 
@@ -395,9 +407,9 @@ def test_batch_flags_truncation_per_row():
     c = SingleCoupling(A=SIGMA_Z, K=1.0, pointer=unit_pointer())
     f = QuantumState(np.array([0.8, 0.6]))
     with pytest.warns(TruncationWarning):
-        recs = run_fock(PLUS_X, f, c, n_max=4, scales=[0.01, 2.0])
-    assert [r.truncation_warning for r in recs] == [False, True]
-    assert [r.weakness_ratio for r in recs] == [0.01, 2.0]
+        batch = run_fock(PLUS_X, f, c, n_max=4, scales=[0.01, 2.0])
+    assert batch.truncation_warning.tolist() == [False, True]
+    assert batch.weakness_ratio.tolist() == [0.01, 2.0]
 
 
 def test_batch_applies_postselection_floor_to_every_row():
@@ -406,7 +418,7 @@ def test_batch_applies_postselection_floor_to_every_row():
     f = QuantumState(np.array([1.0, -1.0]))
     c = SingleCoupling(A=SIGMA_Z, K=1.0, pointer=unit_pointer())
     floor = 1e-4
-    assert run_single_exact(PLUS_X, f, c, floor, scales=[0.5])[0].ps_prob > floor
+    assert run_single_exact(PLUS_X, f, c, floor, scales=[0.5]).ps_prob[0] > floor
     with pytest.raises(OrthogonalPostselection):
         run_single_exact(PLUS_X, f, c, floor, scales=[0.5, 1e-3])
 
@@ -674,7 +686,9 @@ def test_series_refuses_overflowing_coupling_by_name():
     """The series refuses a coupling before it forms any power of H, so
     numpy never warns (the suite turns RuntimeWarning into an error):
     one the run_* engines refuse (1e200), and one whose pointer
-    integrals are finite but whose fourth power of H overflows (1e100)."""
+    integrals are finite but whose fourth power of H overflows (1e100).
+    At a tiny hbar the overflowing term is |K| x radius x max|p| / hbar,
+    not the tiny |K| x radius x max|p|."""
     scn = build_hardy()
     for k in (1e200, 1e100):
         jc = JointCoupling(
@@ -683,6 +697,34 @@ def test_series_refuses_overflowing_coupling_by_name():
         )
         with pytest.raises(ValueError, match=rf"\|kx\| = {re.escape(repr(k))} is too strong"):
             heisenberg_moment(scn.i, scn.f, jc, "O_xy", order=4)
+    tiny = GaussianPointer(1.0, hbar=1e-300)
+    jc = dataclasses.replace(jc, Kx=1e80, Ky=1e80, pointer_x=tiny, pointer_y=tiny)
+    with pytest.raises(ValueError, match=r"\|kx\| = 1e\+80 .* max\|p\| / hbar = 2\.2\d*e\+80"):
+        heisenberg_moment(scn.i, scn.f, jc, "O_xy", order=4)
+
+
+def test_series_is_exact_at_tiny_hbar():
+    """The series never forms a power of 1/hbar: at hbar = 1e-100 the
+    position moments equal their hbar = 1 values, and the momentum
+    moment scales with hbar, on the hardy pair and on the noncommuting
+    qubit, with a real and with a complex post-selection."""
+    hardy = build_hardy()
+    a, b, i, f = _noncommuting_qubit()
+    f_complex = QuantumState(np.array([math.cos(0.3), 1j * math.sin(0.3)]))
+    cases = [(hardy.observable("N_Oe"), hardy.observable("N_Op"), hardy.i, hardy.f),
+             (a, b, i, f), (a, b, i, f_complex)]
+    for a, b, i, f in cases:
+        terms = {}
+        for hbar in (1.0, 1e-100):
+            p = GaussianPointer(1.0, hbar=hbar)
+            jc = JointCoupling(A=a, B=b, Kx=1e-3, Ky=1e-3, pointer_x=p, pointer_y=p)
+            terms[hbar] = {tag: heisenberg_moment(i, f, jc, tag, order=4)
+                           for tag in ("O_x", "O_xy", "O_xpy")}
+        terms[1e-100]["O_xpy"] = terms[1e-100]["O_xpy"] / 1e-100
+        for tag, want in terms[1.0].items():
+            scale = np.abs(want).max()
+            np.testing.assert_allclose(terms[1e-100][tag], want, rtol=0, atol=1e-12 * scale)
+        assert np.abs(terms[1.0]["O_x"]).max() > 0.0
 
 
 @pytest.mark.parametrize("value", [math.nan, complex(0.0, math.inf), math.inf])
@@ -807,10 +849,10 @@ def test_fock_joint_matches_dense_reference(problem):
         warnings.simplefilter("always")
         got = run_fock(i, f, c, n_max=n_max, scales=scales)
     want = dense_fock_joint(i, f, c, n_max, scales)
-    for rec, (moments, top) in zip(got, want):
+    for row, (moments, top) in enumerate(want):
         for name, value in moments.items():
-            assert getattr(rec, name) == pytest.approx(value, abs=1e-12), name
-        assert rec.truncation_warning == (top > TRUNCATION_TOL)
+            assert getattr(got, name)[row] == pytest.approx(value, abs=1e-12), name
+        assert got.truncation_warning[row] == (top > TRUNCATION_TOL)
     flagged = [top for _, top in want if top > TRUNCATION_TOL]
     reported = [
         float(re.search(r"population (\S+);", str(w.message)).group(1)) for w in caught
@@ -836,11 +878,10 @@ def test_fock_one_ulp_off_commuting_matches_branch_sum():
     scales = [0.1, 1.0, 3.0]
     want = run_fock(i, f, jc, scales=scales)
     got = run_fock(i, f, perturbed, scales=scales)
-    for w, g in zip(want, got):
-        for name in MOMENTS:
-            assert getattr(g, name) == pytest.approx(getattr(w, name), rel=0, abs=1e-12), name
-        assert g.truncation_warning == w.truncation_warning
-    assert max(abs(getattr(want[-1], name)) for name in MOMENTS[1:]) > 1e-2
+    for name in MOMENTS:
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=0, abs=1e-12), name
+    assert got.truncation_warning.tolist() == want.truncation_warning.tolist()
+    assert max(abs(getattr(want, name)[-1]) for name in MOMENTS[1:]) > 1e-2
 
 
 # --- exact and Fock engines on random problems --------------------------------
@@ -915,17 +956,7 @@ def test_fock_matches_exact_on_commuting_pairs_near_degenerate(problem):
     assert_engines_agree(exact, fock, tol=1e-12)
 
 
-# --- record validation ----------------------------------------------------------
-
-
-def test_record_rejects_bad_probability():
-    with pytest.raises(NumericalInconsistency):
-        MeasurementRecord(ps_prob=1.5, x_mean=0.0, px_mean=0.0)
-
-
-def test_record_clips_rounding_excursions():
-    rec = MeasurementRecord(ps_prob=1.0 + 5e-13, x_mean=0.0, px_mean=0.0)
-    assert rec.ps_prob == 1.0
+# --- coupling validation ---------------------------------------------------------
 
 
 def test_joint_coupling_validates_dims():
