@@ -21,7 +21,10 @@ observable: everything that does not depend on the coupling strength is
 computed once, each extraction formula runs once on the columns, and
 the CSV rows are formatted in one pass over one (points x 8) table.
 ``run`` is the same path with a single point and reads row 0 of the
-columns.
+columns. A joint run or sweep takes its single weak values from
+``extract_single`` on its two single-coupling batches, the same pointer
+shifts that give the correlation; the direct value ``<f|A|i>/<f|i>`` is
+only the referee it is checked against.
 
 Exit codes: 0 success; 1 configuration/parse errors, including requests
 whose arrays would exceed ``engines.MAX_ARRAY_BYTES`` and couplings
@@ -56,17 +59,7 @@ from .engines import (
     run_joint_exact,
     run_single_exact,
 )
-from .errors import (
-    DimensionMismatch,
-    InvalidTruncation,
-    NotCommuting,
-    NotHermitian,
-    NumericalInconsistency,
-    OrthogonalPostselection,
-    ParseError,
-    ZeroCoupling,
-    ZeroState,
-)
+from .errors import NotCommuting, NumericalInconsistency, OrthogonalPostselection, WeaklabError
 from .pointer import GaussianPointer
 from .scenarios import PRESETS, Scenario, build_spin_amplifier, load_scenario
 from .validation import run_all_checks
@@ -95,7 +88,7 @@ class UsageError(Exception):
 @dataclass(frozen=True)
 class RunSpec:
     """The flags shared by every point of a run or sweep, with defaults
-    resolved. sigma_y and singles_mode are None for single runs."""
+    resolved. sigma_y is None for single runs."""
 
     scenario: Scenario
     observable: str
@@ -105,23 +98,17 @@ class RunSpec:
     sigma_y: float | None
     hbar: float
     n_max: int
-    singles_mode: str | None
 
     @classmethod
     def from_args(cls, args) -> "RunSpec":
         scn = _resolve_scenario(args.scenario, args.alpha)
         if args.observable_b is None:
-            for flag, value in (
-                ("--ky", args.ky),
-                ("--sigma-y", args.sigma_y),
-                ("--singles", args.singles),
-            ):
+            for flag, value in (("--ky", args.ky), ("--sigma-y", args.sigma_y)):
                 if value is not None:
                     raise UsageError(f"{flag} requires --observable-b")
-            sigma_y = singles_mode = None
+            sigma_y = None
         else:
             sigma_y = args.sigma_x if args.sigma_y is None else args.sigma_y
-            singles_mode = args.singles or "extracted"
         return cls(
             scenario=scn,
             observable=args.observable,
@@ -131,7 +118,6 @@ class RunSpec:
             sigma_y=sigma_y,
             hbar=args.hbar,
             n_max=args.n_max,
-            singles_mode=singles_mode,
         )
 
 
@@ -179,9 +165,8 @@ def _emit_json(obj, indent: int = 0) -> str:
 
 
 def _estimate_payload(est: WeakValueEstimate) -> dict:
-    """The payload of row 0 of an estimate: the first of its per-row
-    values, or its one direct value."""
-    value = complex(np.ravel(est.value)[0])
+    """The payload of row 0 of an estimate."""
+    value = complex(est.value[0])
     return {"re": value.real, "im": value.imag, "kind": est.kind}
 
 
@@ -189,7 +174,9 @@ def serialize_report(spec: RunSpec, kx: float, ky: float | None, batch: Measurem
                      est: WeakValueEstimate, direct: complex, singles) -> str:
     """The JSON report of row 0 of a run: ``_execute``'s batch, estimate,
     direct value and singles at couplings (kx, ky). abs_err is computed
-    here from the extracted and direct values."""
+    here from the extracted and direct values. ``singles_mode`` stays in
+    schema 1's key set: "extracted" for joint runs, null for single
+    runs."""
     extracted = complex(est.value[0])
     payload = {
         "schema": 1,
@@ -203,7 +190,7 @@ def serialize_report(spec: RunSpec, kx: float, ky: float | None, batch: Measurem
         "sigma_y": spec.sigma_y,
         "hbar": spec.hbar,
         "n_max": spec.n_max if spec.engine == "fock" else None,
-        "singles_mode": spec.singles_mode,
+        "singles_mode": None if singles is None else "extracted",
         "record": {
             **{name: getattr(batch, name)[0] for name in MOMENTS},
             "weakness_ratio": batch.weakness_ratio[0],
@@ -280,9 +267,10 @@ def _execute(spec: RunSpec, kx: float, ky: float, scales: list[float]):
 
     Returns (batch, extracted, direct, singles): the MeasurementBatch of
     the run, the extracted estimate holding one value per scale, the
-    direct value and, for joint runs, the pair of single estimates (one
-    value per scale when extracted, one for all when direct), else
-    None. Each engine call and each extraction runs once per batch."""
+    direct value and, for joint runs, the pair of single estimates
+    extracted from single-coupling runs of A and B, one value per scale,
+    else None. Each engine call and each extraction runs once per
+    batch."""
     scn = spec.scenario
     a = scn.observable(spec.observable)
     pointer_x = GaussianPointer(spec.sigma_x, spec.hbar)
@@ -298,17 +286,10 @@ def _execute(spec: RunSpec, kx: float, ky: float, scales: list[float]):
         A=a, B=b, Kx=kx, Ky=ky, pointer_x=pointer_x, pointer_y=pointer_y
     )
     batch = _run_engine(spec, c, scales)
-
-    if spec.singles_mode == "direct":
-        singles = tuple(
-            WeakValueEstimate(direct_weak_value(obs, scn.i, scn.f), "direct_single")
-            for obs in (a, b)
-        )
-    else:
-        singles = tuple(
-            extract_single(_run_engine(spec, cs, scales), cs)
-            for cs in (SingleCoupling(a, kx, pointer_x), SingleCoupling(b, ky, pointer_y))
-        )
+    singles = tuple(
+        extract_single(_run_engine(spec, cs, scales), cs)
+        for cs in (SingleCoupling(a, kx, pointer_x), SingleCoupling(b, ky, pointer_y))
+    )
     est = extract_joint(batch, (singles[0].value, singles[1].value), c)
     return batch, est, direct_joint_weak_value(a, b, scn.i, scn.f), singles
 
@@ -417,9 +398,6 @@ def _add_common_flags(p):
     p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX,
                    help="Fock truncation level (fock engine only)")
     p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--singles", choices=("direct", "extracted"), default=None,
-                   help="source of the single weak values in joint extraction "
-                        "(default: extracted)")
     p.add_argument("--alpha", type=float, default=0.0,
                    help="post-selection angle for the spin preset")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
@@ -472,18 +450,7 @@ def main(argv=None) -> int:
     except (OrthogonalPostselection, NotCommuting, NumericalInconsistency) as exc:
         print(f"weaklab: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (
-        UsageError,
-        ParseError,
-        NotHermitian,
-        ZeroState,
-        ZeroCoupling,
-        InvalidTruncation,
-        DimensionMismatch,
-        KeyError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (UsageError, WeaklabError, KeyError, OSError, ValueError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"weaklab: error: {message}", file=sys.stderr)
         return 1

@@ -122,12 +122,13 @@ __all__ = [
     "check_array_budget",
 ]
 
-#: Default post-selection probability floor; conditional moments are
+#: Post-selection probability floor; conditional moments are
 #: numerically meaningless below it.
 EPS_PS = 1e-12
 
 #: Imaginary residue above which a conditional moment of a Hermitian
-#: observable is treated as a bug rather than rounded away.
+#: observable is treated as a bug rather than rounded away. The series
+#: multiplies it by the size of the products each order sums, when above 1.
 IMAG_RESIDUE_TOL = 1e-10
 
 #: Population of the top two Fock levels above which truncated results
@@ -286,21 +287,22 @@ class MeasurementBatch:
             getattr(self, name).setflags(write=False)
 
 
-def _realize(forms: np.ndarray, names) -> np.ndarray:
+def _realize(forms: np.ndarray, names, tol=IMAG_RESIDUE_TOL) -> np.ndarray:
     """The real parts of forms, whose first axis runs over names and
     second axis, if any, over the rows of a batch ("record n" in the
     messages), after two checks that each name the first value or name
     that fails them: every value is finite and each name's imaginary
-    residue is consistent with zero (both NumericalInconsistency)."""
+    residue is within tol, a bound or one bound per name (both
+    NumericalInconsistency)."""
     if not np.isfinite(forms).all():
         index = tuple(np.argwhere(~np.isfinite(forms))[0])
         record = f" of record {index[1]}" if len(index) > 1 else ""
         raise NumericalInconsistency(
             f"{names[index[0]]}{record} is {complex(forms[index])}, not finite"
         )
-    if np.abs(forms.imag).max(initial=0.0) > IMAG_RESIDUE_TOL:
+    if (np.abs(forms.imag) > tol).any():
         residue = np.abs(forms.imag).reshape(len(names), -1).max(axis=1)
-        row = (residue > IMAG_RESIDUE_TOL).argmax()
+        row = (residue > tol).argmax()
         raise NumericalInconsistency(
             f"{names[row]} has imaginary residue {residue[row]:.3e}; "
             "conditional moments of Hermitian observables must be real"
@@ -324,7 +326,7 @@ def _scale_array(scales) -> np.ndarray:
     return ts
 
 
-def _records(raw: dict, ts: np.ndarray, weakness, tag: str, eps_ps: float, truncated=None):
+def _records(raw: dict, ts: np.ndarray, weakness, tag: str, truncated=None):
     """The MeasurementBatch at scales ts from columns of unnormalized
     forms: ``raw["ps_prob"][n]`` is the post-selection probability of
     row n and every other column holds conditional moments times it;
@@ -333,7 +335,7 @@ def _records(raw: dict, ts: np.ndarray, weakness, tag: str, eps_ps: float, trunc
     The columns are stacked into one (moments, scales) array that passes
     four checks, each naming the first moment or row that fails it:
     ``_realize``'s two (every value finite, every imaginary residue
-    consistent with zero), the probability above the eps_ps floor
+    consistent with zero), the probability above the EPS_PS floor
     (OrthogonalPostselection) and within [0, 1] up to 1e-12
     (NumericalInconsistency). One division then turns the forms into
     conditional moments, and the probabilities are clamped into [0, 1]."""
@@ -341,10 +343,10 @@ def _records(raw: dict, ts: np.ndarray, weakness, tag: str, eps_ps: float, trunc
     values = _realize(np.array([raw[name] for name in names]), names)
     ps = values[0]
     lowest, highest = ps.min(initial=math.inf), ps.max(initial=-math.inf)
-    if lowest < eps_ps:
+    if lowest < EPS_PS:
         raise OrthogonalPostselection(
-            f"post-selection probability {ps[(ps < eps_ps).argmax()]:.3e} "
-            f"below floor {eps_ps:.1e}"
+            f"post-selection probability {ps[(ps < EPS_PS).argmax()]:.3e} "
+            f"below floor {EPS_PS:.1e}"
         )
     if lowest < -1e-12 or highest > 1.0 + 1e-12:
         outside = (ps < -1e-12) | (ps > 1.0 + 1e-12)
@@ -433,7 +435,7 @@ def _branch_sum(i: QuantumState, f: QuantumState, axes, eigs, ts, matrices):
     return forms, np.maximum(top_x.real, top_y.real)
 
 
-def _run_exact(i: QuantumState, f: QuantumState, c: _Coupling, eps_ps: float, scales, tag: str):
+def _run_exact(i: QuantumState, f: QuantumState, c: _Coupling, scales, tag: str):
     """The body of both exact engines, for any coupling by its axes.
 
     The coupling refusal runs before the eigensystems are taken, so an
@@ -445,17 +447,10 @@ def _run_exact(i: QuantumState, f: QuantumState, c: _Coupling, eps_ps: float, sc
     weakness = c.weakness_ratios(ts)
     eigs = simultaneous_eig(c.A, c.B) if len(c.axes) == 2 else (hermitian_eig(c.A),)
     forms, _ = _branch_sum(i, f, c.axes, eigs, ts, _moment_matrices)
-    return _records(forms, ts, weakness, tag, eps_ps)
+    return _records(forms, ts, weakness, tag)
 
 
-def run_single_exact(
-    i: QuantumState,
-    f: QuantumState,
-    c: SingleCoupling,
-    eps_ps: float = EPS_PS,
-    *,
-    scales=None,
-):
+def run_single_exact(i: QuantumState, f: QuantumState, c: SingleCoupling, *, scales=None):
     """Closed-form conditional moments for a single weak coupling.
 
     Expands |i> in the eigenbasis of A; the post-selected pointer state
@@ -463,19 +458,14 @@ def run_single_exact(
     <f|a_k><a_k|i>, and all moments assemble from pairwise pointer
     integrals (``_branch_sum``). Exact to machine precision at any K.
     Returns the MeasurementBatch whose row n ran at coupling t_n K for
-    each of ``scales``, or the one row at K without them.
+    each of ``scales``, or the one row at K without them. Raises
+    OrthogonalPostselection if a row's post-selection probability is
+    below EPS_PS.
     """
-    return _run_exact(i, f, c, eps_ps, scales, "exact-single")
+    return _run_exact(i, f, c, scales, "exact-single")
 
 
-def run_joint_exact(
-    i: QuantumState,
-    f: QuantumState,
-    c: JointCoupling,
-    eps_ps: float = EPS_PS,
-    *,
-    scales=None,
-):
+def run_joint_exact(i: QuantumState, f: QuantumState, c: JointCoupling, *, scales=None):
     """Closed-form conditional moments for two commuting couplings.
 
     The couplings factorize, so the post-selected pointer state is a sum
@@ -485,9 +475,11 @@ def run_joint_exact(
     1D pointer integrals on each axis (``_branch_sum``). Refuses
     noncommuting pairs (NotCommuting); use run_fock for those. Returns
     the MeasurementBatch whose row n ran at couplings t_n (Kx, Ky) for
-    each of ``scales``, or the one row at (Kx, Ky) without them.
+    each of ``scales``, or the one row at (Kx, Ky) without them. Raises
+    OrthogonalPostselection if a row's post-selection probability is
+    below EPS_PS.
     """
-    return _run_exact(i, f, c, eps_ps, scales, "exact-joint")
+    return _run_exact(i, f, c, scales, "exact-joint")
 
 
 _Frame = collections.namedtuple("_Frame", "fock p x top vacuum")
@@ -616,7 +608,6 @@ def run_fock(
     f: QuantumState,
     c,
     n_max: int = DEFAULT_N_MAX,
-    eps_ps: float = EPS_PS,
     *,
     scales=None,
 ):
@@ -639,7 +630,8 @@ def run_fock(
     and block eigenvectors are computed once per call. Raises
     InvalidTruncation before allocating if the (n_max+1)^2 d x d blocks,
     or the branch sum's (scales, n_max+1, d) grid arrays, would exceed
-    MAX_ARRAY_BYTES.
+    MAX_ARRAY_BYTES, and OrthogonalPostselection if a row's
+    post-selection probability is below EPS_PS.
     """
     if not isinstance(c, _Coupling):
         raise TypeError(f"expected SingleCoupling or JointCoupling, got {type(c).__name__}")
@@ -665,7 +657,7 @@ def run_fock(
             stacklevel=2,
         )
     tag = "fock-single" if len(c.axes) == 1 else "fock-joint"
-    return _records(forms, ts, weakness, tag, eps_ps, truncated)
+    return _records(forms, ts, weakness, tag, truncated)
 
 
 # observable tags for the series engine
@@ -700,7 +692,11 @@ def heisenberg_moment(
     engines refuse or one whose bound
     max(1, 2 |H| / hbar)^order |X| |y operator| on the values of the
     series overflows, and NumericalInconsistency naming the order of a
-    non-finite contribution.
+    non-finite contribution or of one whose imaginary residue exceeds
+    IMAG_RESIDUE_TOL times max(1, s_n), with s_n the size of the
+    products order n sums: the inner products
+    <G^(n-k) psi0| O |G^k psi0> taken over absolute values, times
+    C(n,k) / n! and summed over k.
     """
     if not 0 <= order <= 4:
         raise ValueError(f"order must be in [0, 4], got {order}")
@@ -750,7 +746,7 @@ def heisenberg_moment(
     # B (x) Py / hbar
     px, py = fx.P / hbar, fy.P / hbar
     powers = [np.zeros((d, fx.dim, fy.dim), dtype=complex)]
-    powers[0][:, fx.vacuum, fy.vacuum] = i.amplitudes
+    powers[0][:, 0, 0] = i.amplitudes
     for _ in range(order):
         v = powers[-1]
         powers.append(
@@ -763,11 +759,19 @@ def heisenberg_moment(
     left = [np.tensordot(f.amplitudes.conj(), v, axes=1) for v in powers]
     right = [fx.X @ phi if y_op is None else fx.X @ phi @ y_op.T for phi in left]
 
+    # an order's imaginary residue is rounding of the products its inner
+    # products sum, which can cancel inside each one, so it is judged
+    # against the same sums taken over absolute values
+    abs_left, abs_right = [np.abs(v) for v in left], [np.abs(v) for v in right]
     values = np.empty(order + 1, dtype=complex)
+    sizes = np.empty(order + 1)
     for n in range(order + 1):
         value = sum(
             math.comb(n, k) * (-1) ** k * np.vdot(left[n - k], right[k])
             for k in range(n + 1)
         )
         values[n] = value * (1j**n / math.factorial(n))
-    return _realize(values, [f"order-{n} contribution" for n in range(order + 1)])
+        size = sum(math.comb(n, k) * np.vdot(abs_left[n - k], abs_right[k]) for k in range(n + 1))
+        sizes[n] = size / math.factorial(n)
+    names = [f"order-{n} contribution" for n in range(order + 1)]
+    return _realize(values, names, IMAG_RESIDUE_TOL * np.maximum(1.0, sizes))

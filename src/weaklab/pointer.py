@@ -108,7 +108,6 @@ class FockPointer:
     n_max: int
     X: np.ndarray = field(repr=False)
     P: np.ndarray = field(repr=False)
-    vacuum: int = 0
 
     @property
     def dim(self) -> int:
@@ -116,7 +115,7 @@ class FockPointer:
 
     def vacuum_state(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
-        v[self.vacuum] = 1.0
+        v[0] = 1.0
         return v
 
 

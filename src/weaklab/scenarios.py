@@ -33,6 +33,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .engines import EPS_PS
 from .errors import NotHermitian, OrthogonalPostselection, ParseError, ZeroState
 from .qcore import Observable, QuantumState
 
@@ -176,7 +177,7 @@ def build_spin_amplifier(alpha: float) -> Scenario:
     i = QuantumState(np.array([1, 1]) / math.sqrt(2))
     fa = np.array([math.cos(alpha), math.sin(alpha)])
     denom = math.cos(alpha) + math.sin(alpha)
-    if denom**2 / 2.0 < 1e-12:
+    if denom**2 / 2.0 < EPS_PS:
         raise OrthogonalPostselection(
             f"alpha = {alpha} post-selects orthogonally to the pre-selection"
         )

@@ -32,6 +32,9 @@ from .weakvalues import direct_weak_value
 __all__ = ["run_all_checks"]
 
 CROSS_VALIDATION_TOL = 1e-6
+#: Fock truncation and coupling of the exact-vs-Fock comparison.
+CROSS_VALIDATION_N_MAX = 40
+CROSS_VALIDATION_K = 0.05
 SERIES_TOL = 1e-12
 POINTER_TOL = 1e-12
 SELF_CONSISTENCY_TOL = 1e-12
@@ -138,7 +141,7 @@ def _record_distance(b1, b2) -> float:
     )
 
 
-def check_engine_cross_validation(n_max: int = 40, k: float = 0.05):
+def check_engine_cross_validation():
     """Exact and Fock engines agree on every conditional moment for the
     commuting presets."""
     worst = 0.0
@@ -151,10 +154,10 @@ def check_engine_cross_validation(n_max: int = 40, k: float = 0.05):
     ]
     for scn, labels in singles:
         for label in labels:
-            c = SingleCoupling(scn.observable(label), k, GaussianPointer(1.0))
+            c = SingleCoupling(scn.observable(label), CROSS_VALIDATION_K, GaussianPointer(1.0))
             d = _record_distance(
                 run_single_exact(scn.i, scn.f, c),
-                run_fock(scn.i, scn.f, c, n_max=n_max),
+                run_fock(scn.i, scn.f, c, n_max=CROSS_VALIDATION_N_MAX),
             )
             if d > worst:
                 worst, worst_case = d, f"{scn.name}:{label}"
@@ -169,14 +172,14 @@ def check_engine_cross_validation(n_max: int = 40, k: float = 0.05):
         c = JointCoupling(
             A=hardy.observable(la),
             B=hardy.observable(lb),
-            Kx=k,
-            Ky=k,
+            Kx=CROSS_VALIDATION_K,
+            Ky=CROSS_VALIDATION_K,
             pointer_x=GaussianPointer(1.0),
             pointer_y=GaussianPointer(1.0),
         )
         d = _record_distance(
             run_joint_exact(hardy.i, hardy.f, c),
-            run_fock(hardy.i, hardy.f, c, n_max=n_max),
+            run_fock(hardy.i, hardy.f, c, n_max=CROSS_VALIDATION_N_MAX),
         )
         if d > worst:
             worst, worst_case = d, f"hardy:{la}x{lb}"

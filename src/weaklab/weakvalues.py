@@ -28,17 +28,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeakValueEstimate:
-    """A complex weak value with provenance.
+    """A weak value extracted from pointer moments, with provenance.
 
-    kind is one of direct_single, direct_joint_symmetrized,
-    extracted_single, extracted_joint. Direct kinds depend only on
-    (A, B, i, f); extracted kinds carry the finite-coupling error of
-    the run they came from. A direct value is one complex; an extracted
-    value is a complex array with one entry per row of the
-    MeasurementBatch it came from.
+    kind is extracted_single or extracted_joint. value is a complex
+    array with one entry per row of the MeasurementBatch it came from,
+    each carrying the finite-coupling error of its row; the direct
+    values are plain complex numbers.
     """
 
-    value: complex | np.ndarray
+    value: np.ndarray
     kind: str
 
 
@@ -112,8 +110,8 @@ def extract_joint(batch: MeasurementBatch, singles, c: JointCoupling) -> WeakVal
     """Recover a joint weak value from X-Y pointer correlations.
 
     Combines the conditional correlation moments with the two single
-    weak values a and b (direct or themselves extracted; the caller
-    chooses and records which):
+    weak values a and b (extracted from single-coupling runs, as the CLI
+    does, or direct):
 
         Re = 2 <XY>_fi / (Kx Ky) - Re(a* b)
         Im = (4 sigma_y^2 / hbar) <X Py>_fi / (Kx Ky) - Im(a* b)

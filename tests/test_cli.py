@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from weaklab import qcore, scenarios
+from weaklab import cli, errors, qcore, scenarios
 from weaklab.cli import CSV_HEADER, _CSV_ROW, RunSpec, _execute, _fmt_float, build_parser, main
 from weaklab.engines import MOMENTS, _pointer_frame
 from weaklab.scenarios import build_three_box, scenario_to_document
@@ -59,6 +59,7 @@ def test_run_three_box_json(capsys):
     assert report["abs_err"] <= 1e-3
     assert report["record"]["engine_tag"] == "exact-single"
     assert report["n_max"] is None
+    assert report["singles_mode"] is None and report["singles"] is None
 
 
 def test_run_hardy_joint_json(capsys):
@@ -151,6 +152,21 @@ def test_run_joint_flags_require_observable_b(capsys):
     assert "--observable-b" in capsys.readouterr().err
 
 
+def test_run_rejects_singles_flag(capsys):
+    """A joint run always extracts its single weak values from pointer
+    moments; there is no flag that substitutes the direct values."""
+    code = run_cli(
+        [
+            "run", "--scenario", "hardy", "--observable", "N_Oe",
+            "--observable-b", "N_Op", "--engine", "exact", "--kx", "0.01",
+            "--sigma-x", "1", "--singles", "direct", "--format", "json",
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and "--singles" in err
+
+
 def test_run_orthogonal_postselection_exit_2(capsys):
     code = run_cli(
         [
@@ -161,6 +177,36 @@ def test_run_orthogonal_postselection_exit_2(capsys):
     )
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+#: The documented exit code of each WeaklabError raised inside a command:
+#: 2 for numerical failures, 1 for the rest.
+ERROR_EXIT_CODES = {
+    errors.OrthogonalPostselection: 2,
+    errors.NotCommuting: 2,
+    errors.NumericalInconsistency: 2,
+    errors.DimensionMismatch: 1,
+    errors.NotHermitian: 1,
+    errors.ZeroCoupling: 1,
+    errors.InvalidTruncation: 1,
+    errors.ZeroState: 1,
+    errors.ParseError: 1,
+}
+
+
+@pytest.mark.parametrize("error, code", ERROR_EXIT_CODES.items(),
+                         ids=[error.__name__ for error in ERROR_EXIT_CODES])
+def test_each_weaklab_error_exits_with_its_documented_code(monkeypatch, capsys, error, code):
+    assert set(ERROR_EXIT_CODES) == set(errors.WeaklabError.__subclasses__())
+
+    def fail():
+        raise error("raised inside a command")
+
+    monkeypatch.setattr(cli, "run_all_checks", fail)
+    assert run_cli(["validate"]) == code
+    err = capsys.readouterr().err
+    assert "raised inside a command" in err
+    assert ("numerical failure" in err) == (code == 2)
 
 
 def test_run_noncommuting_exact_joint_exit_2(tmp_path, capsys):
@@ -437,7 +483,7 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
         "run", "--scenario", "hardy", "--observable", "N_Oe",
         "--observable-b", "N_NOp", "--engine", "fock", "--n-max", "20",
         "--kx", "0.02", "--ky", "0.03", "--sigma-x", "1", "--sigma-y", "0.7",
-        "--singles", "direct", "--format", "json",
+        "--hbar", "2", "--format", "json",
     ]
     single = [
         "run", "--scenario", "three-box", "--observable", "P3",

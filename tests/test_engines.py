@@ -317,7 +317,7 @@ def test_overflowing_joint_coupling_is_refused_by_axis(engine):
 def test_records_refuse_non_finite_moment_by_name():
     raw = {"ps_prob": [0.5, 0.5], "x_mean": [0.1, math.nan], "px_mean": [0.0, 0.0]}
     with pytest.raises(NumericalInconsistency, match=r"x_mean of record 1 is .*nan.*, not finite"):
-        _records(raw, np.array([1.0, 2.0]), np.zeros(2), "exact-single", EPS_PS)
+        _records(raw, np.array([1.0, 2.0]), np.zeros(2), "exact-single")
 
 
 def test_records_check_and_clamp_probabilities_as_columns():
@@ -325,17 +325,17 @@ def test_records_check_and_clamp_probabilities_as_columns():
     1e-12, clamps a rounding excursion, and divides by the unclamped
     value; one row at a time as well."""
     raw = {"ps_prob": [0.5, 1.0 + 5e-13], "x_mean": [0.25, 1.0], "px_mean": [0.0, 0.0]}
-    batch = _records(raw, np.array([1.0, 2.0]), np.array([0.1, 0.2]), "exact-single", EPS_PS)
+    batch = _records(raw, np.array([1.0, 2.0]), np.array([0.1, 0.2]), "exact-single")
     assert batch.ps_prob.tolist() == [0.5, 1.0]
     assert batch.x_mean.tolist() == [0.5, 1.0 / (1.0 + 5e-13)]
     raw["ps_prob"] = [0.5, 1.5]
     with pytest.raises(NumericalInconsistency, match=r"probability 1\.5 outside \[0, 1\]"):
-        _records(raw, np.array([1.0, 2.0]), np.zeros(2), "exact-single", EPS_PS)
+        _records(raw, np.array([1.0, 2.0]), np.zeros(2), "exact-single")
     row = {"ps_prob": [1.0 + 5e-13], "x_mean": [0.0], "px_mean": [0.0]}
-    assert _records(row, np.ones(1), np.zeros(1), "exact-single", EPS_PS).ps_prob.tolist() == [1.0]
+    assert _records(row, np.ones(1), np.zeros(1), "exact-single").ps_prob.tolist() == [1.0]
     row["ps_prob"] = [1.5]
     with pytest.raises(NumericalInconsistency, match=r"probability 1\.5 outside \[0, 1\]"):
-        _records(row, np.ones(1), np.zeros(1), "exact-single", EPS_PS)
+        _records(row, np.ones(1), np.zeros(1), "exact-single")
 
 
 def test_batch_is_frozen_read_only_columns():
@@ -414,13 +414,13 @@ def test_batch_flags_truncation_per_row():
 
 def test_batch_applies_postselection_floor_to_every_row():
     # |<f|i>|^2 = 0: only the coupling-induced overlap lifts ps above 0,
-    # so the weakest row falls below a floor the strongest row clears
+    # about t^2 / 4 at scale t, so the weakest row (2.5e-13) falls below
+    # the EPS_PS floor that the strongest row clears
     f = QuantumState(np.array([1.0, -1.0]))
     c = SingleCoupling(A=SIGMA_Z, K=1.0, pointer=unit_pointer())
-    floor = 1e-4
-    assert run_single_exact(PLUS_X, f, c, floor, scales=[0.5]).ps_prob[0] > floor
-    with pytest.raises(OrthogonalPostselection):
-        run_single_exact(PLUS_X, f, c, floor, scales=[0.5, 1e-3])
+    assert run_single_exact(PLUS_X, f, c, scales=[0.5, 1e-5]).ps_prob.min() > EPS_PS
+    with pytest.raises(OrthogonalPostselection, match=r"2\.500e-13 below floor 1\.0e-12"):
+        run_single_exact(PLUS_X, f, c, scales=[0.5, 1e-6])
 
 
 def test_fock_refuses_oversized_truncation_before_allocating():
@@ -725,6 +725,38 @@ def test_series_is_exact_at_tiny_hbar():
             scale = np.abs(want).max()
             np.testing.assert_allclose(terms[1e-100][tag], want, rtol=0, atol=1e-12 * scale)
         assert np.abs(terms[1.0]["O_x"]).max() > 0.0
+
+
+def test_series_is_real_at_strong_coupling():
+    """At Kx = Ky = 1e3 on the hardy pair the vectors G^k psi0 reach norm
+    5e11, and the order-4 O_xpy contribution sums products of total size
+    5e9 to zero, leaving an imaginary residue of 1.6e-7 that is their
+    rounding. The series returns real values that match the dense
+    reference within 1e-12 of the largest term (the O_xy order-4 term,
+    -1.04e10)."""
+    scn = build_hardy()
+    jc = JointCoupling(
+        A=scn.observable("N_Oe"), B=scn.observable("N_Op"), Kx=1e3, Ky=1e3,
+        pointer_x=unit_pointer(), pointer_y=unit_pointer(),
+    )
+    tags = ("O_x", "O_xy", "O_xpy")
+    got = {tag: heisenberg_moment(scn.i, scn.f, jc, tag, order=4) for tag in tags}
+    want = {tag: dense_heisenberg_moment(scn.i, scn.f, jc, tag, order=4, n_max=8)
+            for tag in tags}
+    scale = max(np.abs(terms).max() for terms in want.values())
+    assert scale > 1e10
+    for tag in tags:
+        np.testing.assert_allclose(got[tag], want[tag], rtol=0, atol=1e-12 * scale)
+
+
+def test_realize_judges_each_imaginary_residue_against_its_own_bound():
+    names = ["order-1 contribution", "order-2 contribution"]
+    values = np.array([1.0 + 1e-11j, 1e3 + 1e-8j])
+    assert _realize(values, names, np.array([1e-10, 1e-7])).tolist() == [1.0, 1e3]
+    with pytest.raises(NumericalInconsistency, match="order-2 contribution has imaginary residue"):
+        _realize(values, names, np.array([1e-10, 1e-9]))
+    with pytest.raises(NumericalInconsistency, match="order-1 contribution has imaginary residue"):
+        _realize(values, names, np.array([1e-12, 1e-7]))
 
 
 @pytest.mark.parametrize("value", [math.nan, complex(0.0, math.inf), math.inf])
