@@ -40,7 +40,6 @@ from .qcore import (
     commutator_norm,
     hermitian_eig,
     simultaneous_eig,
-    tensor,
 )
 from .scenarios import (
     PRESETS,
@@ -51,7 +50,6 @@ from .scenarios import (
     build_three_box,
     load_scenario,
     scenario_to_document,
-    serialize_scenario,
 )
 from .weakvalues import (
     WeakValueEstimate,
@@ -107,7 +105,5 @@ __all__ = [
     "run_joint_exact",
     "run_single_exact",
     "scenario_to_document",
-    "serialize_scenario",
     "simultaneous_eig",
-    "tensor",
 ]

@@ -141,10 +141,10 @@ def _emit_json(obj, indent: int = 0) -> str:
         return _fmt_float(obj)
     if isinstance(obj, str):
         return _json_str(obj)
-    pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        pad = "  " * indent
         inner = ",\n".join(
             f"{pad}  {_json_str(str(k))}: {_emit_json(v, indent + 1)}"
             for k, v in obj.items()
@@ -154,13 +154,8 @@ def _emit_json(obj, indent: int = 0) -> str:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {_emit_json(v, indent + 1)}" for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
+    if isinstance(obj, int):
+        return str(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

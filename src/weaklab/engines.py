@@ -81,11 +81,12 @@ pointer's Fock operators and momentum frame depend only on
 One table, ``MOMENTS``, names the seven batch moments and the pointer
 operator each takes on the x and y axis; every engine evaluates it, and
 one ``_realize`` checks the moments of every engine and the series
-(finite, imaginary residue consistent with zero) before taking their
-real parts. The block engine takes the moments on the momentum grid it
-evolves on, so the state never returns to the ladder basis: P is the grid itself, X is
-the frame's cached w^+ X w, and the truncation check needs only the top
-two rows of w.
+(finite, imaginary residue consistent with zero in the units of the
+pointer operators) before taking their real parts. The block engine
+takes the moments on the momentum grid it evolves on, so the state never
+returns to the ladder basis: P is the grid itself, X is the frame's
+cached w^+ X w, and the truncation check needs only the top two rows of
+w.
 """
 
 from __future__ import annotations
@@ -127,8 +128,10 @@ __all__ = [
 EPS_PS = 1e-12
 
 #: Imaginary residue above which a conditional moment of a Hermitian
-#: observable is treated as a bug rather than rounded away. The series
-#: multiplies it by the size of the products each order sums, when above 1.
+#: observable is treated as a bug rather than rounded away. Each batch
+#: moment multiplies it by the vacuum spreads of its pointer operators,
+#: and the series by the size of the products each order sums, when
+#: above 1.
 IMAG_RESIDUE_TOL = 1e-10
 
 #: Population of the top two Fock levels above which truncated results
@@ -287,26 +290,29 @@ class MeasurementBatch:
             getattr(self, name).setflags(write=False)
 
 
-def _realize(forms: np.ndarray, names, tol=IMAG_RESIDUE_TOL) -> np.ndarray:
+def _realize(forms: np.ndarray, names, bounds) -> np.ndarray:
     """The real parts of forms, whose first axis runs over names and
     second axis, if any, over the rows of a batch ("record n" in the
     messages), after two checks that each name the first value or name
     that fails them: every value is finite and each name's imaginary
-    residue is within tol, a bound or one bound per name (both
-    NumericalInconsistency)."""
+    residue is within its bound (both NumericalInconsistency). No bound
+    is below IMAG_RESIDUE_TOL, so ``bounds``, a function that returns
+    one bound per name, is called only when some residue exceeds it."""
     if not np.isfinite(forms).all():
         index = tuple(np.argwhere(~np.isfinite(forms))[0])
         record = f" of record {index[1]}" if len(index) > 1 else ""
         raise NumericalInconsistency(
             f"{names[index[0]]}{record} is {complex(forms[index])}, not finite"
         )
-    if (np.abs(forms.imag) > tol).any():
+    if (np.abs(forms.imag) > IMAG_RESIDUE_TOL).any():
         residue = np.abs(forms.imag).reshape(len(names), -1).max(axis=1)
-        row = (residue > tol).argmax()
-        raise NumericalInconsistency(
-            f"{names[row]} has imaginary residue {residue[row]:.3e}; "
-            "conditional moments of Hermitian observables must be real"
-        )
+        outside = residue > bounds()
+        if outside.any():
+            row = outside.argmax()
+            raise NumericalInconsistency(
+                f"{names[row]} has imaginary residue {residue[row]:.3e}; "
+                "conditional moments of Hermitian observables must be real"
+            )
     return forms.real
 
 
@@ -326,7 +332,20 @@ def _scale_array(scales) -> np.ndarray:
     return ts
 
 
-def _records(raw: dict, ts: np.ndarray, weakness, tag: str, truncated=None):
+def _residue_bounds(axes, names) -> np.ndarray:
+    """IMAG_RESIDUE_TOL for each moment of names, in the units of the
+    pointer axes: times the product of the vacuum spreads of the
+    moment's pointer operators (1 for "1", sigma for "X", hbar /
+    (2 sigma) for "P") when that is above 1, so that no bound is
+    stricter than IMAG_RESIDUE_TOL."""
+    spreads = [{"1": 1.0, "X": p.sigma, "P": p.hbar / (2.0 * p.sigma)} for _, _, p, _ in axes]
+    return IMAG_RESIDUE_TOL * np.array([
+        max(1.0, math.prod(spread[op] for spread, op in zip(spreads, MOMENTS[name])))
+        for name in names
+    ])
+
+
+def _records(raw: dict, c: _Coupling, ts: np.ndarray, weakness, tag: str, truncated=None):
     """The MeasurementBatch at scales ts from columns of unnormalized
     forms: ``raw["ps_prob"][n]`` is the post-selection probability of
     row n and every other column holds conditional moments times it;
@@ -335,12 +354,14 @@ def _records(raw: dict, ts: np.ndarray, weakness, tag: str, truncated=None):
     The columns are stacked into one (moments, scales) array that passes
     four checks, each naming the first moment or row that fails it:
     ``_realize``'s two (every value finite, every imaginary residue
-    consistent with zero), the probability above the EPS_PS floor
-    (OrthogonalPostselection) and within [0, 1] up to 1e-12
-    (NumericalInconsistency). One division then turns the forms into
-    conditional moments, and the probabilities are clamped into [0, 1]."""
+    within the bound ``_residue_bounds`` gives it on the axes of c), the
+    probability above the EPS_PS floor (OrthogonalPostselection) and
+    within [0, 1] up to 1e-12 (NumericalInconsistency). One division
+    then turns the forms into conditional moments, and the probabilities
+    are clamped into [0, 1]."""
     names = ["ps_prob", *(name for name in raw if name != "ps_prob")]
-    values = _realize(np.array([raw[name] for name in names]), names)
+    forms = np.array([raw[name] for name in names])
+    values = _realize(forms, names, functools.partial(_residue_bounds, c.axes, names))
     ps = values[0]
     lowest, highest = ps.min(initial=math.inf), ps.max(initial=-math.inf)
     if lowest < EPS_PS:
@@ -447,7 +468,7 @@ def _run_exact(i: QuantumState, f: QuantumState, c: _Coupling, scales, tag: str)
     weakness = c.weakness_ratios(ts)
     eigs = simultaneous_eig(c.A, c.B) if len(c.axes) == 2 else (hermitian_eig(c.A),)
     forms, _ = _branch_sum(i, f, c.axes, eigs, ts, _moment_matrices)
-    return _records(forms, ts, weakness, tag)
+    return _records(forms, c, ts, weakness, tag)
 
 
 def run_single_exact(i: QuantumState, f: QuantumState, c: SingleCoupling, *, scales=None):
@@ -657,7 +678,7 @@ def run_fock(
             stacklevel=2,
         )
     tag = "fock-single" if len(c.axes) == 1 else "fock-joint"
-    return _records(forms, ts, weakness, tag, truncated)
+    return _records(forms, c, ts, weakness, tag, truncated)
 
 
 # observable tags for the series engine
@@ -774,4 +795,4 @@ def heisenberg_moment(
         size = sum(math.comb(n, k) * np.vdot(abs_left[n - k], abs_right[k]) for k in range(n + 1))
         sizes[n] = size / math.factorial(n)
     names = [f"order-{n} contribution" for n in range(order + 1)]
-    return _realize(values, names, IMAG_RESIDUE_TOL * np.maximum(1.0, sizes))
+    return _realize(values, names, lambda: IMAG_RESIDUE_TOL * np.maximum(1.0, sizes))

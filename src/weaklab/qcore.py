@@ -19,7 +19,6 @@ __all__ = [
     "QuantumState",
     "Observable",
     "EigenSystem",
-    "tensor",
     "hermitian_eig",
     "simultaneous_eig",
     "commutator_norm",
@@ -83,9 +82,9 @@ class Observable:
     must not exceed 1e-12 times the max-norm of M. NotHermitian names the
     worst entry and both of its values. A NaN or infinite entry raises
     ValueError naming the entry before the Hermiticity test. The matrix
-    is read-only, so the eigendecomposition (``hermitian_eig``) and the
-    spectral radius are computed on first use and stored on the
-    instance.
+    is read-only, so its one eigendecomposition (``hermitian_eig``) is
+    computed on first use and stored on the instance; the spectral
+    radius is read from its eigenvalues.
     """
 
     matrix: np.ndarray
@@ -111,28 +110,15 @@ class Observable:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", m.shape[0])
 
-    def expectation(self, state: QuantumState) -> float:
-        """Real expectation value <psi|M|psi>."""
-        if self.dim != state.dim:
-            raise DimensionMismatch(
-                f"observable dim {self.dim} != state dim {state.dim}"
-            )
-        return float(np.vdot(state.amplitudes, self.matrix @ state.amplitudes).real)
-
     def spectral_radius(self) -> float:
-        """Largest absolute eigenvalue, from one ``eigvalsh`` per
-        instance: the first call computes it and every later call
-        returns the stored value."""
-        return self._spectral_radius
-
-    @functools.cached_property
-    def _spectral_radius(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.matrix))))
+        """Largest absolute eigenvalue: the larger modulus of the two
+        extreme eigenvalues of the stored eigendecomposition."""
+        vals = self._eigensystem.eigenvalues
+        return max(-float(vals[0]), float(vals[-1]))
 
     @functools.cached_property
     def _eigensystem(self) -> "EigenSystem":
         vals, vecs = np.linalg.eigh(self.matrix)
-        vecs = _fix_phases(vecs)
         vals.flags.writeable = False
         vecs.flags.writeable = False
         return EigenSystem(eigenvalues=vals, eigenvectors=vecs)
@@ -147,54 +133,23 @@ class EigenSystem:
     """Eigendecomposition of a Hermitian matrix.
 
     eigenvalues are real and ascending; eigenvectors are the orthonormal
-    columns of `eigenvectors`, phase-fixed so the largest-magnitude
-    component of each column is real and positive. The arrays that
-    ``hermitian_eig`` returns are read-only, since one EigenSystem is
-    shared by every caller decomposing the same Observable.
+    columns of `eigenvectors`, each with the phase ``eigh`` gives it:
+    every result takes an eigenvector together with its conjugate, so
+    none depends on that phase. The arrays that ``hermitian_eig``
+    returns are read-only, since one EigenSystem is shared by every
+    caller decomposing the same Observable.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of each column real-positive.
-
-    Gives reproducible eigenvector conventions for output files; ties in
-    magnitude resolve to the lowest index via argmax.
-    """
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if abs(pivot) > 0:
-            out[:, k] = col * (abs(pivot) / pivot)
-    return out
-
-
-def tensor(a, b):
-    """Kronecker product of two states or two observables.
-
-    Both operands must be of the same kind; the result lives on the
-    product space (dimension = product of dimensions).
-    """
-    if isinstance(a, QuantumState) and isinstance(b, QuantumState):
-        return QuantumState(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, Observable) and isinstance(b, Observable):
-        return Observable(np.kron(a.matrix, b.matrix))
-    raise TypeError(
-        f"tensor requires two states or two observables, got "
-        f"{type(a).__name__} and {type(b).__name__}"
-    )
-
-
 def hermitian_eig(a: Observable) -> EigenSystem:
     """Eigendecomposition of a Hermitian observable.
 
-    Returns real eigenvalues in ascending order with orthonormal,
-    phase-fixed eigenvectors. The Observable constructor has already
-    checked Hermiticity, so the matrix goes to ``eigh`` as it is. The
+    Returns real eigenvalues in ascending order with orthonormal
+    eigenvectors. The Observable constructor has already checked
+    Hermiticity, so the matrix goes to ``eigh`` as it is. The
     decomposition is computed once per Observable instance and stored
     on it: every later call returns the same EigenSystem, whose arrays
     are read-only, so a joint run and its two single runs share the
@@ -210,14 +165,17 @@ def commutator_norm(a: Observable, b: Observable) -> float:
     return max_norm(a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
-def simultaneous_eig(
-    a: Observable, b: Observable, tol: float = 1e-10
-) -> tuple[EigenSystem, EigenSystem]:
+#: Relative commutator bound below which ``simultaneous_eig`` takes a
+#: pair as commuting.
+COMMUTING_TOL = 1e-10
+
+
+def simultaneous_eig(a: Observable, b: Observable) -> tuple[EigenSystem, EigenSystem]:
     """Eigensystems of a commuting pair, for the branch sum of the exact
     joint engine.
 
-    Requires ``commutator_norm(a, b) <= tol * max|A| * max|B|``; raises
-    :class:`NotCommuting` otherwise. For such a pair the two couplings
+    Requires ``commutator_norm(a, b) <= COMMUTING_TOL * max|A| * max|B|``;
+    raises :class:`NotCommuting` otherwise. For such a pair the two couplings
     factorize, so the pointer state is a sum over the d^2 branches
     (a_k, b_l) of A's and B's own eigenbases and no common eigenbasis is
     needed: the function returns ``hermitian_eig(a), hermitian_eig(b)``.
@@ -226,8 +184,8 @@ def simultaneous_eig(
     """
     comm = commutator_norm(a, b)
     scale = max(max_norm(a.matrix) * max_norm(b.matrix), 1e-300)
-    if comm > tol * scale:
+    if comm > COMMUTING_TOL * scale:
         raise NotCommuting(
-            f"max|[A,B]| = {comm:.3e} exceeds tol*|A||B| = {tol * scale:.3e}"
+            f"max|[A,B]| = {comm:.3e} exceeds tol*|A||B| = {COMMUTING_TOL * scale:.3e}"
         )
     return hermitian_eig(a), hermitian_eig(b)

@@ -45,7 +45,6 @@ __all__ = [
     "build_imaginary",
     "load_scenario",
     "scenario_to_document",
-    "serialize_scenario",
     "PRESETS",
 ]
 
@@ -345,9 +344,3 @@ def scenario_to_document(s: Scenario) -> dict:
         },
         "expected": {label: _pair(z) for label, z in s.expected.items()},
     }
-
-
-def serialize_scenario(s: Scenario) -> str:
-    """Deterministic JSON text for a scenario; round-trips through
-    load_scenario with amplitudes preserved to full precision."""
-    return json.dumps(scenario_to_document(s), indent=2)

@@ -381,10 +381,43 @@ def test_run_non_finite_spin_angle_exit_1(capsys, alpha):
     assert f"error: spin angle alpha must be finite, got {alpha}" in capsys.readouterr().err
 
 
+#: The sigma = hbar = 1 problem restated in other pointer units: each
+#: command and the flags that undo the change of units. The imaginary
+#: residue of a moment scales with its pointer operators' vacuum
+#: spreads, so each of these once exited 2 on an absolute bound.
+UNIT_CHANGES = {
+    "fock-joint-sigma-1e6": (
+        ["--scenario", "hardy", "--observable", "N_Oe", "--observable-b", "N_Op",
+         "--engine", "fock", "--kx", "1e4", "--sigma-x", "1e6"],
+        ["--kx", "0.01", "--sigma-x", "1"],
+    ),
+    "fock-single-sigma-1e8": (
+        ["--scenario", "three-box", "--observable", "P3", "--engine", "fock",
+         "--kx", "1e6", "--sigma-x", "1e8"],
+        ["--kx", "0.01", "--sigma-x", "1"],
+    ),
+    "exact-joint-hbar-1e12": (
+        ["--scenario", "hardy", "--observable", "N_Oe", "--observable-b", "N_Op",
+         "--engine", "exact", "--kx", "0.01", "--sigma-x", "1", "--hbar", "1e12"],
+        ["--hbar", "1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNIT_CHANGES))
+def test_run_in_other_pointer_units_matches_unit_run(capsys, case):
+    argv, unit_flags = UNIT_CHANGES[case]
+    errs = []
+    for flags in ([], unit_flags):
+        assert run_cli(["run", *argv, *flags, "--format", "json"]) == 0
+        errs.append(json.loads(capsys.readouterr().out)["abs_err"])
+    assert errs[0] == pytest.approx(errs[1], rel=1e-6, abs=0)
+
+
 def test_joint_run_decomposes_each_observable_once(monkeypatch):
     """A joint exact run and its two extracted singles share one eigh
-    and one eigvalsh per observable, here on observables no earlier
-    test has decomposed; a second run decomposes nothing."""
+    per observable, here on observables no earlier test has decomposed,
+    and call no eigvalsh; a second run decomposes nothing."""
     calls = {"eigh": [], "eigvalsh": []}
     linalg = qcore.np.linalg
     for name, original in (("eigh", linalg.eigh), ("eigvalsh", linalg.eigvalsh)):
@@ -404,8 +437,8 @@ def test_joint_run_decomposes_each_observable_once(monkeypatch):
     a, b = fresh.observable("N_NOe"), fresh.observable("N_NOp")
     for _ in range(2):
         _execute(spec, 0.01, 0.01, [1.0])
-        for name in calls:
-            assert [id(m) for m in calls[name]] == [id(a.matrix), id(b.matrix)], name
+        assert [id(m) for m in calls["eigh"]] == [id(a.matrix), id(b.matrix)]
+        assert calls["eigvalsh"] == []
 
 
 def _cold_caches():

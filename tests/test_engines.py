@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from weaklab.engines import (
     EPS_PS,
+    IMAG_RESIDUE_TOL,
     MAX_ARRAY_BYTES,
     TRUNCATION_TOL,
     JointCoupling,
@@ -26,6 +27,7 @@ from weaklab.engines import (
     _pointer_frame,
     _realize,
     _records,
+    _residue_bounds,
 )
 from weaklab.errors import (
     DimensionMismatch,
@@ -36,7 +38,7 @@ from weaklab.errors import (
     TruncationWarning,
 )
 from weaklab.pointer import GaussianPointer, build_fock
-from weaklab.qcore import Observable, QuantumState, commutator_norm
+from weaklab.qcore import EigenSystem, Observable, QuantumState, commutator_norm, hermitian_eig
 from weaklab.scenarios import build_hardy, build_imaginary, build_spin_amplifier, build_three_box
 from weaklab.validation import CROSS_VALIDATION_TOL, _noncommuting_qubit
 from weaklab.weakvalues import direct_weak_value
@@ -316,8 +318,31 @@ def test_overflowing_joint_coupling_is_refused_by_axis(engine):
 
 def test_records_refuse_non_finite_moment_by_name():
     raw = {"ps_prob": [0.5, 0.5], "x_mean": [0.1, math.nan], "px_mean": [0.0, 0.0]}
+    c = SingleCoupling(SIGMA_Z, 1.0, unit_pointer())
     with pytest.raises(NumericalInconsistency, match=r"x_mean of record 1 is .*nan.*, not finite"):
-        _records(raw, np.array([1.0, 2.0]), np.zeros(2), "exact-single")
+        _records(raw, c, np.array([1.0, 2.0]), np.zeros(2), "exact-single")
+
+
+def test_residue_bound_is_in_the_pointer_units():
+    """Each moment's imaginary-residue bound is IMAG_RESIDUE_TOL times
+    the vacuum spreads of its pointer operators (sigma for X, hbar /
+    (2 sigma) for P), never below IMAG_RESIDUE_TOL: at sigma = hbar = 1
+    every bound is IMAG_RESIDUE_TOL, and a really complex moment is
+    still refused there."""
+    unit = JointCoupling(SIGMA_Z, SIGMA_Z, 0.01, 0.01, unit_pointer(), unit_pointer())
+    assert _residue_bounds(unit.axes, list(MOMENTS)).tolist() == [IMAG_RESIDUE_TOL] * 7
+    wide = GaussianPointer(sigma=1e6, hbar=1.0)
+    jc = JointCoupling(SIGMA_Z, SIGMA_Z, 1e4, 1e4, wide, GaussianPointer(sigma=1.0, hbar=1.0))
+    want = [1.0, 1e6, 1.0, 1.0, 1.0, 1e6, 1e6 * 0.5]
+    np.testing.assert_allclose(_residue_bounds(jc.axes, list(MOMENTS)),
+                               IMAG_RESIDUE_TOL * np.array(want), rtol=1e-15)
+    raw = {"ps_prob": [0.5], "x_mean": [0.1], "px_mean": [0.1 + 2e-10j]}
+    single = SingleCoupling(SIGMA_Z, 0.01, unit_pointer())
+    with pytest.raises(NumericalInconsistency, match="px_mean has imaginary residue 2.000e-10"):
+        _records(raw, single, np.ones(1), np.zeros(1), "exact-single")
+    raw["px_mean"], raw["x_mean"] = [0.1], [0.1 + 2e-10j]
+    assert _records(raw, SingleCoupling(SIGMA_Z, 1e4, wide), np.ones(1), np.zeros(1),
+                    "exact-single").x_mean.tolist() == [0.2]
 
 
 def test_records_check_and_clamp_probabilities_as_columns():
@@ -325,17 +350,18 @@ def test_records_check_and_clamp_probabilities_as_columns():
     1e-12, clamps a rounding excursion, and divides by the unclamped
     value; one row at a time as well."""
     raw = {"ps_prob": [0.5, 1.0 + 5e-13], "x_mean": [0.25, 1.0], "px_mean": [0.0, 0.0]}
-    batch = _records(raw, np.array([1.0, 2.0]), np.array([0.1, 0.2]), "exact-single")
+    c = SingleCoupling(SIGMA_Z, 1.0, unit_pointer())
+    batch = _records(raw, c, np.array([1.0, 2.0]), np.array([0.1, 0.2]), "exact-single")
     assert batch.ps_prob.tolist() == [0.5, 1.0]
     assert batch.x_mean.tolist() == [0.5, 1.0 / (1.0 + 5e-13)]
     raw["ps_prob"] = [0.5, 1.5]
     with pytest.raises(NumericalInconsistency, match=r"probability 1\.5 outside \[0, 1\]"):
-        _records(raw, np.array([1.0, 2.0]), np.zeros(2), "exact-single")
+        _records(raw, c, np.array([1.0, 2.0]), np.zeros(2), "exact-single")
     row = {"ps_prob": [1.0 + 5e-13], "x_mean": [0.0], "px_mean": [0.0]}
-    assert _records(row, np.ones(1), np.zeros(1), "exact-single").ps_prob.tolist() == [1.0]
+    assert _records(row, c, np.ones(1), np.zeros(1), "exact-single").ps_prob.tolist() == [1.0]
     row["ps_prob"] = [1.5]
     with pytest.raises(NumericalInconsistency, match=r"probability 1\.5 outside \[0, 1\]"):
-        _records(row, np.ones(1), np.zeros(1), "exact-single")
+        _records(row, c, np.ones(1), np.zeros(1), "exact-single")
 
 
 def test_batch_is_frozen_read_only_columns():
@@ -752,11 +778,12 @@ def test_series_is_real_at_strong_coupling():
 def test_realize_judges_each_imaginary_residue_against_its_own_bound():
     names = ["order-1 contribution", "order-2 contribution"]
     values = np.array([1.0 + 1e-11j, 1e3 + 1e-8j])
-    assert _realize(values, names, np.array([1e-10, 1e-7])).tolist() == [1.0, 1e3]
+    assert _realize(values, names, lambda: np.array([1e-10, 1e-7])).tolist() == [1.0, 1e3]
     with pytest.raises(NumericalInconsistency, match="order-2 contribution has imaginary residue"):
-        _realize(values, names, np.array([1e-10, 1e-9]))
+        _realize(values, names, lambda: np.array([1e-10, 1e-9]))
+    values[0] += 1e-9j
     with pytest.raises(NumericalInconsistency, match="order-1 contribution has imaginary residue"):
-        _realize(values, names, np.array([1e-12, 1e-7]))
+        _realize(values, names, lambda: np.array([1e-10, 1e-7]))
 
 
 @pytest.mark.parametrize("value", [math.nan, complex(0.0, math.inf), math.inf])
@@ -765,10 +792,10 @@ def test_realize_refuses_non_finite_value_by_name(value):
     records) array names it and its record."""
     names = ["order-1 contribution", "order-2 contribution"]
     with pytest.raises(NumericalInconsistency, match="order-2 contribution is .*, not finite"):
-        _realize(np.array([0.5, value]), names)
+        _realize(np.array([0.5, value]), names, lambda: IMAG_RESIDUE_TOL)
     forms = np.array([[0.5, 0.5], [0.1, 0.2], [0.3, value]])
     with pytest.raises(NumericalInconsistency, match=r"x_mean of record 1 is .*, not finite"):
-        _realize(forms, ["ps_prob", "px_mean", "x_mean"])
+        _realize(forms, ["ps_prob", "px_mean", "x_mean"], lambda: IMAG_RESIDUE_TOL)
 
 
 def test_series_argument_validation():
@@ -986,6 +1013,38 @@ def test_fock_matches_exact_on_commuting_pairs_near_degenerate(problem):
     assert_engines_agree(exact, fock)
     # both engines sum the same branches, so they agree to rounding
     assert_engines_agree(exact, fock, tol=1e-12)
+
+
+def with_eigenvector_phases(obs, rng):
+    """A new Observable of obs's matrix whose stored eigendecomposition
+    carries a random unit phase on each eigenvector column."""
+    es = hermitian_eig(obs)
+    phased = Observable(obs.matrix)
+    phases = np.exp(2j * np.pi * rng.uniform(size=obs.dim))
+    vars(phased)["_eigensystem"] = EigenSystem(es.eigenvalues, es.eigenvectors * phases)
+    return phased
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=exactly_commuting_problem(), seed=st.integers(0, 2**32 - 1))
+def test_moments_do_not_depend_on_eigenvector_phases(problem, seed):
+    """Every branch amplitude takes each eigenvector together with its
+    conjugate, so a unit phase on each eigenvector column of A and B
+    moves no moment of any run_* engine beyond rounding."""
+    i, f, jc = problem
+    rng = np.random.default_rng(seed)
+    phased = dataclasses.replace(
+        jc, A=with_eigenvector_phases(jc.A, rng), B=with_eigenvector_phases(jc.B, rng)
+    )
+    fock = functools.partial(run_fock, n_max=40)
+    for engine, single in ((run_single_exact, True), (run_joint_exact, False),
+                           (fock, True), (fock, False)):
+        want, got = (
+            engine(i, f, SingleCoupling(c.A, c.Kx, c.pointer_x) if single else c)
+            for c in (jc, phased)
+        )
+        for name in MOMENTS:
+            assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-15, name
 
 
 # --- coupling validation ---------------------------------------------------------

@@ -1,6 +1,5 @@
-"""Linear-algebra primitives: tensor products, eigendecompositions, the
-commuting-pair eigensystems of the exact joint engine's branch sum,
-commutators."""
+"""Linear-algebra primitives: eigendecompositions, the commuting-pair
+eigensystems of the exact joint engine's branch sum, commutators."""
 
 import warnings
 
@@ -10,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from weaklab.errors import DimensionMismatch, NotCommuting, NotHermitian, ZeroState
 from weaklab.qcore import (
+    COMMUTING_TOL,
     Observable,
     QuantumState,
     commutator_norm,
     hermitian_eig,
     max_norm,
     simultaneous_eig,
-    tensor,
 )
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -78,46 +77,24 @@ def test_observable_rejects_non_finite_entry(bad):
 
 
 def test_observable_expectation():
+    """<psi|A|psi> read from the matrix equals the spectral sum
+    sum_k a_k |<v_k|psi>|^2 over the stored eigensystem."""
+
+    def spectral(a, psi):
+        es = hermitian_eig(a)
+        weights = np.abs(es.eigenvectors.conj().T @ psi.amplitudes) ** 2
+        return float(es.eigenvalues @ weights)
+
     plus = QuantumState(np.array([1, 1]) / np.sqrt(2))
-    assert Observable(SIGMA_X).expectation(plus) == pytest.approx(1.0)
-    assert Observable(SIGMA_Z).expectation(plus) == pytest.approx(0.0, abs=1e-15)
-
-
-# --- tensor ------------------------------------------------------------------
-
-
-def test_tensor_identity_case():
-    got = tensor(Observable.identity(2), Observable.identity(3))
-    assert got.dim == 6
-    assert np.array_equal(got.matrix, np.eye(6))
-
-
-def test_tensor_sigma_z_with_identity():
-    got = tensor(Observable(SIGMA_Z), Observable.identity(2))
-    assert np.array_equal(np.diag(got.matrix).real, [1, 1, -1, -1])
-
-
-def test_tensor_basis_states():
-    got = tensor(QuantumState.basis(2, 0), QuantumState.basis(2, 1))
-    want = np.zeros(4)
-    want[1] = 1.0
-    assert np.array_equal(got.amplitudes, want)
-
-
-def test_tensor_rejects_mixed_kinds():
-    with pytest.raises(TypeError):
-        tensor(QuantumState.basis(2, 0), Observable.identity(2))
-
-
-def test_tensor_matches_kron_and_is_associative():
-    rng = np.random.default_rng(0)
+    assert spectral(Observable(SIGMA_X), plus) == pytest.approx(1.0)
+    assert spectral(Observable(SIGMA_Z), plus) == pytest.approx(0.0, abs=1e-15)
+    rng = np.random.default_rng(3)
     for _ in range(10):
-        a, b, c = (Observable(random_hermitian(2, rng)) for _ in range(3))
-        ab_c = tensor(tensor(a, b), c)
-        assert ab_c.dim == 8
-        want = np.kron(np.kron(a.matrix, b.matrix), c.matrix)
-        assert np.allclose(ab_c.matrix, want, atol=1e-14)
-        assert np.allclose(tensor(a, tensor(b, c)).matrix, want, atol=1e-14)
+        a = Observable(random_hermitian(4, rng))
+        psi = QuantumState(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        direct = np.vdot(psi.amplitudes, a.matrix @ psi.amplitudes)
+        assert direct.imag == pytest.approx(0.0, abs=1e-14)
+        assert spectral(a, psi) == pytest.approx(direct.real, abs=1e-13)
 
 
 # --- hermitian_eig -----------------------------------------------------------
@@ -154,18 +131,6 @@ def test_eig_reconstruction_random():
             assert np.all(np.diff(es.eigenvalues) >= 0)
 
 
-def test_eig_phase_convention_deterministic():
-    rng = np.random.default_rng(1)
-    m = random_hermitian(4, rng)
-    v1 = hermitian_eig(Observable(m)).eigenvectors
-    v2 = hermitian_eig(Observable(m)).eigenvectors
-    assert np.array_equal(v1, v2)
-    for k in range(4):
-        pivot = v1[np.argmax(np.abs(v1[:, k])), k]
-        assert pivot.imag == pytest.approx(0.0, abs=1e-14)
-        assert pivot.real > 0
-
-
 def test_eig_is_computed_once_per_observable_and_read_only():
     a = Observable(SIGMA_X)
     es = hermitian_eig(a)
@@ -181,12 +146,16 @@ def test_eig_is_computed_once_per_observable_and_read_only():
 
 
 def test_spectral_radius_is_computed_once_per_observable(monkeypatch):
+    """The spectral radius comes from the one stored ``eigh``, which it
+    shares with ``hermitian_eig``."""
     calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
     a = Observable(3.0 * SIGMA_Z)
     assert a.spectral_radius() == a.spectral_radius() == 3.0
-    assert len(calls) == 1
+    assert Observable(-3.0 * SIGMA_X).spectral_radius() == 3.0
+    hermitian_eig(a)
+    assert len(calls) == 2
 
 
 # --- simultaneous_eig --------------------------------------------------------
@@ -198,8 +167,8 @@ def assert_same_eigensystem(got, want):
 
 
 def test_joint_eig_product_observables():
-    a = tensor(Observable(SIGMA_Z), Observable.identity(2))
-    b = tensor(Observable.identity(2), Observable(SIGMA_Z))
+    a = Observable(np.kron(SIGMA_Z, np.eye(2)))
+    b = Observable(np.kron(np.eye(2), SIGMA_Z))
     ea, eb = simultaneous_eig(a, b)
     # the branches (a_k, b_l) with nonzero overlap <b_l|a_k> are the
     # four joint eigenvalue pairs
@@ -227,16 +196,19 @@ def test_joint_eig_returns_each_observables_own_eigensystem():
 
 
 def test_joint_eig_accepts_pair_commuting_within_tol():
-    # [A, B] has max-norm 2 eps for this A, B and |A| = |B| = 1
-    eps = 1e-12
+    # [A, B] has max-norm 2 eps for this A, B and |A| = |B| = 1: a pair
+    # just inside COMMUTING_TOL is accepted and one just outside refused
     a = Observable(SIGMA_Z)
-    b = Observable(np.array([[1, eps], [eps, -1]], dtype=complex))
-    assert commutator_norm(a, b) == pytest.approx(2 * eps)
-    ea, eb = simultaneous_eig(a, b, tol=3 * eps)
-    assert_same_eigensystem(ea, hermitian_eig(a))
-    assert_same_eigensystem(eb, hermitian_eig(b))
-    with pytest.raises(NotCommuting, match="exceeds tol"):
-        simultaneous_eig(a, b, tol=eps)
+    for eps, accepted in ((0.45 * COMMUTING_TOL, True), (0.55 * COMMUTING_TOL, False)):
+        b = Observable(np.array([[1, eps], [eps, -1]], dtype=complex))
+        assert commutator_norm(a, b) == pytest.approx(2 * eps)
+        if accepted:
+            ea, eb = simultaneous_eig(a, b)
+            assert_same_eigensystem(ea, hermitian_eig(a))
+            assert_same_eigensystem(eb, hermitian_eig(b))
+        else:
+            with pytest.raises(NotCommuting, match="exceeds tol"):
+                simultaneous_eig(a, b)
 
 
 def test_joint_eig_rejects_noncommuting():
@@ -267,6 +239,6 @@ def test_commutator_disjoint_subsystems(seed):
     rng = np.random.default_rng(seed)
     a = Observable(random_hermitian(2, rng))
     b = Observable(random_hermitian(3, rng))
-    lifted_a = tensor(a, Observable.identity(3))
-    lifted_b = tensor(Observable.identity(2), b)
+    lifted_a = Observable(np.kron(a.matrix, np.eye(3)))
+    lifted_b = Observable(np.kron(np.eye(2), b.matrix))
     assert commutator_norm(lifted_a, lifted_b) <= 1e-14

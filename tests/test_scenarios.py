@@ -16,7 +16,6 @@ from weaklab.scenarios import (
     build_three_box,
     load_scenario,
     scenario_to_document,
-    serialize_scenario,
 )
 from weaklab.weakvalues import direct_weak_value
 
@@ -132,7 +131,7 @@ def test_unknown_observable_label():
 
 def test_round_trip_preserves_amplitudes():
     for scn in (build_three_box(), build_hardy(), build_imaginary()):
-        loaded = load_scenario(serialize_scenario(scn))
+        loaded = load_scenario(json.dumps(scenario_to_document(scn)))
         assert np.max(np.abs(loaded.i.amplitudes - scn.i.amplitudes)) <= 1e-15
         assert np.max(np.abs(loaded.f.amplitudes - scn.f.amplitudes)) <= 1e-15
         assert loaded.name == scn.name
