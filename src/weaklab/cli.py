@@ -135,15 +135,13 @@ def _emit_json(obj, indent: int = 0) -> str:
     """Deterministic JSON text of a report payload. Floats and strings,
     nearly every node of a report, are tested first; strings and keys go
     through the encoder ``json.dumps`` applies to them."""
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"non-finite float {obj!r} in JSON report")
         return _fmt_float(obj)
     if isinstance(obj, str):
         return _json_str(obj)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         pad = "  " * indent
         inner = ",\n".join(
             f"{pad}  {_json_str(str(k))}: {_emit_json(v, indent + 1)}"

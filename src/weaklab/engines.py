@@ -13,21 +13,23 @@ Three routes compute the same conditional moments:
   ``run_joint_exact`` and ``run_fock`` for a single coupling or an
   exactly commuting pair. The initial state is expanded in the coupled
   observables' own eigenbases; each branch carries a pointer Gaussian
-  displaced by coupling x eigenvalue, with amplitude <f|a_k><a_k|i> for
-  a single coupling and <f|b_l><b_l|a_k><a_k|i> for the d^2 branches
-  (a_k, b_l) of a commuting pair (the sequential branch sum of Mitchison,
-  Jozsa and Popescu, PRA 76, 062105 (2007)). Every moment contracts the
-  amplitudes with branch-pair matrices of pointer integrals, one
-  (scales, d, d) stack per pointer operator and axis. Two rules supply
-  those matrices, and the branch sum applies the one it is given to
-  each axis: the closed-form Gaussian integrals of the pointer module
-  (``_moment_matrices``, the exact engines, exact at any coupling
-  strength) and the Gauss-Hermite rule of the truncated oscillator
-  (``_grid_matrices``, the Fock engine). The exact engines share one
-  body: dimensions, scales, the coupling refusal, the eigensystems
-  (``simultaneous_eig`` for a pair, which refuses a noncommuting one,
-  so an overflowing noncommuting pair is refused by name first), the
-  branch sum and the batch.
+  displaced by coupling x eigenvalue, and the branch amplitudes form a
+  tensor with one index per coupled axis: <f|a_k><a_k|i> for a single
+  coupling and <f|b_l><b_l|a_k><a_k|i> for the d^2 branches (a_k, b_l)
+  of a commuting pair (the sequential branch sum of Mitchison, Jozsa
+  and Popescu, PRA 76, 062105 (2007)). One contraction (``_contract``)
+  takes every moment, and every truncation population of the Fock
+  rule, from such a tensor and the branch-pair matrices of pointer
+  integrals, one (scales, d, d) stack per pointer operator and axis.
+  Two rules supply those matrices, and the branch sum applies the one
+  it is given to each axis: the closed-form Gaussian integrals of the
+  pointer module (``_moment_matrices``, the exact engines, exact at any
+  coupling strength) and the Gauss-Hermite rule of the truncated
+  oscillator (``_grid_matrices``, the Fock engine). The exact engines
+  share one body: dimensions, scales, the coupling refusal, the
+  eigensystems (``simultaneous_eig`` for a pair, which refuses a
+  noncommuting one, so an overflowing noncommuting pair is refused by
+  name first), the branch sum and the batch.
 * ``run_fock`` on a noncommuting pair -- exact unitary evolution in a
   truncated oscillator space (``_fock_joint``), where the closed-form
   joint route refuses to run.
@@ -150,8 +152,7 @@ DEFAULT_N_MAX = 40
 MAX_ARRAY_BYTES = 2**28
 
 #: Each moment of a MeasurementBatch and the pointer operator it applies
-#: on the x and on the y axis ("1" identity, "X" position, "P" momentum);
-#: single couplings take the moments with no y operator.
+#: on the x and on the y axis ("1" identity, "X" position, "P" momentum).
 MOMENTS = {
     "ps_prob": ("1", "1"),
     "x_mean": ("X", "1"),
@@ -161,7 +162,10 @@ MOMENTS = {
     "xy_mean": ("X", "X"),
     "x_py_mean": ("X", "P"),
 }
-SINGLE_MOMENTS = {name: ops for name, ops in MOMENTS.items() if ops[1] == "1"}
+#: The MOMENTS rows a coupling of n axes takes, keyed by n: those whose
+#: operators on its absent axes are "1", cut to its n axes.
+_AXIS_MOMENTS = {n: {name: ops[:n] for name, ops in MOMENTS.items() if set(ops[n:]) <= {"1"}}
+                 for n in (1, 2)}
 
 
 def check_array_budget(n_values: int, what: str, error: type[Exception]):
@@ -402,10 +406,29 @@ def _moment_matrices(eigenvalues: np.ndarray, ks: np.ndarray, p: GaussianPointer
 
 
 def _stack_times(m: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """m[n] @ a for every matrix of an (n, d, d) stack, as one 2-D
-    product: a stacked matmul makes n small ones, at twice the cost for
-    a 50-point sweep at d = 4."""
-    return (m.reshape(-1, m.shape[-1]) @ a).reshape(m.shape)
+    """m[n] @ a for every matrix of an (n, r, d) stack and a (d, s)
+    matrix a, as one 2-D product: a stacked matmul makes n small ones, at
+    twice the cost for a 50-point sweep at d = 4."""
+    return (m.reshape(-1, m.shape[-1]) @ a).reshape(m.shape[:-1] + a.shape[-1:])
+
+
+def _contract(amp: np.ndarray, mats, rows: dict) -> dict:
+    """The sum over branch pairs of conj(amp[k, l]) amp[k', l'] Mx[k, k']
+    My[l, l'] for each row of rows, a name and one pointer operator per
+    axis of amp, with M the axis's branch-pair matrices in ``mats`` (the
+    y factor and index are absent for one axis).
+
+    The first axis is two flat products, (Mx amp)^T conj(amp), formed
+    once per first-axis operator and shared by the rows that use it: a
+    (scales, s, s) stack over the second axis's branches, s = 1 for one
+    axis. The second axis, if there is one, is a trace against My."""
+    flat = amp.reshape(len(amp), -1)
+    right = flat.conj()
+    on_x = {op: _stack_times(_stack_times(mats[0][op], flat).swapaxes(1, 2), right)
+            for op in dict.fromkeys(ops[0] for ops in rows.values())}
+    if len(mats) == 1:
+        return {name: on_x[op][:, 0, 0] for name, (op,) in rows.items()}
+    return {name: np.einsum("nji,nij->n", on_x[x], mats[1][y]) for name, (x, y) in rows.items()}
 
 
 def _branch_sum(i: QuantumState, f: QuantumState, axes, eigs, ts, matrices):
@@ -413,47 +436,39 @@ def _branch_sum(i: QuantumState, f: QuantumState, axes, eigs, ts, matrices):
     over branches, and the population of its top two ladder levels.
 
     ``eigs`` holds the eigensystem of the observable of each coupling
-    axis in ``axes``, and ``matrices(eigenvalues, ks, pointer)`` is the
-    rule that gives an axis's (scales, d, d) branch-pair matrices of the
-    pointer operators "1", "X" and "P" at couplings ks = ts K:
-    ``_moment_matrices`` or ``_grid_matrices``. One axis is a single
-    coupling: branch k has amplitude amp[k] = <f|a_k><a_k|i> and each
-    moment is amp^+ M amp. Two are a commuting pair: branch (k, l) has
-    amplitude amp[k, l] = <f|b_l><b_l|a_k><a_k|i>, and each moment is
-    sum_{l,l'} (amp^+ Mx amp)[l, l'] My[l, l'], with amp^+ Mx amp formed
-    once per x operator. Returns the forms as ``_records`` takes them,
-    and the top-level population per scale when the matrices carry
-    ``_grid_matrices``' "top" entry T (None otherwise)."""
+    axis in ``axes`` (one, or two for a commuting pair), and
+    ``matrices(eigenvalues, ks, pointer)`` is the rule that gives an
+    axis's (scales, d, d) branch-pair matrices of the pointer operators
+    "1", "X" and "P" at couplings ks = ts K: ``_moment_matrices`` or
+    ``_grid_matrices``. Branch (k, l) has amplitude
+    amp[k, l] = <f|b_l><b_l|a_k><a_k|i>, one index per axis (amp[k] =
+    <f|a_k><a_k|i> for one axis), and each moment is one ``_contract``
+    of amp with the MOMENTS row's operator on each axis; a coupling
+    takes the rows whose operators on its absent axes are "1".
+
+    When the matrices carry ``_grid_matrices``' "top" entry, each axis's
+    top-level population is the same contraction of the amplitudes c
+    before post-selection, with "top" on that axis and "1" on the
+    others. Once the system is traced out, branches that end in
+    different eigenvectors of the last coupled observable do not
+    interfere, so the last axis's matrices are kept to their diagonal.
+    Returns the forms as ``_records`` takes them, and the largest
+    population per scale (None without "top")."""
     mats = [matrices(es.eigenvalues, ts * K, p) for es, (_, K, p, _) in zip(eigs, axes)]
-    ea = eigs[0]
-    ai = ea.eigenvectors.conj().T @ i.amplitudes
-    if len(mats) == 1:
-        (m,) = mats
-        amp = (f.amplitudes.conj() @ ea.eigenvectors) * ai
-        forms = {name: amp.conj() @ m[op] @ amp for name, (op, _) in SINGLE_MOMENTS.items()}
-        if "top" not in m:
-            return forms, None
-        # each branch keeps its own system state a_k, so no pair interferes
-        return forms, np.diagonal(m["top"], axis1=1, axis2=2).real @ np.abs(ai) ** 2
-    (mx, my), eb = mats, eigs[1]
-    # c[k, l] = <b_l|a_k><a_k|i>: the x branches that share system state b_l
-    c = ai[:, None] * (eb.eigenvectors.conj().T @ ea.eigenvectors).T
-    amp = c * (f.amplitudes.conj() @ eb.eigenvectors)
-    # (amp^+ Mx amp)^T = (Mx amp)^T conj(amp) once per x operator,
-    # shared by the moments that use it
-    on_x = {op: _stack_times(_stack_times(mx[op], amp).swapaxes(1, 2), amp.conj()) for op in "1XP"}
-    forms = {
-        name: np.einsum("nji,nij->n", on_x[op_x], my[op_y])
-        for name, (op_x, op_y) in MOMENTS.items()
-    }
-    if "top" not in mx:
+    # c[k, l] = <b_l|a_k><a_k|i>, one index per axis, before post-selection
+    c = eigs[0].eigenvectors.conj().T @ i.amplitudes
+    for ea, eb in zip(eigs, eigs[1:]):
+        c = c[..., None] * (eb.eigenvectors.conj().T @ ea.eigenvectors).T
+    amp = c * (f.amplitudes.conj() @ eigs[-1].eigenvectors)
+    forms = _contract(amp, mats, _AXIS_MOMENTS[len(axes)])
+    if "top" not in mats[0]:
         return forms, None
-    # the y phases have unit modulus and the x branches of one b_l share
-    # its y pointer state, so each axis's top levels need only c
-    top_x = np.einsum("kl,nkl->n", c.conj(), _stack_times(mx["top"], c))
-    norms = np.einsum("kl,nkl->nl", c.conj(), _stack_times(mx["1"], c))
-    top_y = np.einsum("nl,nl->n", norms, np.diagonal(my["top"], axis1=1, axis2=2))
-    return forms, np.maximum(top_x.real, top_y.real)
+    indices = range(len(axes))
+    rows = {axis: tuple("top" if other == axis else "1" for other in indices) for axis in indices}
+    eye = np.eye(len(amp))
+    mats[-1] = {ops[-1]: mats[-1][ops[-1]] * eye for ops in rows.values()}
+    populations = _contract(c, mats, rows).values()
+    return forms, functools.reduce(np.maximum, (population.real for population in populations))
 
 
 def _run_exact(i: QuantumState, f: QuantumState, c: _Coupling, scales, tag: str):

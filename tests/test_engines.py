@@ -896,9 +896,27 @@ def truncated_single_problem():
     return i, f, c, 5, [0.01, 0.5, 2.0], "single"
 
 
+def truncated_commuting_problem():
+    """An exactly commuting d = 4 pair strong enough on y at n_max 5 to
+    flag two of its three rows, with the y axis the more populated one
+    on every row (1.2e-2 against 4.4e-8 and 0.35 against 1.0e-5 on the
+    flagged rows), so the pair's top-level population of the last axis
+    is checked whatever hypothesis draws."""
+    rng = np.random.default_rng(5)
+    a = np.kron(random_hermitian(rng, 2), np.eye(2))
+    b = np.kron(np.eye(2), random_hermitian(rng, 2))
+    i, f = pre_post_states(rng, 4)
+    c = JointCoupling(
+        A=Observable(a), B=Observable(b), Kx=0.3, Ky=-0.9,
+        pointer_x=unit_pointer(), pointer_y=GaussianPointer(0.8),
+    )
+    return i, f, c, 5, [0.05, 1.0, 2.0], "commuting"
+
+
 @settings(max_examples=40, deadline=None)
 @given(problem=fock_joint_problem())
 @example(problem=truncated_single_problem())
+@example(problem=truncated_commuting_problem())
 def test_fock_joint_matches_dense_reference(problem):
     i, f, c, n_max, scales, kind = problem
     if kind == "commuting":
@@ -1013,6 +1031,35 @@ def test_fock_matches_exact_on_commuting_pairs_near_degenerate(problem):
     assert_engines_agree(exact, fock)
     # both engines sum the same branches, so they agree to rounding
     assert_engines_agree(exact, fock, tol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    problem=single_cross_problem(),
+    ky=st.floats(-1.0, 1.0),
+    sigma_y=st.floats(0.5, 2.0),
+    scales=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+)
+def test_pair_with_identity_on_y_is_the_single_coupling(problem, ky, sigma_y, scales):
+    """A pair whose y observable is the identity shifts every branch by
+    t Ky on y, so the two-axis branch sum gives the one-axis moments on
+    x, y_mean = t Ky, xy_mean = t Ky x_mean and zero y momenta, on the
+    exact engines and on the Fock branch sum alike."""
+    i, f, c = problem
+    jc = JointCoupling(
+        A=c.A, B=Observable.identity(c.A.dim), Kx=c.K, Ky=ky,
+        pointer_x=c.pointer, pointer_y=GaussianPointer(sigma_y, c.pointer.hbar),
+    )
+    fock = functools.partial(run_fock, n_max=40, scales=scales)
+    for single, joint in ((run_single_exact(i, f, c, scales=scales),
+                           run_joint_exact(i, f, jc, scales=scales)),
+                          (fock(i, f, c), fock(i, f, jc))):
+        for name in ("ps_prob", "x_mean", "px_mean"):
+            assert np.abs(getattr(joint, name) - getattr(single, name)).max() <= 1e-13, name
+        assert np.abs(joint.y_mean - np.array(scales) * ky).max() <= 1e-13
+        assert np.abs(joint.py_mean).max() <= 1e-13
+        assert np.abs(joint.xy_mean - np.array(scales) * ky * single.x_mean).max() <= 1e-13
+        assert np.abs(joint.x_py_mean).max() <= 1e-13
 
 
 def with_eigenvector_phases(obs, rng):
