@@ -51,6 +51,7 @@ import numpy as np
 from .engines import (
     DEFAULT_N_MAX,
     MOMENTS,
+    STACK_OPERATORS,
     JointCoupling,
     MeasurementBatch,
     SingleCoupling,
@@ -319,10 +320,10 @@ def cmd_sweep(args) -> int:
     spec = RunSpec.from_args(args)
     if args.points < 1:
         raise UsageError(f"--points must be >= 1, got {args.points}")
-    # the exact engines hold (points, d, d) pointer-integral matrices
-    check_array_budget(
-        args.points * spec.scenario.i.dim**2, f"--points {args.points}", UsageError
-    )
+    # the engines hold one (operators, points, d, d) stack of branch-pair
+    # matrices per pointer axis
+    check_array_budget(len(STACK_OPERATORS) * args.points * spec.scenario.i.dim**2,
+                       f"--points {args.points}", UsageError)
     for flag, value in (("--k-min", args.k_min), ("--k-max", args.k_max)):
         if not math.isfinite(value):
             raise UsageError(f"{flag} must be finite, got {value}")

@@ -5,7 +5,8 @@ A coupling is a list of pointer axes: ``SingleCoupling`` has one and
 its ``axes``, with flag the CLI name of its coupling ("kx", "ky"). The
 engines read couplings through ``axes``: one ``weakness_ratios`` serves
 both classes, one body (``_run_exact``) serves both exact engines, and
-the branch sum takes one (scales, d, d) matrix set per axis.
+the branch sum takes one (operators, scales, d, d) stack of branch-pair
+matrices per axis.
 
 Three routes compute the same conditional moments:
 
@@ -17,15 +18,19 @@ Three routes compute the same conditional moments:
   tensor with one index per coupled axis: <f|a_k><a_k|i> for a single
   coupling and <f|b_l><b_l|a_k><a_k|i> for the d^2 branches (a_k, b_l)
   of a commuting pair (the sequential branch sum of Mitchison, Jozsa
-  and Popescu, PRA 76, 062105 (2007)). One contraction (``_contract``)
-  takes every moment, and every truncation population of the Fock
-  rule, from such a tensor and the branch-pair matrices of pointer
-  integrals, one (scales, d, d) stack per pointer operator and axis.
-  Two rules supply those matrices, and the branch sum applies the one
-  it is given to each axis: the closed-form Gaussian integrals of the
-  pointer module (``_moment_matrices``, the exact engines, exact at any
-  coupling strength) and the Gauss-Hermite rule of the truncated
-  oscillator (``_grid_matrices``, the Fock engine). The exact engines
+  and Popescu, PRA 76, 062105 (2007)). Each axis holds the branch-pair
+  matrices of its pointer integrals as one (operators, scales, d, d)
+  stack in the fixed order of STACK_OPERATORS: "1", "X", "P", and
+  "top" for the Fock rule only. One contraction (``_contract``) takes
+  every moment from such a tensor and the stacks, with two flat
+  products over the whole x stack and one einsum over every (x, y)
+  operator pair; ``_populations`` takes the Fock rule's truncation
+  populations from the "top" and "1" slices alone. Two rules supply
+  the stacks, and the branch sum applies the one it is given to each
+  axis: the closed-form Gaussian integrals of the pointer module
+  (``_moment_matrices``, the exact engines, exact at any coupling
+  strength) and the Gauss-Hermite rule of the truncated oscillator
+  (``_grid_matrices``, the Fock engine). The exact engines
   share one body: dimensions, scales, the coupling refusal, the
   eigensystems (``simultaneous_eig`` for a pair, which refuses a
   noncommuting one, so an overflowing noncommuting pair is refused by
@@ -41,7 +46,8 @@ Three routes compute the same conditional moments:
   order n into i^n / n! sum_k C(n,k) (-1)^k <G^(n-k) psi0| O |G^k psi0>,
   so the engine builds the vectors G^k psi0 on a (d, n_max+1, n_max+1)
   state tensor, applying G through its factors A (x) Px / hbar and
-  B (x) Py / hbar and O through |f><f|, X and the y-axis operator.
+  B (x) Py / hbar and O through |f><f|, X and the y-axis operator; the
+  system operators act as flat products on its (d, (n_max+1)^2) view.
 
 The Fock engine works on the momentum grid: the eigenvalues p_j of the
 truncated P, which are the Gauss-Hermite nodes scaled by sqrt(2) hbar /
@@ -116,6 +122,7 @@ __all__ = [
     "JointCoupling",
     "MeasurementBatch",
     "MOMENTS",
+    "STACK_OPERATORS",
     "run_single_exact",
     "run_joint_exact",
     "run_fock",
@@ -144,11 +151,12 @@ TRUNCATION_TOL = 1e-8
 DEFAULT_N_MAX = 40
 
 #: Byte budget for the largest complex array one request may allocate:
-#: the Fock block stack of (n_max+1)^2 d x d matrices, the
-#: (points, d, d) pointer-integral matrices of a batched sweep, or the
-#: (d, n_max+1, n_max+1) state tensor of the series engine. A few
-#: arrays of this size are live at once. Larger requests are refused
-#: before anything is allocated.
+#: the Fock block stack of (n_max+1)^2 d x d matrices, an axis's
+#: (operators, points, d, d) stack of branch-pair matrices in a batched
+#: sweep (operators the STACK_OPERATORS), the branch sum's
+#: (points, n_max+1, d) Fock grid arrays, or the (d, n_max+1, n_max+1)
+#: state tensor of the series engine. A few arrays of this size are live
+#: at once. Larger requests are refused before anything is allocated.
 MAX_ARRAY_BYTES = 2**28
 
 #: Each moment of a MeasurementBatch and the pointer operator it applies
@@ -162,9 +170,17 @@ MOMENTS = {
     "xy_mean": ("X", "X"),
     "x_py_mean": ("X", "P"),
 }
+#: The pointer operators of an axis's stack of branch-pair matrices, in
+#: the order of its first axis: those of MOMENTS, then "top", the
+#: population of the top two ladder levels, which only the Gauss-Hermite
+#: rule of the Fock engine gives.
+STACK_OPERATORS = ("1", "X", "P", "top")
+_TOP = STACK_OPERATORS.index("top")
 #: The MOMENTS rows a coupling of n axes takes, keyed by n: those whose
-#: operators on its absent axes are "1", cut to its n axes.
-_AXIS_MOMENTS = {n: {name: ops[:n] for name, ops in MOMENTS.items() if set(ops[n:]) <= {"1"}}
+#: operators on its absent axes are "1", as the stack indices of the
+#: operators on its n axes.
+_AXIS_MOMENTS = {n: {name: tuple(map(STACK_OPERATORS.index, ops[:n]))
+                     for name, ops in MOMENTS.items() if set(ops[n:]) <= {"1"}}
                  for n in (1, 2)}
 
 
@@ -390,45 +406,63 @@ def _records(raw: dict, c: _Coupling, ts: np.ndarray, weakness, tag: str, trunca
     )
 
 
-def _moment_matrices(eigenvalues: np.ndarray, ks: np.ndarray, p: GaussianPointer) -> dict:
-    """Branch-pair matrices of the closed-form pointer integrals for
-    branches displaced by ks[n] a_k, one coupling ks[n] per scale, keyed
-    by the pointer operators of MOMENTS: overlap ("1"), position moment
-    ("X") and momentum moment ("P"), each of shape (scales, d, d)."""
+def _moment_matrices(eigenvalues: np.ndarray, ks: np.ndarray, p: GaussianPointer):
+    """The branch-pair matrices of the closed-form pointer integrals for
+    branches displaced by ks[n] a_k, one coupling ks[n] per scale: one
+    (operators, scales, d, d) stack whose first axis runs over the
+    overlap ("1"), position moment ("X") and momentum moment ("P"), the
+    first three STACK_OPERATORS."""
     displacements = np.outer(ks, eigenvalues)
     d1 = displacements[..., :, None]
     d2 = displacements[..., None, :]
-    return {
-        "1": gaussian_overlap(d1, d2, p),
-        "X": moment_x(d1, d2, p),
-        "P": moment_p(d1, d2, p),
-    }
+    return np.array([gaussian_overlap(d1, d2, p), moment_x(d1, d2, p), moment_p(d1, d2, p)])
 
 
-def _stack_times(m: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """m[n] @ a for every matrix of an (n, r, d) stack and a (d, s)
-    matrix a, as one 2-D product: a stacked matmul makes n small ones, at
-    twice the cost for a 50-point sweep at d = 4."""
-    return (m.reshape(-1, m.shape[-1]) @ a).reshape(m.shape[:-1] + a.shape[-1:])
-
-
-def _contract(amp: np.ndarray, mats, rows: dict) -> dict:
-    """The sum over branch pairs of conj(amp[k, l]) amp[k', l'] Mx[k, k']
-    My[l, l'] for each row of rows, a name and one pointer operator per
-    axis of amp, with M the axis's branch-pair matrices in ``mats`` (the
-    y factor and index are absent for one axis).
-
-    The first axis is two flat products, (Mx amp)^T conj(amp), formed
-    once per first-axis operator and shared by the rows that use it: a
-    (scales, s, s) stack over the second axis's branches, s = 1 for one
-    axis. The second axis, if there is one, is a trace against My."""
+def _x_forms(amp: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """out[o, n, l, l'] = the sum over k, k' of conj(amp[k, l'])
+    stack[o, n, k, k'] amp[k', l] for an (operators, scales, d, d) stack
+    of x-axis matrices and amplitudes amp[k] or amp[k, l], l = 0 for
+    one axis: (M amp)^T conj(amp) for every matrix M of the stack, as two
+    flat products over the whole stack."""
     flat = amp.reshape(len(amp), -1)
-    right = flat.conj()
-    on_x = {op: _stack_times(_stack_times(mats[0][op], flat).swapaxes(1, 2), right)
-            for op in dict.fromkeys(ops[0] for ops in rows.values())}
+    d, s = flat.shape
+    right = (stack.reshape(-1, d) @ flat).reshape(-1, d, s).swapaxes(1, 2).reshape(-1, d)
+    return (right @ flat.conj()).reshape(*stack.shape[:2], s, s)
+
+
+def _contract(amp: np.ndarray, mats) -> dict:
+    """The unnormalized MOMENTS a coupling with the axes of amp takes:
+    for each row, the sum over branch pairs of conj(amp[k, l])
+    amp[k', l'] Mx[k, k'] My[l, l'], with Mx and My the slices of the
+    axis stacks in ``mats`` for the row's operator on each axis (the y
+    factor and index are absent for one axis).
+
+    The x axis is ``_x_forms`` over the "1", "X" and "P" slices at once.
+    The second axis, if there is one, is one einsum against the same
+    slices of its stack, for every (x, y) operator pair, and each row
+    picks its pair by operator index."""
+    on_x = _x_forms(amp, mats[0][:_TOP])
     if len(mats) == 1:
-        return {name: on_x[op][:, 0, 0] for name, (op,) in rows.items()}
-    return {name: np.einsum("nji,nij->n", on_x[x], mats[1][y]) for name, (x, y) in rows.items()}
+        table = on_x[..., 0, 0]
+    else:
+        table = np.einsum("anji,bnij->abn", on_x, mats[1][:_TOP])
+    return {name: table[index] for name, index in _AXIS_MOMENTS[amp.ndim].items()}
+
+
+def _populations(c: np.ndarray, mats) -> np.ndarray:
+    """The population of the top two ladder levels of each axis, one row
+    per axis and one column per scale: the contraction ``_contract``
+    makes of the amplitudes c before post-selection, with the "top"
+    slice T on that axis and "1" on the other, kept to its diagonal on
+    the last axis. Once the system is traced out, branches that end in
+    different eigenvectors of the last coupled observable do not
+    interfere. For one axis that is the sum over k of |c[k]|^2 T[k, k];
+    only the "top" and "1" slices are read."""
+    diagonal = mats[-1].diagonal(axis1=2, axis2=3)
+    if len(mats) == 1:
+        return diagonal[[_TOP]] @ np.abs(c) ** 2
+    weights = _x_forms(c, mats[0][[_TOP, 0]]).diagonal(axis1=2, axis2=3)
+    return (weights * diagonal[[0, _TOP]]).sum(axis=2)
 
 
 def _branch_sum(i: QuantumState, f: QuantumState, axes, eigs, ts, matrices):
@@ -438,37 +472,27 @@ def _branch_sum(i: QuantumState, f: QuantumState, axes, eigs, ts, matrices):
     ``eigs`` holds the eigensystem of the observable of each coupling
     axis in ``axes`` (one, or two for a commuting pair), and
     ``matrices(eigenvalues, ks, pointer)`` is the rule that gives an
-    axis's (scales, d, d) branch-pair matrices of the pointer operators
-    "1", "X" and "P" at couplings ks = ts K: ``_moment_matrices`` or
-    ``_grid_matrices``. Branch (k, l) has amplitude
-    amp[k, l] = <f|b_l><b_l|a_k><a_k|i>, one index per axis (amp[k] =
-    <f|a_k><a_k|i> for one axis), and each moment is one ``_contract``
-    of amp with the MOMENTS row's operator on each axis; a coupling
-    takes the rows whose operators on its absent axes are "1".
+    axis's (operators, scales, d, d) stack of branch-pair matrices, in
+    the order of STACK_OPERATORS, at couplings ks = ts K:
+    ``_moment_matrices`` or ``_grid_matrices``. Branch (k, l) has
+    amplitude amp[k, l] = <f|b_l><b_l|a_k><a_k|i>, one index per axis
+    (amp[k] = <f|a_k><a_k|i> for one axis), and the moments are one
+    ``_contract`` of amp with the stacks.
 
-    When the matrices carry ``_grid_matrices``' "top" entry, each axis's
-    top-level population is the same contraction of the amplitudes c
-    before post-selection, with "top" on that axis and "1" on the
-    others. Once the system is traced out, branches that end in
-    different eigenvectors of the last coupled observable do not
-    interfere, so the last axis's matrices are kept to their diagonal.
-    Returns the forms as ``_records`` takes them, and the largest
-    population per scale (None without "top")."""
+    When the stacks carry ``_grid_matrices``' "top" slice, the
+    populations are ``_populations`` of the amplitudes c before
+    post-selection. Returns the forms as ``_records`` takes them, and
+    the largest population per scale (None without "top")."""
     mats = [matrices(es.eigenvalues, ts * K, p) for es, (_, K, p, _) in zip(eigs, axes)]
     # c[k, l] = <b_l|a_k><a_k|i>, one index per axis, before post-selection
     c = eigs[0].eigenvectors.conj().T @ i.amplitudes
     for ea, eb in zip(eigs, eigs[1:]):
         c = c[..., None] * (eb.eigenvectors.conj().T @ ea.eigenvectors).T
     amp = c * (f.amplitudes.conj() @ eigs[-1].eigenvectors)
-    forms = _contract(amp, mats, _AXIS_MOMENTS[len(axes)])
-    if "top" not in mats[0]:
+    forms = _contract(amp, mats)
+    if len(mats[0]) <= _TOP:
         return forms, None
-    indices = range(len(axes))
-    rows = {axis: tuple("top" if other == axis else "1" for other in indices) for axis in indices}
-    eye = np.eye(len(amp))
-    mats[-1] = {ops[-1]: mats[-1][ops[-1]] * eye for ops in rows.values()}
-    populations = _contract(c, mats, rows).values()
-    return forms, functools.reduce(np.maximum, (population.real for population in populations))
+    return forms, _populations(c, mats).real.max(axis=0)
 
 
 def _run_exact(i: QuantumState, f: QuantumState, c: _Coupling, scales, tag: str):
@@ -552,24 +576,23 @@ def _pointer_frame(p: GaussianPointer, n_max: int) -> _Frame:
     return frame
 
 
-def _grid_matrices(eigenvalues: np.ndarray, ks: np.ndarray, p: GaussianPointer, n_max) -> dict:
+def _grid_matrices(eigenvalues: np.ndarray, ks: np.ndarray, p: GaussianPointer, n_max):
     """The branch-pair matrices of ``_moment_matrices`` as the
     Gauss-Hermite rule of the momentum grid of p's frame at n_max, for
-    branch eigenvalues a_k and one coupling ks[n] per scale.
+    branch eigenvalues a_k and one coupling ks[n] per scale: one
+    (operators, scales, d, d) stack over all four STACK_OPERATORS.
 
     Branch k of scale n is the grid vector G[n, j, k] =
-    exp(-i ks[n] p_j a_k / hbar) vac[j], and the matrix of pointer
+    exp(-i ks[n] p_j a_k / hbar) vac[j], and the slice of pointer
     operator op is G^+ op G, with op applied on the grid by ``_on_grid``.
-    One more entry, "top", is T = (top G)^+ (top G), whose diagonal is
-    the population each branch puts in the top two ladder levels."""
+    The "top" slice is T = (top G)^+ (top G), whose diagonal is the
+    population each branch puts in the top two ladder levels."""
     frame = _pointer_frame(p, n_max)
     g = np.exp((-1j * ks / p.hbar)[:, None, None] * np.outer(frame.p, eigenvalues))
     g *= frame.vacuum[:, None]
-    gh = g.conj().swapaxes(1, 2)
     top = frame.top @ g
-    mats = {op: gh @ _on_grid(op, frame, g) for op in "1XP"}
-    mats["top"] = top.conj().swapaxes(1, 2) @ top
-    return mats
+    on_grid = [_on_grid(op, frame, g) for op in STACK_OPERATORS[:_TOP]]
+    return np.concatenate([g.conj().swapaxes(1, 2) @ on_grid, [top.conj().swapaxes(1, 2) @ top]])
 
 
 def _on_grid(op: str, frame: _Frame, a: np.ndarray) -> np.ndarray:
@@ -665,7 +688,8 @@ def run_fock(
     one row at (Kx, Ky) without them; the eigenbases, momentum frames
     and block eigenvectors are computed once per call. Raises
     InvalidTruncation before allocating if the (n_max+1)^2 d x d blocks,
-    or the branch sum's (scales, n_max+1, d) grid arrays, would exceed
+    or the larger of the branch sum's (scales, n_max+1, d) grid arrays
+    and its (operators, scales, d, d) axis stacks, would exceed
     MAX_ARRAY_BYTES, and OrthogonalPostselection if a row's
     post-selection probability is below EPS_PS.
     """
@@ -678,7 +702,10 @@ def run_fock(
     ts = _scale_array(scales)
     weakness = c.weakness_ratios(ts)
     if len(c.axes) == 1 or commutator_norm(c.A, c.B) == 0.0:
-        check_array_budget(len(ts) * levels * d, f"{len(ts)} scales at {what}", InvalidTruncation)
+        # the larger of the (scales, n_max+1, d) grid arrays and an axis's
+        # (operators, scales, d, d) stack
+        check_array_budget(len(ts) * max(levels, len(STACK_OPERATORS) * d) * d,
+                           f"{len(ts)} scales at {what}", InvalidTruncation)
         eigs = [hermitian_eig(A) for A, *_ in c.axes]
         rule = functools.partial(_grid_matrices, n_max=n_max)
         forms, top = _branch_sum(i, f, c.axes, eigs, ts, rule)
@@ -779,20 +806,19 @@ def heisenberg_moment(
 
     # G^k psi0 for k = 0..order on tensors indexed (system, x level,
     # y level); G acts through its factors A (x) Px / hbar and
-    # B (x) Py / hbar
+    # B (x) Py / hbar; the system operators act as flat products on the
+    # (d, (n_max+1)^2) view of the tensor
     px, py = fx.P / hbar, fy.P / hbar
     powers = [np.zeros((d, fx.dim, fy.dim), dtype=complex)]
     powers[0][:, 0, 0] = i.amplitudes
     for _ in range(order):
         v = powers[-1]
-        powers.append(
-            c.Kx * np.tensordot(c.A.matrix, px @ v, axes=1)
-            + c.Ky * np.tensordot(c.B.matrix, v @ py.T, axes=1)
-        )
+        on_x, on_y = (px @ v).reshape(d, -1), (v.reshape(-1, fy.dim) @ py.T).reshape(d, -1)
+        powers.append((c.Kx * (c.A.matrix @ on_x) + c.Ky * (c.B.matrix @ on_y)).reshape(v.shape))
 
     # O = |f><f| (x) X (x) y_op: project each G^k psi0 on <f| once, then
     # <G^(n-k) psi0| O |G^k psi0> = <left[n-k]| X left[k] y_op^T>
-    left = [np.tensordot(f.amplitudes.conj(), v, axes=1) for v in powers]
+    left = [(f.amplitudes.conj() @ v.reshape(d, -1)).reshape(v.shape[1:]) for v in powers]
     right = [fx.X @ phi if y_op is None else fx.X @ phi @ y_op.T for phi in left]
 
     # an order's imaginary residue is rounding of the products its inner

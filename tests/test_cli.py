@@ -497,6 +497,23 @@ def test_oversized_requests_exit_1_without_traceback(capsys):
     assert "budget" in err and "Traceback" not in err
 
 
+def test_sweep_budget_counts_every_operator_of_the_stack(monkeypatch, capsys):
+    """A sweep's engines hold one (operators, points, d, d) stack per
+    axis, so a budget that one (points, d, d) matrix set fits but the
+    stack does not exits 1 before any engine runs."""
+    calls = []
+    for name in ("run_single_exact", "run_joint_exact", "run_fock"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: calls.append(args))
+    points, d = 10, 3  # three-box
+    monkeypatch.setattr("weaklab.engines.MAX_ARRAY_BYTES", 16 * 2 * points * d**2)
+    assert run_cli(["sweep", "--scenario", "three-box", "--observable", "P3",
+                    "--engine", "exact", "--k-min", "1e-3", "--k-max", "1e-1",
+                    "--points", str(points), "--log", "--sigma-x", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "budget" in err and "Traceback" not in err
+    assert calls == []
+
+
 def test_run_byte_identical_outputs(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     args = [

@@ -3,6 +3,7 @@ the commutator series, and the scaling laws of the conditional moments."""
 
 import dataclasses
 import functools
+import itertools
 import math
 import re
 import warnings
@@ -16,6 +17,8 @@ from weaklab.engines import (
     EPS_PS,
     IMAG_RESIDUE_TOL,
     MAX_ARRAY_BYTES,
+    MOMENTS as MOMENT_OPERATORS,
+    STACK_OPERATORS,
     TRUNCATION_TOL,
     JointCoupling,
     MeasurementBatch,
@@ -24,7 +27,9 @@ from weaklab.engines import (
     run_fock,
     run_joint_exact,
     run_single_exact,
+    _contract,
     _pointer_frame,
+    _populations,
     _realize,
     _records,
     _residue_bounds,
@@ -449,13 +454,19 @@ def test_batch_applies_postselection_floor_to_every_row():
         run_single_exact(PLUS_X, f, c, scales=[0.5, 1e-6])
 
 
-def test_fock_refuses_oversized_truncation_before_allocating():
+def test_fock_refuses_oversized_truncation_before_allocating(monkeypatch):
     c = SingleCoupling(A=SIGMA_Z, K=0.01, pointer=unit_pointer())
     # (1e8 + 1)^2 x 2^2 complex values: 6.4e17 bytes
     with pytest.raises(InvalidTruncation, match="budget"):
         run_fock(PLUS_X, PLUS_X, c, n_max=10**8)
     # the benchmark size (n_max 40, d = 4) is far inside the budget
     assert 16 * 41**2 * 4**2 < MAX_ARRAY_BYTES
+    # at n_max 2, d = 2 and 10 scales the blocks (36 values) and the grid
+    # arrays (60) fit a 100-value budget, the four-operator stack (160)
+    # does not
+    monkeypatch.setattr("weaklab.engines.MAX_ARRAY_BYTES", 16 * 100)
+    with pytest.raises(InvalidTruncation, match="budget"):
+        run_fock(PLUS_X, PLUS_X, c, n_max=2, scales=np.linspace(0.1, 1.0, 10))
 
 
 # --- moment scaling laws ------------------------------------------------------
@@ -1092,6 +1103,46 @@ def test_moments_do_not_depend_on_eigenvector_phases(problem, seed):
         )
         for name in MOMENTS:
             assert np.abs(getattr(got, name) - getattr(want, name)).max() <= 1e-15, name
+
+
+@pytest.mark.parametrize("axes", [1, 2])
+def test_contraction_pins_its_index_order(axes):
+    """``_contract`` and ``_populations`` on random non-Hermitian stacks
+    equal the explicit sums over branch pairs. Every stack the engines
+    build is Hermitian, and there a transposed index only conjugates a
+    real form, so only such stacks tell the index order apart."""
+    rng = np.random.default_rng(18)
+    d, scales = 3, 2
+
+    def rand(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    mats = [rand(len(STACK_OPERATORS), scales, d, d) for _ in range(axes)]
+    amp = rand(*(d,) * axes)
+
+    def explicit(ops, diagonal=False):
+        # conj(amp[k, l]) amp[k', l'] Mx[k, k'] My[l, l'], with l = l'
+        # for the populations
+        slices = [m[STACK_OPERATORS.index(op)] for m, op in zip(mats, ops)]
+        total = np.zeros(scales, dtype=complex)
+        for bra, ket in itertools.product(np.ndindex(amp.shape), repeat=2):
+            if not diagonal or bra[-1] == ket[-1]:
+                term = np.conj(amp[bra]) * amp[ket]
+                for m, k, k2 in zip(slices, bra, ket):
+                    term = term * m[:, k, k2]
+                total += term
+        return total
+
+    forms = _contract(amp, mats)
+    rows = {name: ops[:axes] for name, ops in MOMENT_OPERATORS.items() if set(ops[axes:]) <= {"1"}}
+    assert forms.keys() == rows.keys()
+    for name, ops in rows.items():
+        np.testing.assert_allclose(forms[name], explicit(ops), rtol=1e-13, atol=0, err_msg=name)
+    populations = _populations(amp, mats)
+    assert populations.shape == (axes, scales)
+    for axis, population in enumerate(populations):
+        ops = ["top" if other == axis else "1" for other in range(axes)]
+        np.testing.assert_allclose(population, explicit(ops, diagonal=True), rtol=1e-13, atol=0)
 
 
 # --- coupling validation ---------------------------------------------------------
