@@ -16,15 +16,17 @@ CSV schema (version 1)::
     # fitted_error_order=<least-squares log-log slope>   (sweep only)
 
 Every engine call returns a ``MeasurementBatch``, one column per
-moment with one entry per coupling. A sweep is one such call per
-observable: everything that does not depend on the coupling strength is
+moment with one entry per coupling. A sweep, single or joint, is one
+engine call: everything that does not depend on the coupling strength is
 computed once, each extraction formula runs once on the columns, and
 the CSV rows are formatted in one pass over one (points x 8) table.
 ``run`` is the same path with a single point and reads row 0 of the
-columns. A joint run or sweep takes its single weak values from
-``extract_single`` on its two single-coupling batches, the same pointer
-shifts that give the correlation; the direct value ``<f|A|i>/<f|i>`` is
-only the referee it is checked against.
+columns. A joint call passes ``with_singles=True`` and also gets the
+batches of A and of B coupled alone, which the engine takes from the
+eigensystems and pointer integrals of the pair; the single weak values
+come from ``extract_single`` on those, the same pointer shifts that
+give the correlation. The direct value ``<f|A|i>/<f|i>`` is only the
+referee the result is checked against.
 
 Exit codes: 0 success; 1 configuration/parse errors, including requests
 whose arrays would exceed ``engines.MAX_ARRAY_BYTES`` and couplings
@@ -246,12 +248,16 @@ def _resolve_scenario(name_or_path: str, alpha: float) -> Scenario:
     )
 
 
-def _run_engine(spec: RunSpec, c, scales: list[float]) -> MeasurementBatch:
+def _run_engine(spec: RunSpec, c, scales: list[float], with_singles: bool = False):
+    """The one engine call of a run or sweep. A joint coupling passes
+    ``with_singles=True`` and gets (batch, (batch_a, batch_b)), the
+    batches of A and B coupled alone at the same couplings."""
     scn = spec.scenario
     if spec.engine == "fock":
-        return run_fock(scn.i, scn.f, c, n_max=spec.n_max, scales=scales)
-    if isinstance(c, JointCoupling):
-        return run_joint_exact(scn.i, scn.f, c, scales=scales)
+        return run_fock(scn.i, scn.f, c, n_max=spec.n_max, scales=scales,
+                        with_singles=with_singles)
+    if with_singles:
+        return run_joint_exact(scn.i, scn.f, c, scales=scales, with_singles=True)
     return run_single_exact(scn.i, scn.f, c, scales=scales)
 
 
@@ -262,9 +268,11 @@ def _execute(spec: RunSpec, kx: float, ky: float, scales: list[float]):
     Returns (batch, extracted, direct, singles): the MeasurementBatch of
     the run, the extracted estimate holding one value per scale, the
     direct value and, for joint runs, the pair of single estimates
-    extracted from single-coupling runs of A and B, one value per scale,
-    else None. Each engine call and each extraction runs once per
-    batch."""
+    extracted from the batches of A and B coupled alone, one value per
+    scale, else None. A run or sweep makes one engine call, joint or
+    not: a joint call also returns the two single-coupling batches,
+    taken from the eigensystems and pointer integrals of the pair. Each
+    extraction runs once per batch."""
     scn = spec.scenario
     a = scn.observable(spec.observable)
     pointer_x = GaussianPointer(spec.sigma_x, spec.hbar)
@@ -279,11 +287,9 @@ def _execute(spec: RunSpec, kx: float, ky: float, scales: list[float]):
     c = JointCoupling(
         A=a, B=b, Kx=kx, Ky=ky, pointer_x=pointer_x, pointer_y=pointer_y
     )
-    batch = _run_engine(spec, c, scales)
-    singles = tuple(
-        extract_single(_run_engine(spec, cs, scales), cs)
-        for cs in (SingleCoupling(a, kx, pointer_x), SingleCoupling(b, ky, pointer_y))
-    )
+    batch, alone = _run_engine(spec, c, scales, with_singles=True)
+    alone_couplings = (SingleCoupling(a, kx, pointer_x), SingleCoupling(b, ky, pointer_y))
+    singles = tuple(extract_single(sb, cs) for sb, cs in zip(alone, alone_couplings))
     est = extract_joint(batch, (singles[0].value, singles[1].value), c)
     return batch, est, direct_joint_weak_value(a, b, scn.i, scn.f), singles
 

@@ -75,7 +75,12 @@ and everything independent of the coupling strength (eigenbases,
 branch amplitudes, spectral radii, momentum frames, Fock block
 eigenvectors) is computed once per batch; without ``scales`` the batch
 is the one row at t = 1, so a single run and a sweep take the same
-code path. Every ``run_*`` engine, and the series, refuses a coupling
+code path. A joint call with ``with_singles=True`` also returns the
+batch of each axis coupled alone, bit for bit what a separate
+single-coupling call gives: on the branch sum that is ``_branch_sum``
+of one axis's eigensystem and stack, both of which the pair has
+already built; the block engine computes the two single-axis branch
+sums after its own batch. Every ``run_*`` engine, and the series, refuses a coupling
 whose branch displacements overflow the pointer integrals (ValueError
 naming kx or ky) before it forms any integral, Fock phase or power of
 H. The series also refuses, with the same ValueError, a coupling whose
@@ -465,25 +470,32 @@ def _populations(c: np.ndarray, mats) -> np.ndarray:
     return (weights * diagonal[[0, _TOP]]).sum(axis=2)
 
 
-def _branch_sum(i: QuantumState, f: QuantumState, axes, eigs, ts, matrices):
+def _axis_stacks(rule, eigs, axes, ts) -> list:
+    """Each axis's (operators, scales, d, d) stack of branch-pair
+    matrices, in the order of STACK_OPERATORS, at couplings ts K:
+    ``rule(eigenvalues, ks, pointer)`` is ``_moment_matrices`` or
+    ``_grid_matrices``, applied to the eigensystem in ``eigs`` of each
+    coupling axis in ``axes``."""
+    return [rule(es.eigenvalues, ts * K, p) for es, (_, K, p, _) in zip(eigs, axes)]
+
+
+def _branch_sum(i: QuantumState, f: QuantumState, eigs, mats):
     """Unnormalized MOMENTS of the post-selected pointer state as a sum
     over branches, and the population of its top two ladder levels.
 
-    ``eigs`` holds the eigensystem of the observable of each coupling
-    axis in ``axes`` (one, or two for a commuting pair), and
-    ``matrices(eigenvalues, ks, pointer)`` is the rule that gives an
-    axis's (operators, scales, d, d) stack of branch-pair matrices, in
-    the order of STACK_OPERATORS, at couplings ks = ts K:
-    ``_moment_matrices`` or ``_grid_matrices``. Branch (k, l) has
-    amplitude amp[k, l] = <f|b_l><b_l|a_k><a_k|i>, one index per axis
+    ``eigs`` holds the eigensystem of the observable of each coupled
+    axis (one, or two for a commuting pair), and ``mats`` the axis's
+    stack from ``_axis_stacks``. Branch (k, l) has amplitude
+    amp[k, l] = <f|b_l><b_l|a_k><a_k|i>, one index per axis
     (amp[k] = <f|a_k><a_k|i> for one axis), and the moments are one
-    ``_contract`` of amp with the stacks.
+    ``_contract`` of amp with the stacks. So the first axis of a pair,
+    ``eigs[:1]`` with ``mats[:1]``, is that axis coupled alone, and so is
+    the second with ``eigs[1:]`` and ``mats[1:]``.
 
     When the stacks carry ``_grid_matrices``' "top" slice, the
     populations are ``_populations`` of the amplitudes c before
     post-selection. Returns the forms as ``_records`` takes them, and
     the largest population per scale (None without "top")."""
-    mats = [matrices(es.eigenvalues, ts * K, p) for es, (_, K, p, _) in zip(eigs, axes)]
     # c[k, l] = <b_l|a_k><a_k|i>, one index per axis, before post-selection
     c = eigs[0].eigenvectors.conj().T @ i.amplitudes
     for ea, eb in zip(eigs, eigs[1:]):
@@ -495,19 +507,44 @@ def _branch_sum(i: QuantumState, f: QuantumState, axes, eigs, ts, matrices):
     return forms, _populations(c, mats).real.max(axis=0)
 
 
-def _run_exact(i: QuantumState, f: QuantumState, c: _Coupling, scales, tag: str):
+def _alone(c: JointCoupling, eigs, mats) -> list:
+    """Each axis of the pair c coupled alone, A then B: its
+    SingleCoupling at the axis's coupling and pointer, and the axis's
+    eigensystem and stack as ``_branch_sum`` takes them."""
+    return [(SingleCoupling(A, K, p), eigs[n:n + 1], mats[n:n + 1])
+            for n, (A, K, p, _) in enumerate(c.axes)]
+
+
+def _check_singles(c: _Coupling, with_singles: bool):
+    if with_singles and len(c.axes) == 1:
+        raise TypeError("with_singles needs a JointCoupling")
+
+
+def _run_exact(i: QuantumState, f: QuantumState, c: _Coupling, scales, tag: str,
+               with_singles=False):
     """The body of both exact engines, for any coupling by its axes.
 
     The coupling refusal runs before the eigensystems are taken, so an
     overflowing noncommuting pair is refused by name (ValueError), not
     as NotCommuting. A pair takes its eigensystems from
-    ``simultaneous_eig``, which refuses noncommuting pairs."""
+    ``simultaneous_eig``, which refuses noncommuting pairs. With
+    ``with_singles`` the batch of each axis coupled alone is the branch
+    sum of that axis's eigensystem and stack, checked after the pair's
+    batch, A before B."""
+    _check_singles(c, with_singles)
     _check_dims(i, f, c.A.dim)
     ts = _scale_array(scales)
     weakness = c.weakness_ratios(ts)
     eigs = simultaneous_eig(c.A, c.B) if len(c.axes) == 2 else (hermitian_eig(c.A),)
-    forms, _ = _branch_sum(i, f, c.axes, eigs, ts, _moment_matrices)
-    return _records(forms, c, ts, weakness, tag)
+    mats = _axis_stacks(_moment_matrices, eigs, c.axes, ts)
+    forms, _ = _branch_sum(i, f, eigs, mats)
+    batch = _records(forms, c, ts, weakness, tag)
+    if not with_singles:
+        return batch
+    return batch, tuple(
+        _records(_branch_sum(i, f, es, ms)[0], cs, ts, cs.weakness_ratios(ts), "exact-single")
+        for cs, es, ms in _alone(c, eigs, mats)
+    )
 
 
 def run_single_exact(i: QuantumState, f: QuantumState, c: SingleCoupling, *, scales=None):
@@ -525,7 +562,8 @@ def run_single_exact(i: QuantumState, f: QuantumState, c: SingleCoupling, *, sca
     return _run_exact(i, f, c, scales, "exact-single")
 
 
-def run_joint_exact(i: QuantumState, f: QuantumState, c: JointCoupling, *, scales=None):
+def run_joint_exact(i: QuantumState, f: QuantumState, c: JointCoupling, *, scales=None,
+                    with_singles=False):
     """Closed-form conditional moments for two commuting couplings.
 
     The couplings factorize, so the post-selected pointer state is a sum
@@ -538,8 +576,15 @@ def run_joint_exact(i: QuantumState, f: QuantumState, c: JointCoupling, *, scale
     each of ``scales``, or the one row at (Kx, Ky) without them. Raises
     OrthogonalPostselection if a row's post-selection probability is
     below EPS_PS.
+
+    With ``with_singles=True`` it returns (batch, (batch_a, batch_b)):
+    batch_a is the batch ``run_single_exact`` gives for
+    SingleCoupling(A, Kx, pointer_x), batch_b the same for B at Ky on
+    pointer_y, bit for bit, both taken from the eigensystems and pointer
+    integrals the pair has already formed. Their refusals follow the
+    pair's, A before B.
     """
-    return _run_exact(i, f, c, scales, "exact-joint")
+    return _run_exact(i, f, c, scales, "exact-joint", with_singles)
 
 
 _Frame = collections.namedtuple("_Frame", "fock p x top vacuum")
@@ -662,6 +707,23 @@ def _fock_joint(i, f, c: JointCoupling, n_max, ts):
     return raw, top
 
 
+def _fock_batch(forms, top, c: _Coupling, ts, weakness) -> MeasurementBatch:
+    """The batch of a Fock run of coupling c from its forms and the
+    top-level population of each scale: each row above TRUNCATION_TOL
+    issues one TruncationWarning, pointed at the caller of run_fock,
+    and is flagged in ``truncation_warning``."""
+    truncated = top > TRUNCATION_TOL
+    for population in top[truncated].tolist():
+        warnings.warn(
+            f"top Fock levels hold population {population:.3e}; "
+            "increase n_max for reliable moments",
+            TruncationWarning,
+            stacklevel=3,
+        )
+    tag = "fock-single" if len(c.axes) == 1 else "fock-joint"
+    return _records(forms, c, ts, weakness, tag, truncated)
+
+
 def run_fock(
     i: QuantumState,
     f: QuantumState,
@@ -669,6 +731,7 @@ def run_fock(
     n_max: int = DEFAULT_N_MAX,
     *,
     scales=None,
+    with_singles=False,
 ):
     """Exact unitary evolution in a truncated oscillator pointer space.
 
@@ -692,35 +755,49 @@ def run_fock(
     and its (operators, scales, d, d) axis stacks, would exceed
     MAX_ARRAY_BYTES, and OrthogonalPostselection if a row's
     post-selection probability is below EPS_PS.
+
+    With ``with_singles=True`` a JointCoupling returns
+    (batch, (batch_a, batch_b)): batch_a is the batch
+    ``run_fock(i, f, SingleCoupling(A, Kx, pointer_x), n_max)`` gives at
+    the same scales, batch_b the same for B at Ky on pointer_y, bit for
+    bit, with their truncation warnings. A commuting pair takes them from
+    the eigensystems and axis stacks of its own branch sum; the block
+    engine computes the two single-axis branch sums after its own batch.
+    Refusals and warnings come in the order pair, A, B.
     """
     if not isinstance(c, _Coupling):
         raise TypeError(f"expected SingleCoupling or JointCoupling, got {type(c).__name__}")
+    _check_singles(c, with_singles)
     d, levels = c.A.dim, int(n_max) + 1
     _check_dims(i, f, d)
     what = f"n_max={n_max} with system dimension {d}"
     check_array_budget(levels**2 * d**2, what, InvalidTruncation)
     ts = _scale_array(scales)
     weakness = c.weakness_ratios(ts)
-    if len(c.axes) == 1 or commutator_norm(c.A, c.B) == 0.0:
+
+    def branch_stacks():
         # the larger of the (scales, n_max+1, d) grid arrays and an axis's
         # (operators, scales, d, d) stack
         check_array_budget(len(ts) * max(levels, len(STACK_OPERATORS) * d) * d,
                            f"{len(ts)} scales at {what}", InvalidTruncation)
         eigs = [hermitian_eig(A) for A, *_ in c.axes]
         rule = functools.partial(_grid_matrices, n_max=n_max)
-        forms, top = _branch_sum(i, f, c.axes, eigs, ts, rule)
+        return eigs, _axis_stacks(rule, eigs, c.axes, ts)
+
+    stacks = None
+    if len(c.axes) == 1 or commutator_norm(c.A, c.B) == 0.0:
+        stacks = branch_stacks()
+        forms, top = _branch_sum(i, f, *stacks)
     else:
         forms, top = _fock_joint(i, f, c, n_max, ts)
-    truncated = top > TRUNCATION_TOL
-    for population in top[truncated].tolist():
-        warnings.warn(
-            f"top Fock levels hold population {population:.3e}; "
-            "increase n_max for reliable moments",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    tag = "fock-single" if len(c.axes) == 1 else "fock-joint"
-    return _records(forms, c, ts, weakness, tag, truncated)
+    batch = _fock_batch(forms, top, c, ts, weakness)
+    if not with_singles:
+        return batch
+    singles = []
+    for cs, es, ms in _alone(c, *(stacks or branch_stacks())):
+        forms, top = _branch_sum(i, f, es, ms)
+        singles.append(_fock_batch(forms, top, cs, ts, cs.weakness_ratios(ts)))
+    return batch, tuple(singles)
 
 
 # observable tags for the series engine

@@ -152,8 +152,9 @@ def hermitian_eig(a: Observable) -> EigenSystem:
     Hermiticity, so the matrix goes to ``eigh`` as it is. The
     decomposition is computed once per Observable instance and stored
     on it: every later call returns the same EigenSystem, whose arrays
-    are read-only, so a joint run and its two single runs share the
-    decompositions of A and B.
+    are read-only, so every run on A and B, and the single-coupling
+    batches a joint engine call returns with its pair, share their
+    decompositions.
     """
     return a._eigensystem
 

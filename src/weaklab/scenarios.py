@@ -167,13 +167,23 @@ def build_hardy() -> Scenario:
     )
 
 
+@functools.cache
+def _qubit_parts() -> tuple[QuantumState, Observable]:
+    """The |+> pre-selection and the sigma_z of both qubit presets, built
+    once per process and shared, so sigma_z keeps its eigendecomposition
+    (``qcore.hermitian_eig``) from one spin angle to the next."""
+    plus = QuantumState(np.array([1, 1]) / math.sqrt(2))
+    return plus, Observable(np.diag([1.0, -1.0]).astype(complex))
+
+
 def build_spin_amplifier(alpha: float) -> Scenario:
     """Qubit scenario whose conditional spin value (1 - tan a)/(1 + tan a)
     grows without bound as the post-selection approaches orthogonality
-    at a = 3 pi / 4 (mod pi)."""
+    at a = 3 pi / 4 (mod pi). Only the post-selection and the expected
+    value depend on a; the rest is ``_qubit_parts``."""
     if not math.isfinite(alpha):
         raise ValueError(f"spin angle alpha must be finite, got {alpha}")
-    i = QuantumState(np.array([1, 1]) / math.sqrt(2))
+    plus, sigma_z = _qubit_parts()
     fa = np.array([math.cos(alpha), math.sin(alpha)])
     denom = math.cos(alpha) + math.sin(alpha)
     if denom**2 / 2.0 < EPS_PS:
@@ -183,9 +193,9 @@ def build_spin_amplifier(alpha: float) -> Scenario:
     expected = (math.cos(alpha) - math.sin(alpha)) / denom
     return Scenario(
         name="spin",
-        i=i,
+        i=plus,
         f=QuantumState(fa),
-        observables={"sigma_z": Observable(np.diag([1.0, -1.0]).astype(complex))},
+        observables={"sigma_z": sigma_z},
         expected={"sigma_z": complex(expected)},
     )
 
@@ -194,13 +204,12 @@ def build_spin_amplifier(alpha: float) -> Scenario:
 def build_imaginary() -> Scenario:
     """Qubit scenario with a purely imaginary conditional spin value: the
     pointer shift appears in momentum, not position."""
-    i = QuantumState(np.array([1, 1]) / math.sqrt(2))
-    f = QuantumState(np.array([1, 1j]) / math.sqrt(2))
+    plus, sigma_z = _qubit_parts()
     return Scenario(
         name="imaginary",
-        i=i,
-        f=f,
-        observables={"sigma_z": Observable(np.diag([1.0, -1.0]).astype(complex))},
+        i=plus,
+        f=QuantumState(np.array([1, 1j]) / math.sqrt(2)),
+        observables={"sigma_z": sigma_z},
         expected={"sigma_z": 1j},
     )
 
@@ -208,7 +217,9 @@ def build_imaginary() -> Scenario:
 #: Preset registry used by the CLI; spin takes its angle as an argument.
 #: The other presets are built once per process and shared: every call
 #: returns the same read-only Scenario, whose observables keep their
-#: eigendecompositions (``qcore.hermitian_eig``) from call to call.
+#: eigendecompositions (``qcore.hermitian_eig``) from call to call. Spin
+#: builds only its post-selection per call and shares its pre-selection
+#: and sigma_z with imaginary.
 PRESETS = {
     "three-box": build_three_box,
     "hardy": build_hardy,

@@ -110,8 +110,9 @@ def extract_joint(batch: MeasurementBatch, singles, c: JointCoupling) -> WeakVal
     """Recover a joint weak value from X-Y pointer correlations.
 
     Combines the conditional correlation moments with the two single
-    weak values a and b (extracted from single-coupling runs, as the CLI
-    does, or direct):
+    weak values a and b (direct, or extracted from the single-coupling
+    batches that the CLI's one joint engine call returns with the pair,
+    ``with_singles=True``):
 
         Re = 2 <XY>_fi / (Kx Ky) - Re(a* b)
         Im = (4 sigma_y^2 / hbar) <X Py>_fi / (Kx Ky) - Im(a* b)

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from weaklab import cli, errors, qcore, scenarios
+from weaklab import cli, engines, errors, qcore, scenarios
 from weaklab.cli import CSV_HEADER, _CSV_ROW, RunSpec, _execute, _fmt_float, build_parser, main
 from weaklab.engines import MOMENTS, _pointer_frame
 from weaklab.scenarios import build_three_box, scenario_to_document
+from weaklab.validation import run_all_checks
 
 
 def run_cli(argv):
@@ -441,8 +442,68 @@ def test_joint_run_decomposes_each_observable_once(monkeypatch):
         assert calls["eigvalsh"] == []
 
 
+def count_calls(monkeypatch, targets):
+    """A dict that counts, from now until the test ends, the calls of
+    each function that one of ``targets``, (module, name) pairs, names
+    where its callers look it up."""
+    counts = {name: 0 for _, name in targets}
+    for module, name in targets:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_joint_sweep_makes_one_engine_call(monkeypatch):
+    """A joint exact sweep forms each axis's pointer integrals once, for
+    the pair, and takes both single-coupling batches from them: two
+    _moment_matrices calls (four when each single ran its own call), one
+    engine call and no single-coupling engine call."""
+    counts = count_calls(monkeypatch, [(engines, "_moment_matrices"), *(
+        (cli, name) for name in ("run_single_exact", "run_joint_exact", "run_fock"))])
+    args = build_parser().parse_args(
+        ["sweep", "--scenario", "hardy", "--observable", "N_Oe", "--observable-b", "N_NOp",
+         "--engine", "exact", "--k-min", "1e-3", "--k-max", "1e-1", "--points", "5",
+         "--log", "--sigma-x", "1"]
+    )
+    _execute(RunSpec.from_args(args), 1.0, 1.0, [1e-3, 1e-2, 1e-1])
+    assert counts == {"_moment_matrices": 2, "run_single_exact": 0, "run_joint_exact": 1,
+                      "run_fock": 0}
+
+
+def test_validate_builds_no_singles(monkeypatch):
+    """validate's engine calls ask for no single-coupling batches, so one
+    pass makes as many batches and pointer-integral stacks as separate
+    calls make: 26 _records, 17 _moment_matrices, 17 _grid_matrices."""
+    counts = count_calls(monkeypatch, [
+        (engines, name) for name in ("_records", "_moment_matrices", "_grid_matrices")])
+    run_all_checks()
+    assert counts == {"_records": 26, "_moment_matrices": 17, "_grid_matrices": 17}
+
+
+def test_joint_fock_run_warns_for_the_pair_then_each_single(tmp_path):
+    """A truncating joint Fock run warns once per truncated batch in the
+    order pair, A alone, B alone (N_NOp alone truncates as the pair
+    does), and every warning points at one line of the CLI, so Python's
+    default filter shows a repeated message once."""
+    argv = ["run", "--scenario", "hardy", "--observable", "N_Oe", "--observable-b", "N_NOp",
+            "--engine", "fock", "--n-max", "6", "--kx", "2", "--sigma-x", "1",
+            "--format", "json", "--out", str(tmp_path / "out.json")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(argv) == 0
+    assert [str(w.message) for w in caught] == [
+        f"top Fock levels hold population {p}; increase n_max for reliable moments"
+        for p in ("2.417e-03", "1.209e-03", "2.417e-03")
+    ]
+    assert all(w.category is errors.TruncationWarning for w in caught)
+    assert {(w.filename, w.lineno) for w in caught} == {(cli.__file__, caught[0].lineno)}
+
+
 def _cold_caches():
-    for build in (scenarios.build_three_box, scenarios.build_hardy, scenarios.build_imaginary):
+    for build in (scenarios.build_three_box, scenarios.build_hardy, scenarios.build_imaginary,
+                  scenarios._qubit_parts):
         build.cache_clear()
     _pointer_frame.cache_clear()
 
@@ -454,9 +515,11 @@ def _cold_caches():
          "--engine", "fock", "--kx", "0.02", "--sigma-x", "1", "--format", "json"],
         ["run", "--scenario", "three-box", "--observable", "P3", "--engine", "exact",
          "--kx", "0.01", "--sigma-x", "1", "--format", "json"],
+        ["run", "--scenario", "spin", "--alpha", "0.3", "--observable", "sigma_z",
+         "--engine", "exact", "--kx", "0.01", "--sigma-x", "1", "--format", "json"],
         ["validate"],
     ],
-    ids=["joint-fock", "single-exact", "validate"],
+    ids=["joint-fock", "single-exact", "spin", "validate"],
 )
 def test_output_identical_with_cold_and_warm_caches(capsys, argv):
     _cold_caches()

@@ -1145,6 +1145,88 @@ def test_contraction_pins_its_index_order(axes):
         np.testing.assert_allclose(population, explicit(ops, diagonal=True), rtol=1e-13, atol=0)
 
 
+# --- the single-coupling batches a joint call returns -----------------------------
+
+
+def hardy_pair(kx, ky, sigma_y):
+    hardy = build_hardy()
+    return hardy.i, hardy.f, JointCoupling(
+        A=hardy.observable("N_Oe"), B=hardy.observable("N_NOp"), Kx=kx, Ky=ky,
+        pointer_x=unit_pointer(), pointer_y=GaussianPointer(sigma_y),
+    )
+
+
+def noncommuting_pair(kx, ky, sigma_y):
+    a, b, i, f = _noncommuting_qubit()
+    return i, f, JointCoupling(
+        A=a, B=b, Kx=kx, Ky=ky, pointer_x=unit_pointer(), pointer_y=GaussianPointer(sigma_y),
+    )
+
+
+#: (engine, path, problem): exact and commuting Fock pairs take the
+#: branch sum, the noncommuting qubit the block engine; the last case of
+#: each Fock path truncates, so its rows are flagged and warn.
+SINGLES_CASES = {
+    "exact-equal": ("exact", "branch", hardy_pair(0.01, 0.01, 1.0) + (None,)),
+    "exact-unequal": ("exact", "branch", hardy_pair(0.05, -0.02, 0.6) + (None,)),
+    "fock-commuting": ("fock", "branch", hardy_pair(0.05, -0.02, 0.6) + (40,)),
+    "fock-commuting-truncated": ("fock", "branch", hardy_pair(2.0, 1.5, 0.8) + (6,)),
+    "fock-block": ("fock", "block", noncommuting_pair(0.05, -0.02, 0.6) + (40,)),
+    "fock-block-truncated": ("fock", "block", noncommuting_pair(2.0, -1.5, 0.7) + (4,)),
+}
+
+
+def caught_warnings(call):
+    """call()'s result and the messages and files of every warning it
+    issues."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [(str(w.message), w.filename) for w in caught]
+
+
+@pytest.mark.parametrize("scales", [None, [0.1, 1.0, 3.0]], ids=["one-row", "scales"])
+@pytest.mark.parametrize("case", SINGLES_CASES, ids=list(SINGLES_CASES))
+def test_singles_returned_with_the_pair_are_the_single_runs(case, scales):
+    """``with_singles=True`` returns the pair's batch and each axis's
+    single-coupling batch bit for bit as separate calls give them, every
+    column and the engine tag, with the same truncation warnings in the
+    order pair, A, B, each pointing at the caller."""
+    engine, path, (i, f, c, n_max) = SINGLES_CASES[case]
+    assert (commutator_norm(c.A, c.B) == 0.0) == (path == "branch")
+    if engine == "exact":
+        joint, single = run_joint_exact, run_single_exact
+    else:
+        joint = single = functools.partial(run_fock, n_max=n_max)
+
+    (pair, alone), got_warnings = caught_warnings(
+        lambda: joint(i, f, c, scales=scales, with_singles=True)
+    )
+
+    def separate():
+        return [joint(i, f, c, scales=scales), *(
+            single(i, f, SingleCoupling(A, K, p), scales=scales) for A, K, p, _ in c.axes
+        )]
+
+    want, want_warnings = caught_warnings(separate)
+    assert len(alone) == 2
+    for got, ref in zip((pair, *alone), want):
+        for name in COLUMNS:
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        assert got.engine_tag == ref.engine_tag
+    assert got_warnings == want_warnings
+    assert {filename for _, filename in got_warnings} <= {__file__}
+    if case.endswith("truncated"):
+        assert got_warnings and all(b.truncation_warning.any() for b in (pair, *alone))
+
+
+@pytest.mark.parametrize("engine", [run_joint_exact, run_fock])
+def test_singles_need_a_joint_coupling(engine):
+    c = SingleCoupling(A=SIGMA_Z, K=0.1, pointer=unit_pointer())
+    with pytest.raises(TypeError, match="with_singles"):
+        engine(PLUS_X, PLUS_X, c, with_singles=True)
+
+
 # --- coupling validation ---------------------------------------------------------
 
 

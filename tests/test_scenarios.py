@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from weaklab.errors import NotHermitian, OrthogonalPostselection, ParseError, ZeroState
-from weaklab.qcore import commutator_norm
+from weaklab.qcore import commutator_norm, hermitian_eig
 from weaklab.scenarios import (
     PRESETS,
     build_hardy,
@@ -97,6 +97,20 @@ def test_fixed_presets_are_built_once():
     for build in (build_three_box, build_hardy, build_imaginary):
         assert build() is build()
     assert build_spin_amplifier(0.2) is not build_spin_amplifier(0.2)
+
+
+def test_qubit_presets_share_their_fixed_parts():
+    """Spin builds only its angle's post-selection per call: two angles,
+    and the imaginary preset, share one sigma_z instance, so one
+    EigenSystem, and one |+> pre-selection."""
+    spin_a, spin_b = build_spin_amplifier(0.2), build_spin_amplifier(1.1)
+    imaginary = build_imaginary()
+    sigma_z = spin_a.observable("sigma_z")
+    assert spin_b.observable("sigma_z") is sigma_z
+    assert imaginary.observable("sigma_z") is sigma_z
+    assert hermitian_eig(spin_b.observable("sigma_z")) is hermitian_eig(sigma_z)
+    assert spin_b.i is spin_a.i and imaginary.i is spin_a.i
+    assert spin_a.f.amplitudes.tolist() != spin_b.f.amplitudes.tolist()
 
 
 @pytest.mark.parametrize(
