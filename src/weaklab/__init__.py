@@ -52,7 +52,6 @@ from .scenarios import (
     scenario_to_document,
 )
 from .weakvalues import (
-    WeakValueEstimate,
     direct_joint_weak_value,
     direct_weak_value,
     extract_joint,
@@ -81,7 +80,6 @@ __all__ = [
     "Scenario",
     "SingleCoupling",
     "TruncationWarning",
-    "WeakValueEstimate",
     "WeaklabError",
     "ZeroCoupling",
     "ZeroState",

@@ -66,13 +66,7 @@ from .errors import NotCommuting, NumericalInconsistency, OrthogonalPostselectio
 from .pointer import GaussianPointer
 from .scenarios import PRESETS, Scenario, build_spin_amplifier, load_scenario
 from .validation import run_all_checks
-from .weakvalues import (
-    WeakValueEstimate,
-    direct_joint_weak_value,
-    direct_weak_value,
-    extract_joint,
-    extract_single,
-)
+from .weakvalues import direct_joint_weak_value, direct_weak_value, extract_joint, extract_single
 
 __all__ = ["main", "RunSpec", "serialize_report"]
 
@@ -160,20 +154,21 @@ def _emit_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _estimate_payload(est: WeakValueEstimate) -> dict:
-    """The payload of row 0 of an estimate."""
-    value = complex(est.value[0])
-    return {"re": value.real, "im": value.imag, "kind": est.kind}
+def _estimate_payload(values: np.ndarray) -> dict:
+    """The payload of row 0 of an extracted single weak value; "kind"
+    is the constant schema 1 gives it."""
+    value = complex(values[0])
+    return {"re": value.real, "im": value.imag, "kind": "extracted_single"}
 
 
 def serialize_report(spec: RunSpec, kx: float, ky: float | None, batch: MeasurementBatch,
-                     est: WeakValueEstimate, direct: complex, singles) -> str:
-    """The JSON report of row 0 of a run: ``_execute``'s batch, estimate,
-    direct value and singles at couplings (kx, ky). abs_err is computed
-    here from the extracted and direct values. ``singles_mode`` stays in
-    schema 1's key set: "extracted" for joint runs, null for single
-    runs."""
-    extracted = complex(est.value[0])
+                     est: np.ndarray, direct: complex, singles) -> str:
+    """The JSON report of row 0 of a run: ``_execute``'s batch, extracted
+    values, direct value and singles at couplings (kx, ky). abs_err is
+    computed here from the extracted and direct values.
+    ``singles_mode`` stays in schema 1's key set: "extracted" for joint
+    runs, null for single runs."""
+    extracted = complex(est[0])
     payload = {
         "schema": 1,
         "scenario": spec.scenario.name,
@@ -266,9 +261,9 @@ def _execute(spec: RunSpec, kx: float, ky: float, scales: list[float]):
     extraction and ground truth; ky is ignored for single runs.
 
     Returns (batch, extracted, direct, singles): the MeasurementBatch of
-    the run, the extracted estimate holding one value per scale, the
-    direct value and, for joint runs, the pair of single estimates
-    extracted from the batches of A and B coupled alone, one value per
+    the run, the extracted weak values, one complex per scale, the
+    direct value and, for joint runs, the pair of single weak values
+    extracted from the batches of A and B coupled alone, one complex per
     scale, else None. A run or sweep makes one engine call, joint or
     not: a joint call also returns the two single-coupling batches,
     taken from the eigensystems and pointer integrals of the pair. Each
@@ -280,7 +275,7 @@ def _execute(spec: RunSpec, kx: float, ky: float, scales: list[float]):
     if spec.observable_b is None:
         c = SingleCoupling(A=a, K=kx, pointer=pointer_x)
         batch = _run_engine(spec, c, scales)
-        return batch, extract_single(batch, c), direct_weak_value(a, scn.i, scn.f), None
+        return batch, extract_single(batch), direct_weak_value(a, scn.i, scn.f), None
 
     b = scn.observable(spec.observable_b)
     pointer_y = GaussianPointer(spec.sigma_y, spec.hbar)
@@ -288,9 +283,8 @@ def _execute(spec: RunSpec, kx: float, ky: float, scales: list[float]):
         A=a, B=b, Kx=kx, Ky=ky, pointer_x=pointer_x, pointer_y=pointer_y
     )
     batch, alone = _run_engine(spec, c, scales, with_singles=True)
-    alone_couplings = (SingleCoupling(a, kx, pointer_x), SingleCoupling(b, ky, pointer_y))
-    singles = tuple(extract_single(sb, cs) for sb, cs in zip(alone, alone_couplings))
-    est = extract_joint(batch, (singles[0].value, singles[1].value), c)
+    singles = tuple(map(extract_single, alone))
+    est = extract_joint(batch, singles)
     return batch, est, direct_joint_weak_value(a, b, scn.i, scn.f), singles
 
 
@@ -315,7 +309,7 @@ def cmd_run(args) -> int:
     if args.format == "json":
         text = serialize_report(spec, args.kx, ky, batch, est, direct, singles)
     else:
-        rows, _ = _csv_rows([args.kx], batch, est.value, direct)
+        rows, _ = _csv_rows([args.kx], batch, est, direct)
         text = f"# schema=1\n{CSV_HEADER}\n{rows}"
     _write_output(text, args.out)
     print(f"wall time: {wall:.3f} s", file=sys.stderr)
@@ -349,7 +343,7 @@ def cmd_sweep(args) -> int:
     batch, est, direct, _ = _execute(spec, 1.0, 1.0, ks.tolist())
     wall = time.perf_counter() - t0
 
-    rows, errs = _csv_rows(ks, batch, est.value, direct)
+    rows, errs = _csv_rows(ks, batch, est, direct)
     order = fit_error_order(ks, errs)
     text = f"# schema=1\n{CSV_HEADER}\n{rows}# fitted_error_order={_fmt_float(order)}\n"
     _write_output(text, args.out)

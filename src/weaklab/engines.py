@@ -97,9 +97,9 @@ one ``_realize`` checks the moments of every engine and the series
 (finite, imaginary residue consistent with zero in the units of the
 pointer operators) before taking their real parts. The block engine
 takes the moments on the momentum grid it evolves on, so the state never
-returns to the ladder basis: P is the grid itself, X is the frame's
-cached w^+ X w, and the truncation check needs only the top two rows of
-w.
+returns to the ladder basis: P is the grid itself, X is the "X" slice
+w^+ X w of the frame's cached operator stack, and the truncation check
+needs only the top two rows of w.
 """
 
 from __future__ import annotations
@@ -293,9 +293,10 @@ class MeasurementBatch:
     ``ps_prob``, every ``MOMENTS`` name and ``weakness_ratio`` are
     read-only float arrays with one entry per row, ``truncation_warning``
     a read-only bool array, and ``engine_tag`` one string for every row.
-    Single-coupling runs leave the y-axis moments at zero (a spectator
-    pointer stays in its symmetric vacuum, so its conditional moments
-    vanish identically).
+    ``coupling`` is the coupling the rows scale, from which the
+    extractions read K and the pointers. Single-coupling runs leave the
+    y-axis moments at zero (a spectator pointer stays in its symmetric
+    vacuum, so its conditional moments vanish identically).
     """
 
     scales: np.ndarray
@@ -309,6 +310,7 @@ class MeasurementBatch:
     weakness_ratio: np.ndarray
     truncation_warning: np.ndarray
     engine_tag: str
+    coupling: _Coupling
 
     def __post_init__(self):
         for name in ("scales", *MOMENTS, "weakness_ratio", "truncation_warning"):
@@ -370,11 +372,18 @@ def _residue_bounds(axes, names) -> np.ndarray:
     ])
 
 
-def _records(raw: dict, c: _Coupling, ts: np.ndarray, weakness, tag: str, truncated=None):
-    """The MeasurementBatch at scales ts from columns of unnormalized
-    forms: ``raw["ps_prob"][n]`` is the post-selection probability of
-    row n and every other column holds conditional moments times it;
-    a moment missing from raw (the y axis of a single coupling) is zero.
+def _records(raw: dict, c: _Coupling, ts: np.ndarray, weakness, engine: str, top=None):
+    """The MeasurementBatch of coupling c at scales ts from columns of
+    unnormalized forms: ``raw["ps_prob"][n]`` is the post-selection
+    probability of row n and every other column holds conditional
+    moments times it; a moment missing from raw (the y axis of a single
+    coupling) is zero. Its ``engine_tag`` is ``engine`` ("exact" or
+    "fock") with "-single" or "-joint" for the axis count of c.
+
+    ``top``, the Fock rule's top-level population of each row, flags
+    every row above TRUNCATION_TOL in ``truncation_warning``, and each
+    such row first issues one TruncationWarning, pointed at the caller
+    of the ``run_*`` engine that calls this function.
 
     The columns are stacked into one (moments, scales) array that passes
     four checks, each naming the first moment or row that fails it:
@@ -384,6 +393,16 @@ def _records(raw: dict, c: _Coupling, ts: np.ndarray, weakness, tag: str, trunca
     within [0, 1] up to 1e-12 (NumericalInconsistency). One division
     then turns the forms into conditional moments, and the probabilities
     are clamped into [0, 1]."""
+    truncated = np.zeros(len(ts), bool)
+    if top is not None:
+        truncated = top > TRUNCATION_TOL
+        for population in top[truncated].tolist():
+            warnings.warn(
+                f"top Fock levels hold population {population:.3e}; "
+                "increase n_max for reliable moments",
+                TruncationWarning,
+                stacklevel=3,
+            )
     names = ["ps_prob", *(name for name in raw if name != "ps_prob")]
     forms = np.array([raw[name] for name in names])
     values = _realize(forms, names, functools.partial(_residue_bounds, c.axes, names))
@@ -406,8 +425,9 @@ def _records(raw: dict, c: _Coupling, ts: np.ndarray, weakness, tag: str, trunca
         scales=ts,
         **{name: columns.get(name, zeros) for name in MOMENTS},
         weakness_ratio=weakness,
-        truncation_warning=np.zeros(len(ts), bool) if truncated is None else truncated,
-        engine_tag=tag,
+        truncation_warning=truncated,
+        engine_tag=engine + ("-single" if len(c.axes) == 1 else "-joint"),
+        coupling=c,
     )
 
 
@@ -520,8 +540,7 @@ def _check_singles(c: _Coupling, with_singles: bool):
         raise TypeError("with_singles needs a JointCoupling")
 
 
-def _run_exact(i: QuantumState, f: QuantumState, c: _Coupling, scales, tag: str,
-               with_singles=False):
+def _run_exact(i: QuantumState, f: QuantumState, c: _Coupling, scales, with_singles=False):
     """The body of both exact engines, for any coupling by its axes.
 
     The coupling refusal runs before the eigensystems are taken, so an
@@ -538,11 +557,11 @@ def _run_exact(i: QuantumState, f: QuantumState, c: _Coupling, scales, tag: str,
     eigs = simultaneous_eig(c.A, c.B) if len(c.axes) == 2 else (hermitian_eig(c.A),)
     mats = _axis_stacks(_moment_matrices, eigs, c.axes, ts)
     forms, _ = _branch_sum(i, f, eigs, mats)
-    batch = _records(forms, c, ts, weakness, tag)
+    batch = _records(forms, c, ts, weakness, "exact")
     if not with_singles:
         return batch
     return batch, tuple(
-        _records(_branch_sum(i, f, es, ms)[0], cs, ts, cs.weakness_ratios(ts), "exact-single")
+        _records(_branch_sum(i, f, es, ms)[0], cs, ts, cs.weakness_ratios(ts), "exact")
         for cs, es, ms in _alone(c, eigs, mats)
     )
 
@@ -559,7 +578,7 @@ def run_single_exact(i: QuantumState, f: QuantumState, c: SingleCoupling, *, sca
     OrthogonalPostselection if a row's post-selection probability is
     below EPS_PS.
     """
-    return _run_exact(i, f, c, scales, "exact-single")
+    return _run_exact(i, f, c, scales)
 
 
 def run_joint_exact(i: QuantumState, f: QuantumState, c: JointCoupling, *, scales=None,
@@ -584,10 +603,10 @@ def run_joint_exact(i: QuantumState, f: QuantumState, c: JointCoupling, *, scale
     integrals the pair has already formed. Their refusals follow the
     pair's, A before B.
     """
-    return _run_exact(i, f, c, scales, "exact-joint", with_singles)
+    return _run_exact(i, f, c, scales, with_singles)
 
 
-_Frame = collections.namedtuple("_Frame", "fock p x top vacuum")
+_Frame = collections.namedtuple("_Frame", "fock p ops top vacuum")
 
 
 @functools.lru_cache(maxsize=4)
@@ -596,9 +615,11 @@ def _pointer_frame(p: GaussianPointer, n_max: int) -> _Frame:
     engines evolve on and take their moments on. With w the eigenvector
     columns of the truncated P, the frame holds ``fock`` (the
     ladder-basis operators, for the series engine), the grid ``p`` (the
-    eigenvalues of P), ``x`` (X on the grid, w^+ X w), ``top`` (the top
-    two rows of w, which carry the top two ladder levels) and
-    ``vacuum`` (w^+ |0>). Cached per (p, n_max), so every engine call on
+    eigenvalues of P), ``ops`` (the pointer operators on the grid, one
+    (4, N, N) stack in the order of STACK_OPERATORS: the identity,
+    w^+ X w, diag(p) and top^+ top), ``top`` (the top two rows of w,
+    which carry the top two ladder levels) and ``vacuum`` (w^+ |0>).
+    Cached per (p, n_max), so every engine call on
     one pointer shares one ``eigh``; the returned arrays are read-only.
     The cache keeps the four most recent frames, which covers the two
     axes of a joint run and both truncations ``validate`` uses.
@@ -609,11 +630,14 @@ def _pointer_frame(p: GaussianPointer, n_max: int) -> _Frame:
     relies on it to diagonalize only half of the momentum grid."""
     fock = build_fock(p, n_max)
     vals, w = np.linalg.eigh(fock.P)
+    grid = (vals - vals[::-1]) / 2
+    top = w[-2:].copy()
     frame = _Frame(
         fock=fock,
-        p=(vals - vals[::-1]) / 2,
-        x=w.conj().T @ fock.X @ w,
-        top=w[-2:].copy(),
+        p=grid,
+        ops=np.array([np.eye(len(grid)), w.conj().T @ fock.X @ w, np.diag(grid),
+                      top.conj().T @ top]),
+        top=top,
         vacuum=w.conj().T @ fock.vacuum_state(),
     )
     for array in frame[1:]:
@@ -628,23 +652,23 @@ def _grid_matrices(eigenvalues: np.ndarray, ks: np.ndarray, p: GaussianPointer, 
     (operators, scales, d, d) stack over all four STACK_OPERATORS.
 
     Branch k of scale n is the grid vector G[n, j, k] =
-    exp(-i ks[n] p_j a_k / hbar) vac[j], and the slice of pointer
-    operator op is G^+ op G, with op applied on the grid by ``_on_grid``.
-    The "top" slice is T = (top G)^+ (top G), whose diagonal is the
-    population each branch puts in the top two ladder levels."""
+    exp(-i ks[n] p_j a_k / hbar) vac[j], and the stack is G^+ (op G) for
+    every operator op of the frame's ``ops``, one product over the
+    whole stack. The "top" slice is T = G^+ (top^+ top) G, whose
+    diagonal is the population each branch puts in the top two ladder
+    levels."""
     frame = _pointer_frame(p, n_max)
     g = np.exp((-1j * ks / p.hbar)[:, None, None] * np.outer(frame.p, eigenvalues))
     g *= frame.vacuum[:, None]
-    top = frame.top @ g
-    on_grid = [_on_grid(op, frame, g) for op in STACK_OPERATORS[:_TOP]]
-    return np.concatenate([g.conj().swapaxes(1, 2) @ on_grid, [top.conj().swapaxes(1, 2) @ top]])
+    return g.conj().swapaxes(1, 2) @ (frame.ops[:, None] @ g)
 
 
 def _on_grid(op: str, frame: _Frame, a: np.ndarray) -> np.ndarray:
     """Pointer operator op of MOMENTS applied along the first axis of
-    amplitudes a on the momentum grid of frame."""
+    amplitudes a on the momentum grid of frame: X through the frame's
+    ops[1], w^+ X w, and P as the grid itself."""
     if op == "X":
-        return frame.x @ a
+        return frame.ops[1] @ a
     if op == "P":
         return frame.p[:, None] * a
     return a
@@ -705,23 +729,6 @@ def _fock_joint(i, f, c: JointCoupling, n_max, ts):
         for name, value in _grid_moments(phi, fx, fy).items():
             raw[name].append(value)
     return raw, top
-
-
-def _fock_batch(forms, top, c: _Coupling, ts, weakness) -> MeasurementBatch:
-    """The batch of a Fock run of coupling c from its forms and the
-    top-level population of each scale: each row above TRUNCATION_TOL
-    issues one TruncationWarning, pointed at the caller of run_fock,
-    and is flagged in ``truncation_warning``."""
-    truncated = top > TRUNCATION_TOL
-    for population in top[truncated].tolist():
-        warnings.warn(
-            f"top Fock levels hold population {population:.3e}; "
-            "increase n_max for reliable moments",
-            TruncationWarning,
-            stacklevel=3,
-        )
-    tag = "fock-single" if len(c.axes) == 1 else "fock-joint"
-    return _records(forms, c, ts, weakness, tag, truncated)
 
 
 def run_fock(
@@ -790,13 +797,13 @@ def run_fock(
         forms, top = _branch_sum(i, f, *stacks)
     else:
         forms, top = _fock_joint(i, f, c, n_max, ts)
-    batch = _fock_batch(forms, top, c, ts, weakness)
+    batch = _records(forms, c, ts, weakness, "fock", top)
     if not with_singles:
         return batch
     singles = []
     for cs, es, ms in _alone(c, *(stacks or branch_stacks())):
         forms, top = _branch_sum(i, f, es, ms)
-        singles.append(_fock_batch(forms, top, cs, ts, cs.weakness_ratios(ts)))
+        singles.append(_records(forms, cs, ts, cs.weakness_ratios(ts), "fock", top))
     return batch, tuple(singles)
 
 

@@ -6,6 +6,7 @@ others; the CLI prints one line per check and fails if any fail.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -126,46 +127,30 @@ def _record_distance(b1, b2) -> float:
 
 def check_engine_cross_validation():
     """Exact and Fock engines agree on every conditional moment for the
-    commuting presets."""
-    worst = 0.0
-    worst_case = ""
-    singles = [
+    commuting presets: nine single couplings, then the four hardy pairs."""
+    hardy = build_hardy()
+    presets = (
         (build_three_box(), ("P1", "P2", "P3")),
         (build_imaginary(), ("sigma_z",)),
         (build_spin_amplifier(0.2), ("sigma_z",)),
-        (build_hardy(), ("N_Oe", "N_NOe", "N_Op", "N_NOp")),
-    ]
-    for scn, labels in singles:
-        for label in labels:
-            c = SingleCoupling(scn.observable(label), CROSS_VALIDATION_K, GaussianPointer(1.0))
-            d = _record_distance(
-                run_single_exact(scn.i, scn.f, c),
-                run_fock(scn.i, scn.f, c, n_max=CROSS_VALIDATION_N_MAX),
-            )
-            if d > worst:
-                worst, worst_case = d, f"{scn.name}:{label}"
-
-    hardy = build_hardy()
-    for la, lb in (
-        ("N_Oe", "N_Op"),
-        ("N_Oe", "N_NOp"),
-        ("N_NOe", "N_Op"),
-        ("N_NOe", "N_NOp"),
-    ):
-        c = JointCoupling(
-            A=hardy.observable(la),
-            B=hardy.observable(lb),
-            Kx=CROSS_VALIDATION_K,
-            Ky=CROSS_VALIDATION_K,
-            pointer_x=GaussianPointer(1.0),
-            pointer_y=GaussianPointer(1.0),
-        )
-        d = _record_distance(
-            run_joint_exact(hardy.i, hardy.f, c),
-            run_fock(hardy.i, hardy.f, c, n_max=CROSS_VALIDATION_N_MAX),
-        )
+        (hardy, ("N_Oe", "N_NOe", "N_Op", "N_NOp")),
+    )
+    cases = [(scn, (label,)) for scn, labels in presets for label in labels]
+    cases += [(hardy, pair) for pair in itertools.product(("N_Oe", "N_NOe"), ("N_Op", "N_NOp"))]
+    pointer = GaussianPointer(1.0)
+    worst = 0.0
+    worst_case = ""
+    for scn, labels in cases:
+        if len(labels) == 1:
+            c = SingleCoupling(scn.observable(labels[0]), CROSS_VALIDATION_K, pointer)
+            exact = run_single_exact(scn.i, scn.f, c)
+        else:
+            a, b = map(scn.observable, labels)
+            c = JointCoupling(a, b, CROSS_VALIDATION_K, CROSS_VALIDATION_K, pointer, pointer)
+            exact = run_joint_exact(scn.i, scn.f, c)
+        d = _record_distance(exact, run_fock(scn.i, scn.f, c, n_max=CROSS_VALIDATION_N_MAX))
         if d > worst:
-            worst, worst_case = d, f"hardy:{la}x{lb}"
+            worst, worst_case = d, f"{scn.name}:{'x'.join(labels)}"
     return (
         "engine-cross-validation",
         worst <= CROSS_VALIDATION_TOL,

@@ -9,35 +9,18 @@ vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .engines import EPS_PS, JointCoupling, MeasurementBatch, SingleCoupling
+from .engines import EPS_PS, MeasurementBatch
 from .errors import DimensionMismatch, OrthogonalPostselection, ZeroCoupling
 from .qcore import Observable, QuantumState
 
 __all__ = [
-    "WeakValueEstimate",
     "direct_weak_value",
     "direct_joint_weak_value",
     "extract_single",
     "extract_joint",
 ]
-
-
-@dataclass(frozen=True)
-class WeakValueEstimate:
-    """A weak value extracted from pointer moments, with provenance.
-
-    kind is extracted_single or extracted_joint. value is a complex
-    array with one entry per row of the MeasurementBatch it came from,
-    each carrying the finite-coupling error of its row; the direct
-    values are plain complex numbers.
-    """
-
-    value: np.ndarray
-    kind: str
 
 
 def _overlap_or_raise(i: QuantumState, f: QuantumState) -> complex:
@@ -77,16 +60,18 @@ def direct_joint_weak_value(
     return complex(np.vdot(f.amplitudes, sym @ i.amplitudes)) / ip
 
 
-def _estimate(re: np.ndarray, im: np.ndarray, kind: str) -> WeakValueEstimate:
+def _estimate(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """The estimate re + i im, one complex per row, its parts assigned,
     not computed, so an infinite part stays exact."""
     value = re.astype(complex)
     value.imag = im
-    return WeakValueEstimate(value, kind)
+    return value
 
 
-def extract_single(batch: MeasurementBatch, c: SingleCoupling) -> WeakValueEstimate:
-    """Recover a single weak value from conditional pointer moments.
+def extract_single(batch: MeasurementBatch) -> np.ndarray:
+    """Recover a single weak value from the conditional pointer moments
+    of a single-coupling batch, with K and the pointer of its
+    ``coupling``.
 
     Real part from the position shift, imaginary part from the momentum
     shift scaled by the pointer width:
@@ -94,20 +79,22 @@ def extract_single(batch: MeasurementBatch, c: SingleCoupling) -> WeakValueEstim
         Re = <X>_fi / K,     Im = (2 sigma^2 / hbar) <Px>_fi / K.
 
     Row n of the batch ran at coupling t_n K; the formula runs once on
-    its columns and the estimate's value is a complex array with one
-    entry per row. Raises ZeroCoupling, before dividing, if any coupling
-    is 0.
+    its columns and returns a complex array with one entry per row, each
+    carrying the finite-coupling error of its row. Raises ZeroCoupling,
+    before dividing, if any coupling is 0.
     """
+    c = batch.coupling
     kt = batch.scales * c.K
     if not kt.all():
         raise ZeroCoupling("cannot extract a weak value at K = 0")
     re = batch.x_mean / kt
     im = (2.0 * c.pointer.sigma**2 / c.pointer.hbar) * batch.px_mean / kt
-    return _estimate(re, im, "extracted_single")
+    return _estimate(re, im)
 
 
-def extract_joint(batch: MeasurementBatch, singles, c: JointCoupling) -> WeakValueEstimate:
-    """Recover a joint weak value from X-Y pointer correlations.
+def extract_joint(batch: MeasurementBatch, singles) -> np.ndarray:
+    """Recover a joint weak value from the X-Y pointer correlations of a
+    joint batch, with the couplings and y pointer of its ``coupling``.
 
     Combines the conditional correlation moments with the two single
     weak values a and b (direct, or extracted from the single-coupling
@@ -119,13 +106,13 @@ def extract_joint(batch: MeasurementBatch, singles, c: JointCoupling) -> WeakVal
 
     For commuting A, B this is the weak value of AB; otherwise it is the
     weak value of the symmetrized product (AB + BA)/2. Row n of the
-    batch ran at couplings t_n (Kx, Ky), the value is a complex array
+    batch ran at couplings t_n (Kx, Ky), the result is a complex array
     with one entry per row, as for extract_single, and each single weak
     value is a complex or a complex array with one entry per row. a* b
     is expanded into real parts, which is Python's complex product term
     for term. Raises ZeroCoupling, before dividing, if any Kx Ky is 0.
     """
-    ts = batch.scales
+    c, ts = batch.coupling, batch.scales
     kk = (ts * c.Kx) * (ts * c.Ky)
     if not kk.all():
         raise ZeroCoupling("cannot extract a joint weak value at Kx*Ky = 0")
@@ -135,4 +122,4 @@ def extract_joint(batch: MeasurementBatch, singles, c: JointCoupling) -> WeakVal
     im = (
         4.0 * c.pointer_y.sigma**2 / c.pointer_y.hbar
     ) * batch.x_py_mean / kk - (ar * bi - ai * br)
-    return _estimate(re, im, "extracted_joint")
+    return _estimate(re, im)

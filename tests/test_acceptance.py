@@ -40,7 +40,7 @@ def extracted_single(scn, label, k=0.01, sigma=1.0, engine=run_single_exact, n_m
         batch = engine(scn.i, scn.f, c)
     else:
         batch = engine(scn.i, scn.f, c, n_max=n_max)
-    return extract_single(batch, c).value[0]
+    return extract_single(batch)[0]
 
 
 def extracted_joint(scn, la, lb, k=0.01, sigma=1.0, fock=False, n_max=40):
@@ -56,7 +56,7 @@ def extracted_joint(scn, la, lb, k=0.01, sigma=1.0, fock=False, n_max=40):
         batch = run_joint_exact(scn.i, scn.f, jc)
         a = extracted_single(scn, la, k, sigma)
         b = extracted_single(scn, lb, k, sigma)
-    return extract_joint(batch, (a, b), jc).value[0]
+    return extract_joint(batch, (a, b))[0]
 
 
 def test_criterion_1_pointer_integrals():
@@ -146,8 +146,8 @@ def test_criterion_5_noncommuting_fock():
     singles = []
     for obs in (sx, sz):
         c = SingleCoupling(A=obs, K=k, pointer=GaussianPointer(1.0))
-        singles.append(extract_single(run_fock(i, f, c, n_max=40), c).value[0])
-    got = extract_joint(batch, tuple(singles), jc).value[0]
+        singles.append(extract_single(run_fock(i, f, c, n_max=40))[0])
+    got = extract_joint(batch, tuple(singles))[0]
     want = direct_joint_weak_value(sx, sz, i, f)
     err = abs(got - want)
     elapsed = time.perf_counter() - t0

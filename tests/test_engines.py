@@ -284,10 +284,24 @@ def test_fock_rejects_unknown_coupling_type():
 
 
 def test_pointer_frame_arrays_are_read_only():
-    frame = _pointer_frame(unit_pointer(), 8)
-    for array in (frame.fock.X, frame.fock.P, frame.p, frame.x, frame.top, frame.vacuum):
+    """The frame's arrays are read-only, and its ops hold the pointer
+    operators on the momentum grid in STACK_OPERATORS order: the
+    identity, w^+ X w, diag(p) and top^+ top, with w the eigenvectors of
+    the truncated P."""
+    sigma, n_max = 0.7, 9
+    frame = _pointer_frame(GaussianPointer(sigma), n_max)
+    for array in (frame.fock.X, frame.fock.P, frame.p, frame.ops, frame.top, frame.vacuum):
         with pytest.raises(ValueError):
             array[0] = 0.0
+    fock = build_fock(GaussianPointer(sigma), n_max)
+    w = np.linalg.eigh(fock.P)[1]
+    assert STACK_OPERATORS == ("1", "X", "P", "top")
+    assert frame.ops.shape == (4, n_max + 1, n_max + 1)
+    assert np.array_equal(frame.ops[0], np.eye(n_max + 1))
+    assert np.array_equal(frame.ops[1], w.conj().T @ fock.X @ w)
+    assert np.array_equal(frame.ops[2], np.diag(frame.p))
+    assert np.array_equal(frame.top, w[-2:])
+    assert np.array_equal(frame.ops[3], frame.top.conj().T @ frame.top)
 
 
 @pytest.mark.parametrize("engine", [run_single_exact, run_fock])
@@ -325,7 +339,7 @@ def test_records_refuse_non_finite_moment_by_name():
     raw = {"ps_prob": [0.5, 0.5], "x_mean": [0.1, math.nan], "px_mean": [0.0, 0.0]}
     c = SingleCoupling(SIGMA_Z, 1.0, unit_pointer())
     with pytest.raises(NumericalInconsistency, match=r"x_mean of record 1 is .*nan.*, not finite"):
-        _records(raw, c, np.array([1.0, 2.0]), np.zeros(2), "exact-single")
+        _records(raw, c, np.array([1.0, 2.0]), np.zeros(2), "exact")
 
 
 def test_residue_bound_is_in_the_pointer_units():
@@ -344,10 +358,10 @@ def test_residue_bound_is_in_the_pointer_units():
     raw = {"ps_prob": [0.5], "x_mean": [0.1], "px_mean": [0.1 + 2e-10j]}
     single = SingleCoupling(SIGMA_Z, 0.01, unit_pointer())
     with pytest.raises(NumericalInconsistency, match="px_mean has imaginary residue 2.000e-10"):
-        _records(raw, single, np.ones(1), np.zeros(1), "exact-single")
+        _records(raw, single, np.ones(1), np.zeros(1), "exact")
     raw["px_mean"], raw["x_mean"] = [0.1], [0.1 + 2e-10j]
     assert _records(raw, SingleCoupling(SIGMA_Z, 1e4, wide), np.ones(1), np.zeros(1),
-                    "exact-single").x_mean.tolist() == [0.2]
+                    "exact").x_mean.tolist() == [0.2]
 
 
 def test_records_check_and_clamp_probabilities_as_columns():
@@ -356,17 +370,17 @@ def test_records_check_and_clamp_probabilities_as_columns():
     value; one row at a time as well."""
     raw = {"ps_prob": [0.5, 1.0 + 5e-13], "x_mean": [0.25, 1.0], "px_mean": [0.0, 0.0]}
     c = SingleCoupling(SIGMA_Z, 1.0, unit_pointer())
-    batch = _records(raw, c, np.array([1.0, 2.0]), np.array([0.1, 0.2]), "exact-single")
+    batch = _records(raw, c, np.array([1.0, 2.0]), np.array([0.1, 0.2]), "exact")
     assert batch.ps_prob.tolist() == [0.5, 1.0]
     assert batch.x_mean.tolist() == [0.5, 1.0 / (1.0 + 5e-13)]
     raw["ps_prob"] = [0.5, 1.5]
     with pytest.raises(NumericalInconsistency, match=r"probability 1\.5 outside \[0, 1\]"):
-        _records(raw, c, np.array([1.0, 2.0]), np.zeros(2), "exact-single")
+        _records(raw, c, np.array([1.0, 2.0]), np.zeros(2), "exact")
     row = {"ps_prob": [1.0 + 5e-13], "x_mean": [0.0], "px_mean": [0.0]}
-    assert _records(row, c, np.ones(1), np.zeros(1), "exact-single").ps_prob.tolist() == [1.0]
+    assert _records(row, c, np.ones(1), np.zeros(1), "exact").ps_prob.tolist() == [1.0]
     row["ps_prob"] = [1.5]
     with pytest.raises(NumericalInconsistency, match=r"probability 1\.5 outside \[0, 1\]"):
-        _records(row, c, np.ones(1), np.zeros(1), "exact-single")
+        _records(row, c, np.ones(1), np.zeros(1), "exact")
 
 
 def test_batch_is_frozen_read_only_columns():

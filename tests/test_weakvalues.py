@@ -147,26 +147,26 @@ def test_extract_single_identity_run():
     i = QuantumState(np.array([0.3, 0.9, 0.1]))
     f = QuantumState(np.array([0.5, -0.2, 0.7]))
     c = SingleCoupling(A=Observable.identity(3), K=0.25, pointer=unit_pointer())
-    est = extract_single(run_single_exact(i, f, c), c)
-    assert est.value.real == pytest.approx(1.0, abs=1e-12)
-    assert est.value.imag == pytest.approx(0.0, abs=1e-12)
-    assert est.kind == "extracted_single"
+    est = extract_single(run_single_exact(i, f, c))
+    assert est.real == pytest.approx(1.0, abs=1e-12)
+    assert est.imag == pytest.approx(0.0, abs=1e-12)
+    assert est.dtype == complex and est.shape == (1,)
 
 
 def test_extract_single_three_box_negative_probability():
     scn = build_three_box()
     c = SingleCoupling(A=scn.observable("P3"), K=0.01, pointer=unit_pointer())
-    est = extract_single(run_single_exact(scn.i, scn.f, c), c)
+    est = extract_single(run_single_exact(scn.i, scn.f, c))
     # outside [0, 1] and must be reported unclamped
-    assert est.value.real == pytest.approx(-1.0, abs=1e-3)
-    assert est.value.real < 0
+    assert est.real == pytest.approx(-1.0, abs=1e-3)
+    assert est.real < 0
 
 
 def test_extract_single_imaginary_scenario():
     scn = build_imaginary()
     c = SingleCoupling(A=scn.observable("sigma_z"), K=0.01, pointer=unit_pointer())
-    est = extract_single(run_single_exact(scn.i, scn.f, c), c)
-    assert abs(est.value - 1j) <= 1e-3
+    est = extract_single(run_single_exact(scn.i, scn.f, c))
+    assert abs(est - 1j) <= 1e-3
 
 
 def test_extract_single_zero_coupling():
@@ -175,7 +175,7 @@ def test_extract_single_zero_coupling():
         QuantumState(np.array([1, 1]) / math.sqrt(2)), QuantumState.basis(2, 0), c
     )
     with pytest.raises(ZeroCoupling):
-        extract_single(rec, c)
+        extract_single(rec)
 
 
 # --- joint extraction -------------------------------------------------------------
@@ -191,8 +191,8 @@ def hardy_joint(la, lb, k=0.01):
     singles = []
     for label, kk, ptr in ((la, jc.Kx, jc.pointer_x), (lb, jc.Ky, jc.pointer_y)):
         cs = SingleCoupling(A=scn.observable(label), K=kk, pointer=ptr)
-        singles.append(extract_single(run_single_exact(scn.i, scn.f, cs), cs).value)
-    return extract_joint(rec, tuple(singles), jc), scn
+        singles.append(extract_single(run_single_exact(scn.i, scn.f, cs)))
+    return extract_joint(rec, tuple(singles)), scn
 
 
 def test_extract_joint_identity_consistency():
@@ -204,16 +204,16 @@ def test_extract_joint_identity_consistency():
     )
     rec = run_joint_exact(scn.i, scn.f, jc)
     ca = SingleCoupling(A=a, K=0.01, pointer=unit_pointer())
-    a_w = extract_single(run_single_exact(scn.i, scn.f, ca), ca).value
-    est = extract_joint(rec, (a_w, 1.0 + 0j), jc)
-    assert abs(est.value - direct_weak_value(a, scn.i, scn.f)) <= 1e-3
+    a_w = extract_single(run_single_exact(scn.i, scn.f, ca))
+    est = extract_joint(rec, (a_w, 1.0 + 0j))
+    assert abs(est - direct_weak_value(a, scn.i, scn.f)) <= 1e-3
 
 
 def test_extract_joint_hardy_twin_negative():
     est, scn = hardy_joint("N_NOe", "N_NOp")
-    assert est.value.real == pytest.approx(-1.0, abs=1e-3)
-    assert est.value.imag == pytest.approx(0.0, abs=1e-3)
-    assert est.kind == "extracted_joint"
+    assert est.real == pytest.approx(-1.0, abs=1e-3)
+    assert est.imag == pytest.approx(0.0, abs=1e-3)
+    assert est.dtype == complex and est.shape == (1,)
 
 
 def test_extract_joint_hardy_full_pattern():
@@ -224,7 +224,7 @@ def test_extract_joint_hardy_full_pattern():
         ("N_NOe", "N_NOp"): -1.0,
     }.items():
         est, _ = hardy_joint(la, lb)
-        assert abs(est.value - want) <= 1e-3
+        assert abs(est - want) <= 1e-3
 
 
 def test_extract_joint_noncommuting_fock():
@@ -238,10 +238,10 @@ def test_extract_joint_noncommuting_fock():
     singles = []
     for obs, kk in ((SIGMA_X, jc.Kx), (SIGMA_Z, jc.Ky)):
         cs = SingleCoupling(A=obs, K=kk, pointer=unit_pointer())
-        singles.append(extract_single(run_fock(i, f, cs, n_max=40), cs).value)
-    est = extract_joint(rec, tuple(singles), jc)
+        singles.append(extract_single(run_fock(i, f, cs, n_max=40)))
+    est = extract_joint(rec, tuple(singles))
     want = direct_joint_weak_value(SIGMA_X, SIGMA_Z, i, f)
-    assert abs(est.value - want) <= 1e-3
+    assert abs(est - want) <= 1e-3
 
 
 def test_extract_joint_zero_coupling():
@@ -252,7 +252,7 @@ def test_extract_joint_zero_coupling():
     )
     rec = run_joint_exact(scn.i, scn.f, jc)
     with pytest.raises(ZeroCoupling):
-        extract_joint(rec, (1.0 + 0j, 1.0 + 0j), jc)
+        extract_joint(rec, (1.0 + 0j, 1.0 + 0j))
 
 
 # --- convergence of extraction ------------------------------------------------------
@@ -266,8 +266,8 @@ def test_extraction_converges_second_order():
         errs = []
         for k in ks:
             c = SingleCoupling(A=a, K=float(k), pointer=unit_pointer())
-            est = extract_single(run_single_exact(scn.i, scn.f, c), c)
-            errs.append(abs(est.value - want))
+            est = extract_single(run_single_exact(scn.i, scn.f, c))
+            errs.append(abs(est - want))
         slope = np.polyfit(np.log(ks), np.log(errs), 1)[0]
         assert 1.7 <= slope <= 2.3
 
@@ -292,8 +292,8 @@ def test_joint_extraction_converges_on_complex_values():
                 A=a, B=b, Kx=float(k), Ky=float(k),
                 pointer_x=unit_pointer(), pointer_y=unit_pointer(),
             )
-            est = extract_joint(run_joint_exact(i, f, jc), (a_w, b_w), jc)
-            errs.append(abs(est.value - want))
+            est = extract_joint(run_joint_exact(i, f, jc), (a_w, b_w))
+            errs.append(abs(est - want))
         slope = np.polyfit(np.log(ks), np.log(errs), 1)[0]
         assert 1.7 <= slope <= 2.3
         assert errs[0] <= 1e-4
