@@ -15,13 +15,13 @@ CSV schema (version 1)::
     ...rows ascending in k...
     # fitted_error_order=<least-squares log-log slope>   (sweep only)
 
-Every engine call returns a ``MeasurementBatch``, one column per
-moment with one entry per coupling. A sweep, single or joint, is one
-engine call: everything that does not depend on the coupling strength is
-computed once, each extraction formula runs once on the columns, and
-the CSV rows are formatted in one pass over one (points x 8) table.
-``run`` is the same path with a single point and reads row 0 of the
-columns. A joint call passes ``with_singles=True`` and also gets the
+Every engine call returns a ``MeasurementBatch``, one table of moments
+with one named row per moment and one entry per coupling. A sweep,
+single or joint, is one engine call: everything that does not depend on
+the coupling strength is computed once, each extraction formula runs
+once on the batch, and the CSV rows are formatted in one pass over one
+(points x 8) table. ``run`` is the same path with a single point and
+reads entry 0 of each row. A joint call passes ``with_singles=True`` and also gets the
 batches of A and of B coupled alone, which the engine takes from the
 eigensystems and pointer integrals of the pair; the single weak values
 come from ``extract_single`` on those, the same pointer shifts that

@@ -68,8 +68,9 @@ eigenvalues from the mirror. A joint pair takes the branch sum only when
 t^2 |Kx Ky px py| ||[A, B]|| / 2, so only an exact zero keeps it at
 rounding level on every grid point and scale.
 
-Every ``run_*`` engine returns a ``MeasurementBatch``, one read-only
-column per moment, checked and clamped as a whole. With
+Every ``run_*`` engine returns a ``MeasurementBatch``: one read-only
+table with one row per moment and one column per run, checked and
+clamped as a whole. With
 ``scales=(t_1, ..., t_n)`` row n is the run at couplings t_n (Kx, Ky),
 and everything independent of the coupling strength (eigenbases,
 branch amplitudes, spectral radii, momentum frames, Fock block
@@ -92,14 +93,17 @@ pointer's Fock operators and momentum frame depend only on
 (``_pointer_frame``).
 
 One table, ``MOMENTS``, names the seven batch moments and the pointer
-operator each takes on the x and y axis; every engine evaluates it, and
-one ``_realize`` checks the moments of every engine and the series
-(finite, imaginary residue consistent with zero in the units of the
-pointer operators) before taking their real parts. The block engine
-takes the moments on the momentum grid it evolves on, so the state never
-returns to the ladder basis: P is the grid itself, X is the "X" slice
-w^+ X w of the frame's cached operator stack, and the truncation check
-needs only the top two rows of w.
+operator each takes on the x and y axis. Every engine but the series
+takes them through one ``_contract``, as one (moments, scales) array in
+MOMENTS order that ``_records`` turns into the batch's table, and one
+``_realize`` checks the moments of every engine and the series (finite,
+imaginary residue consistent with zero in the units of the pointer
+operators) before taking their real parts. The block engine takes the
+moments on the momentum grid it evolves on, so the state never returns
+to the ladder basis: the post-selected grid state phi[j, m] is an
+amplitude tensor with one index per axis, each frame's cached operator
+stack (the identity, w^+ X w and the grid diag(p)) is a one-column axis
+stack, and the truncation check needs only the top two rows of w.
 """
 
 from __future__ import annotations
@@ -158,10 +162,11 @@ DEFAULT_N_MAX = 40
 #: Byte budget for the largest complex array one request may allocate:
 #: the Fock block stack of (n_max+1)^2 d x d matrices, an axis's
 #: (operators, points, d, d) stack of branch-pair matrices in a batched
-#: sweep (operators the STACK_OPERATORS), the branch sum's
-#: (points, n_max+1, d) Fock grid arrays, or the (d, n_max+1, n_max+1)
-#: state tensor of the series engine. A few arrays of this size are live
-#: at once. Larger requests are refused before anything is allocated.
+#: sweep (operators the STACK_OPERATORS), the Fock branch sum's
+#: (operators, points, n_max+1, d) product of the grid operators with
+#: its grid arrays, or the (d, n_max+1, n_max+1) state tensor of the
+#: series engine. A few arrays of this size are live at once. Larger
+#: requests are refused before anything is allocated.
 MAX_ARRAY_BYTES = 2**28
 
 #: Each moment of a MeasurementBatch and the pointer operator it applies
@@ -181,11 +186,11 @@ MOMENTS = {
 #: rule of the Fock engine gives.
 STACK_OPERATORS = ("1", "X", "P", "top")
 _TOP = STACK_OPERATORS.index("top")
+#: The stack index of each MOMENTS row's operator on the x and y axis.
+_MOMENT_OPS = np.array([[STACK_OPERATORS.index(op) for op in ops] for ops in MOMENTS.values()])
 #: The MOMENTS rows a coupling of n axes takes, keyed by n: those whose
-#: operators on its absent axes are "1", as the stack indices of the
-#: operators on its n axes.
-_AXIS_MOMENTS = {n: {name: tuple(map(STACK_OPERATORS.index, ops[:n]))
-                     for name, ops in MOMENTS.items() if set(ops[n:]) <= {"1"}}
+#: operators on its absent axes are "1", in MOMENTS order.
+_AXIS_MOMENTS = {n: np.flatnonzero((_MOMENT_OPS[:, n:] == STACK_OPERATORS.index("1")).all(axis=1))
                  for n in (1, 2)}
 
 
@@ -287,34 +292,38 @@ class JointCoupling(_Coupling):
 @dataclass(frozen=True, eq=False)
 class MeasurementBatch:
     """Post-selection probability and conditional pointer moments of one
-    engine call, held as columns.
+    engine call, held as one table.
 
-    Row n is the run at coupling scale ``scales[n]``. ``scales``,
-    ``ps_prob``, every ``MOMENTS`` name and ``weakness_ratio`` are
-    read-only float arrays with one entry per row, ``truncation_warning``
-    a read-only bool array, and ``engine_tag`` one string for every row.
-    ``coupling`` is the coupling the rows scale, from which the
-    extractions read K and the pointers. Single-coupling runs leave the
-    y-axis moments at zero (a spectator pointer stays in its symmetric
-    vacuum, so its conditional moments vanish identically).
+    Row n of the batch is the run at coupling scale ``scales[n]``.
+    ``moments`` is one read-only float table that owns its data, with
+    one row per MOMENTS name, in MOMENTS order, and one column per run;
+    each name (``batch.ps_prob``, ``batch.x_mean``, ...) reads as a
+    read-only view of its row of the table. ``scales`` and
+    ``weakness_ratio`` are read-only float arrays with one entry per run,
+    ``truncation_warning`` a read-only bool array, and ``engine_tag``
+    one string for every run. ``coupling`` is the coupling the runs
+    scale, from which the extractions read K and the pointers.
+    Single-coupling runs leave the y-axis moments at zero (a spectator
+    pointer stays in its symmetric vacuum, so its conditional moments
+    vanish identically).
     """
 
     scales: np.ndarray
-    ps_prob: np.ndarray
-    x_mean: np.ndarray
-    px_mean: np.ndarray
-    y_mean: np.ndarray
-    py_mean: np.ndarray
-    xy_mean: np.ndarray
-    x_py_mean: np.ndarray
+    moments: np.ndarray
     weakness_ratio: np.ndarray
     truncation_warning: np.ndarray
     engine_tag: str
     coupling: _Coupling
 
     def __post_init__(self):
-        for name in ("scales", *MOMENTS, "weakness_ratio", "truncation_warning"):
+        for name in ("scales", "moments", "weakness_ratio", "truncation_warning"):
             getattr(self, name).setflags(write=False)
+
+
+for _row, _name in enumerate(MOMENTS):
+    setattr(MeasurementBatch, _name, property(lambda batch, row=_row: batch.moments[row],
+                                              doc=f"Row {_row} of ``moments``, read-only."))
+del _row, _name
 
 
 def _realize(forms: np.ndarray, names, bounds) -> np.ndarray:
@@ -372,39 +381,29 @@ def _residue_bounds(axes, names) -> np.ndarray:
     ])
 
 
-def _records(raw: dict, c: _Coupling, ts: np.ndarray, weakness, engine: str, top=None):
-    """The MeasurementBatch of coupling c at scales ts from columns of
-    unnormalized forms: ``raw["ps_prob"][n]`` is the post-selection
-    probability of row n and every other column holds conditional
-    moments times it; a moment missing from raw (the y axis of a single
-    coupling) is zero. Its ``engine_tag`` is ``engine`` ("exact" or
-    "fock") with "-single" or "-joint" for the axis count of c.
+def _records(forms: np.ndarray, c: _Coupling, ts: np.ndarray, weakness, engine: str, top=None):
+    """The MeasurementBatch of coupling c at scales ts from ``forms``,
+    the (moments, scales) array of unnormalized forms that ``_contract``
+    gives for the axis count of c, one row for each MOMENTS name that
+    ``_AXIS_MOMENTS`` lists for it: ``forms[0, n]`` is the post-selection
+    probability of the run at ts[n], and every other row holds
+    conditional moments times it. The batch's table is zero in the rows
+    of the moments c does not take (the y axis of a single coupling).
+    Its ``engine_tag`` is ``engine`` ("exact" or "fock") with "-single"
+    or "-joint" for the axis count of c, and ``top``, the Fock rule's
+    top-level population of each run, flags every run above
+    TRUNCATION_TOL in ``truncation_warning``.
 
-    ``top``, the Fock rule's top-level population of each row, flags
-    every row above TRUNCATION_TOL in ``truncation_warning``, and each
-    such row first issues one TruncationWarning, pointed at the caller
-    of the ``run_*`` engine that calls this function.
-
-    The columns are stacked into one (moments, scales) array that passes
-    four checks, each naming the first moment or row that fails it:
-    ``_realize``'s two (every value finite, every imaginary residue
-    within the bound ``_residue_bounds`` gives it on the axes of c), the
-    probability above the EPS_PS floor (OrthogonalPostselection) and
-    within [0, 1] up to 1e-12 (NumericalInconsistency). One division
-    then turns the forms into conditional moments, and the probabilities
-    are clamped into [0, 1]."""
-    truncated = np.zeros(len(ts), bool)
-    if top is not None:
-        truncated = top > TRUNCATION_TOL
-        for population in top[truncated].tolist():
-            warnings.warn(
-                f"top Fock levels hold population {population:.3e}; "
-                "increase n_max for reliable moments",
-                TruncationWarning,
-                stacklevel=3,
-            )
-    names = ["ps_prob", *(name for name in raw if name != "ps_prob")]
-    forms = np.array([raw[name] for name in names])
+    The array passes four checks, each naming the first moment or row
+    that fails it: ``_realize``'s two (every value finite, every
+    imaginary residue within the bound ``_residue_bounds`` gives it on
+    the axes of c), the probability above the EPS_PS floor
+    (OrthogonalPostselection) and within [0, 1] up to 1e-12
+    (NumericalInconsistency). One division then turns the forms into
+    conditional moments, and the probabilities are clamped into
+    [0, 1]."""
+    rows = _AXIS_MOMENTS[len(c.axes)]
+    names = [list(MOMENTS)[row] for row in rows]
     values = _realize(forms, names, functools.partial(_residue_bounds, c.axes, names))
     ps = values[0]
     lowest, highest = ps.min(initial=math.inf), ps.max(initial=-math.inf)
@@ -418,14 +417,14 @@ def _records(raw: dict, c: _Coupling, ts: np.ndarray, weakness, engine: str, top
         raise NumericalInconsistency(
             f"post-selection probability {float(ps[outside.argmax()])!r} outside [0, 1]"
         )
-    columns = dict(zip(names[1:], values[1:] / ps))
-    columns["ps_prob"] = ps if 0.0 <= lowest and highest <= 1.0 else np.clip(ps, 0.0, 1.0)
-    zeros = np.zeros(len(ts))
+    table = np.zeros((len(MOMENTS), len(ts)))
+    table[rows[1:]] = values[1:] / ps
+    table[0] = ps if 0.0 <= lowest and highest <= 1.0 else np.clip(ps, 0.0, 1.0)
     return MeasurementBatch(
         scales=ts,
-        **{name: columns.get(name, zeros) for name in MOMENTS},
+        moments=table,
         weakness_ratio=weakness,
-        truncation_warning=truncated,
+        truncation_warning=np.zeros(len(ts), bool) if top is None else top > TRUNCATION_TOL,
         engine_tag=engine + ("-single" if len(c.axes) == 1 else "-joint"),
         coupling=c,
     )
@@ -455,23 +454,25 @@ def _x_forms(amp: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return (right @ flat.conj()).reshape(*stack.shape[:2], s, s)
 
 
-def _contract(amp: np.ndarray, mats) -> dict:
-    """The unnormalized MOMENTS a coupling with the axes of amp takes:
-    for each row, the sum over branch pairs of conj(amp[k, l])
-    amp[k', l'] Mx[k, k'] My[l, l'], with Mx and My the slices of the
-    axis stacks in ``mats`` for the row's operator on each axis (the y
+def _contract(amp: np.ndarray, mats) -> np.ndarray:
+    """The unnormalized MOMENTS a coupling with the axes of amp takes, as
+    one (moments, scales) array, one row for each moment that
+    ``_AXIS_MOMENTS`` lists for the axis count and one column per scale
+    of the axis stacks in ``mats``: the sum over branch pairs of
+    conj(amp[k, l]) amp[k', l'] Mx[k, k'] My[l, l'], with Mx and My the
+    slices of the stacks for the moment's operator on each axis (the y
     factor and index are absent for one axis).
 
     The x axis is ``_x_forms`` over the "1", "X" and "P" slices at once.
     The second axis, if there is one, is one einsum against the same
-    slices of its stack, for every (x, y) operator pair, and each row
+    slices of its stack, for every (x, y) operator pair, and each moment
     picks its pair by operator index."""
     on_x = _x_forms(amp, mats[0][:_TOP])
     if len(mats) == 1:
         table = on_x[..., 0, 0]
     else:
         table = np.einsum("anji,bnij->abn", on_x, mats[1][:_TOP])
-    return {name: table[index] for name, index in _AXIS_MOMENTS[amp.ndim].items()}
+    return table[tuple(_MOMENT_OPS[_AXIS_MOMENTS[amp.ndim], :amp.ndim].T)]
 
 
 def _populations(c: np.ndarray, mats) -> np.ndarray:
@@ -663,33 +664,14 @@ def _grid_matrices(eigenvalues: np.ndarray, ks: np.ndarray, p: GaussianPointer, 
     return g.conj().swapaxes(1, 2) @ (frame.ops[:, None] @ g)
 
 
-def _on_grid(op: str, frame: _Frame, a: np.ndarray) -> np.ndarray:
-    """Pointer operator op of MOMENTS applied along the first axis of
-    amplitudes a on the momentum grid of frame: X through the frame's
-    ops[1], w^+ X w, and P as the grid itself."""
-    if op == "X":
-        return frame.ops[1] @ a
-    if op == "P":
-        return frame.p[:, None] * a
-    return a
-
-
-def _grid_moments(phi: np.ndarray, fx: _Frame, fy: _Frame):
-    """Unnormalized MOMENTS of the post-selected pointer state phi[j, m]
-    on the momentum grid (px_j, py_m) of frames fx and fy. Each x
-    operator is applied once and shared by the rows that use it."""
-    on_x = {op: _on_grid(op, fx, phi) for op in "1XP"}
-    return {
-        name: np.vdot(phi, _on_grid(op_y, fy, on_x[op_x].T).T)
-        for name, (op_x, op_y) in MOMENTS.items()
-    }
-
-
 def _fock_joint(i, f, c: JointCoupling, n_max, ts):
     """Joint Fock engine on the momentum grid (px_j, py_m), where the
     coupling is one d x d Hermitian block per grid point. Returns the
     forms as ``_records`` takes them and the top-level population of
-    each scale.
+    each scale. Each scale's moments are one ``_contract`` of the
+    post-selected grid state phi[j, m], an amplitude tensor with one
+    index per axis, with each frame's operator stack as a one-column
+    axis stack.
 
     Both momentum grids are exactly antisymmetric (``_pointer_frame``),
     so the block at (N-1-j, M-1-m) is exactly minus the block at (j, m):
@@ -713,7 +695,8 @@ def _fock_joint(i, f, c: JointCoupling, n_max, ts):
     # <v_k|i> vacx[j] vacy[m] for eigenvector v_k of block (j, m)
     coeff0 = (i.amplitudes.conj() @ evecs).conj() * np.outer(fx.vacuum, fy.vacuum)[..., None]
 
-    raw = {name: [] for name in MOMENTS}
+    mats = [fx.ops[:, None], fy.ops[:, None]]
+    forms = np.empty((len(MOMENTS), len(ts)), complex)
     top = np.zeros(len(ts))
     for row, t in enumerate(ts.tolist()):
         coeff = coeff0 * np.exp(-1j * (t * s) / c.pointer_x.hbar * evals)
@@ -725,10 +708,23 @@ def _fock_joint(i, f, c: JointCoupling, n_max, ts):
         top[row] = max(
             np.sum(np.abs(fx.top @ psi.reshape(n, -1)) ** 2), np.sum(np.abs(fy.top @ psi) ** 2)
         )
-        phi = psi @ f.amplitudes.conj()
-        for name, value in _grid_moments(phi, fx, fy).items():
-            raw[name].append(value)
-    return raw, top
+        forms[:, row] = _contract(psi @ f.amplitudes.conj(), mats)[:, 0]
+    return forms, top
+
+
+def _warn_truncated(top: np.ndarray, flags):
+    """One TruncationWarning for each row whose top-level population is
+    above TRUNCATION_TOL, naming the coupled axes by their ``flags``
+    ("kx and ky" for a pair, "kx alone" or "ky alone" for one axis), and
+    pointed at the caller of ``run_fock``, which calls this function."""
+    coupled = " and ".join(flags) + (" alone" if len(flags) == 1 else "")
+    for population in top[top > TRUNCATION_TOL].tolist():
+        warnings.warn(
+            f"coupling {coupled}: top Fock levels hold population {population:.3e}; "
+            "increase n_max for reliable moments",
+            TruncationWarning,
+            stacklevel=3,
+        )
 
 
 def run_fock(
@@ -752,16 +748,18 @@ def run_fock(
     commutator would enter the factorized evolution as an error
     t^2 |Kx Ky px py| ||[A, B]|| / 2 that no fixed bound keeps at
     rounding level. Each row whose evolved state populates the top two
-    truncation levels above 1e-8 issues one TruncationWarning and is
-    flagged in ``truncation_warning``. Returns the MeasurementBatch whose
-    row n ran at couplings t_n (Kx, Ky) for each of ``scales``, or the
-    one row at (Kx, Ky) without them; the eigenbases, momentum frames
-    and block eigenvectors are computed once per call. Raises
+    truncation levels above 1e-8 issues one TruncationWarning, which
+    names the coupled axes ("kx and ky", "kx alone" or "ky alone"), and
+    is flagged in ``truncation_warning``. Returns the MeasurementBatch
+    whose row n ran at couplings t_n (Kx, Ky) for each of ``scales``, or
+    the one row at (Kx, Ky) without them; the eigenbases, momentum
+    frames and block eigenvectors are computed once per call. Raises
     InvalidTruncation before allocating if the (n_max+1)^2 d x d blocks,
-    or the larger of the branch sum's (scales, n_max+1, d) grid arrays
-    and its (operators, scales, d, d) axis stacks, would exceed
-    MAX_ARRAY_BYTES, and OrthogonalPostselection if a row's
-    post-selection probability is below EPS_PS.
+    or the largest array of the branch sum's Gauss-Hermite rule, the
+    (operators, scales, max(n_max+1, d), d) product of the grid
+    operators with the grid arrays, would exceed MAX_ARRAY_BYTES, and
+    OrthogonalPostselection if a row's post-selection probability is
+    below EPS_PS.
 
     With ``with_singles=True`` a JointCoupling returns
     (batch, (batch_a, batch_b)): batch_a is the batch
@@ -783,9 +781,10 @@ def run_fock(
     weakness = c.weakness_ratios(ts)
 
     def branch_stacks():
-        # the larger of the (scales, n_max+1, d) grid arrays and an axis's
-        # (operators, scales, d, d) stack
-        check_array_budget(len(ts) * max(levels, len(STACK_OPERATORS) * d) * d,
+        # the largest array of the Gauss-Hermite rule: the product ops G,
+        # (operators, scales, n_max+1, d), or an axis's (operators,
+        # scales, d, d) stack
+        check_array_budget(len(STACK_OPERATORS) * len(ts) * max(levels, d) * d,
                            f"{len(ts)} scales at {what}", InvalidTruncation)
         eigs = [hermitian_eig(A) for A, *_ in c.axes]
         rule = functools.partial(_grid_matrices, n_max=n_max)
@@ -797,12 +796,15 @@ def run_fock(
         forms, top = _branch_sum(i, f, *stacks)
     else:
         forms, top = _fock_joint(i, f, c, n_max, ts)
+    flags = [flag for *_, flag in c.axes]
+    _warn_truncated(top, flags)
     batch = _records(forms, c, ts, weakness, "fock", top)
     if not with_singles:
         return batch
     singles = []
-    for cs, es, ms in _alone(c, *(stacks or branch_stacks())):
+    for (cs, es, ms), flag in zip(_alone(c, *(stacks or branch_stacks())), flags):
         forms, top = _branch_sum(i, f, es, ms)
+        _warn_truncated(top, [flag])
         singles.append(_records(forms, cs, ts, cs.weakness_ratios(ts), "fock", top))
     return batch, tuple(singles)
 

@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from .engines import (
-    MOMENTS,
     JointCoupling,
     SingleCoupling,
     heisenberg_moment,
@@ -116,13 +115,8 @@ def check_series_orders():
 
 def _record_distance(b1, b2) -> float:
     """The largest difference of any moment between the rows of two
-    batches, taken on Python floats: numpy would cost ten times as much
-    on these one-row columns."""
-    return max(
-        abs(x - y)
-        for name in MOMENTS
-        for x, y in zip(getattr(b1, name).tolist(), getattr(b2, name).tolist())
-    )
+    batches: one difference of their moment tables."""
+    return float(np.abs(b1.moments - b2.moments).max())
 
 
 def check_engine_cross_validation():

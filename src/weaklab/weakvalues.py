@@ -79,7 +79,7 @@ def extract_single(batch: MeasurementBatch) -> np.ndarray:
         Re = <X>_fi / K,     Im = (2 sigma^2 / hbar) <Px>_fi / K.
 
     Row n of the batch ran at coupling t_n K; the formula runs once on
-    its columns and returns a complex array with one entry per row, each
+    the batch's moments and returns a complex array with one entry per row, each
     carrying the finite-coupling error of its row. Raises ZeroCoupling,
     before dividing, if any coupling is 0.
     """

@@ -498,8 +498,8 @@ def test_validate_builds_no_singles(monkeypatch):
 def test_joint_fock_run_warns_for_the_pair_then_each_single(tmp_path):
     """A truncating joint Fock run warns once per truncated batch in the
     order pair, A alone, B alone (N_NOp alone truncates as the pair
-    does), and every warning points at one line of the CLI, so Python's
-    default filter shows a repeated message once."""
+    does), each message naming its coupled axes, and every warning
+    points at one line of the CLI."""
     argv = ["run", "--scenario", "hardy", "--observable", "N_Oe", "--observable-b", "N_NOp",
             "--engine", "fock", "--n-max", "6", "--kx", "2", "--sigma-x", "1",
             "--format", "json", "--out", str(tmp_path / "out.json")]
@@ -507,8 +507,10 @@ def test_joint_fock_run_warns_for_the_pair_then_each_single(tmp_path):
         warnings.simplefilter("always")
         assert run_cli(argv) == 0
     assert [str(w.message) for w in caught] == [
-        f"top Fock levels hold population {p}; increase n_max for reliable moments"
-        for p in ("2.417e-03", "1.209e-03", "2.417e-03")
+        f"coupling {axes}: top Fock levels hold population {p}; "
+        "increase n_max for reliable moments"
+        for axes, p in (("kx and ky", "2.417e-03"), ("kx alone", "1.209e-03"),
+                        ("ky alone", "2.417e-03"))
     ]
     assert all(w.category is errors.TruncationWarning for w in caught)
     assert {(w.filename, w.lineno) for w in caught} == {(cli.__file__, caught[0].lineno)}
@@ -565,7 +567,8 @@ def test_oversized_requests_exit_1_without_traceback(capsys):
     err = capsys.readouterr().err
     assert "budget" in err and "Traceback" not in err
     # within the points x d^2 bound, but the Fock branch sum's
-    # (points, n_max+1, d) grid arrays would take 375 MiB each
+    # (operators, points, n_max+1, d) product of its grid operators with
+    # its grid arrays would take 1501 MiB
     fock_sweep = [*sweep, "--points", "200000", "--n-max", "40"]
     fock_sweep[fock_sweep.index("exact")] = "fock"
     assert run_cli(fock_sweep) == 1

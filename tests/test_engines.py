@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -336,10 +337,11 @@ def test_overflowing_joint_coupling_is_refused_by_axis(engine):
 
 
 def test_records_refuse_non_finite_moment_by_name():
-    raw = {"ps_prob": [0.5, 0.5], "x_mean": [0.1, math.nan], "px_mean": [0.0, 0.0]}
+    # the rows of a single coupling: ps_prob, x_mean, px_mean
+    forms = np.array([[0.5, 0.5], [0.1, math.nan], [0.0, 0.0]])
     c = SingleCoupling(SIGMA_Z, 1.0, unit_pointer())
     with pytest.raises(NumericalInconsistency, match=r"x_mean of record 1 is .*nan.*, not finite"):
-        _records(raw, c, np.array([1.0, 2.0]), np.zeros(2), "exact")
+        _records(forms, c, np.array([1.0, 2.0]), np.zeros(2), "exact")
 
 
 def test_residue_bound_is_in_the_pointer_units():
@@ -355,12 +357,12 @@ def test_residue_bound_is_in_the_pointer_units():
     want = [1.0, 1e6, 1.0, 1.0, 1.0, 1e6, 1e6 * 0.5]
     np.testing.assert_allclose(_residue_bounds(jc.axes, list(MOMENTS)),
                                IMAG_RESIDUE_TOL * np.array(want), rtol=1e-15)
-    raw = {"ps_prob": [0.5], "x_mean": [0.1], "px_mean": [0.1 + 2e-10j]}
+    forms = np.array([[0.5], [0.1], [0.1 + 2e-10j]])  # ps_prob, x_mean, px_mean
     single = SingleCoupling(SIGMA_Z, 0.01, unit_pointer())
     with pytest.raises(NumericalInconsistency, match="px_mean has imaginary residue 2.000e-10"):
-        _records(raw, single, np.ones(1), np.zeros(1), "exact")
-    raw["px_mean"], raw["x_mean"] = [0.1], [0.1 + 2e-10j]
-    assert _records(raw, SingleCoupling(SIGMA_Z, 1e4, wide), np.ones(1), np.zeros(1),
+        _records(forms, single, np.ones(1), np.zeros(1), "exact")
+    forms = np.array([[0.5], [0.1 + 2e-10j], [0.1]])
+    assert _records(forms, SingleCoupling(SIGMA_Z, 1e4, wide), np.ones(1), np.zeros(1),
                     "exact").x_mean.tolist() == [0.2]
 
 
@@ -368,17 +370,18 @@ def test_records_check_and_clamp_probabilities_as_columns():
     """The batch checks the whole ps_prob column against [0, 1] up to
     1e-12, clamps a rounding excursion, and divides by the unclamped
     value; one row at a time as well."""
-    raw = {"ps_prob": [0.5, 1.0 + 5e-13], "x_mean": [0.25, 1.0], "px_mean": [0.0, 0.0]}
+    # the rows of a single coupling: ps_prob, x_mean, px_mean
+    forms = np.array([[0.5, 1.0 + 5e-13], [0.25, 1.0], [0.0, 0.0]])
     c = SingleCoupling(SIGMA_Z, 1.0, unit_pointer())
-    batch = _records(raw, c, np.array([1.0, 2.0]), np.array([0.1, 0.2]), "exact")
+    batch = _records(forms, c, np.array([1.0, 2.0]), np.array([0.1, 0.2]), "exact")
     assert batch.ps_prob.tolist() == [0.5, 1.0]
     assert batch.x_mean.tolist() == [0.5, 1.0 / (1.0 + 5e-13)]
-    raw["ps_prob"] = [0.5, 1.5]
+    forms[0] = [0.5, 1.5]
     with pytest.raises(NumericalInconsistency, match=r"probability 1\.5 outside \[0, 1\]"):
-        _records(raw, c, np.array([1.0, 2.0]), np.zeros(2), "exact")
-    row = {"ps_prob": [1.0 + 5e-13], "x_mean": [0.0], "px_mean": [0.0]}
+        _records(forms, c, np.array([1.0, 2.0]), np.zeros(2), "exact")
+    row = np.array([[1.0 + 5e-13], [0.0], [0.0]])
     assert _records(row, c, np.ones(1), np.zeros(1), "exact").ps_prob.tolist() == [1.0]
-    row["ps_prob"] = [1.5]
+    row[0] = [1.5]
     with pytest.raises(NumericalInconsistency, match=r"probability 1\.5 outside \[0, 1\]"):
         _records(row, c, np.ones(1), np.zeros(1), "exact")
 
@@ -400,9 +403,23 @@ def test_batch_is_frozen_read_only_columns():
             getattr(batch, name)[0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         batch.x_mean = batch.y_mean
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        batch.moments = batch.moments.copy()
     assert batch.engine_tag == "exact-joint"
+    # one read-only table that owns its data; each MOMENTS name is its row
+    assert batch.moments.shape == (len(MOMENTS), 3)
+    assert not batch.moments.flags.writeable and batch.moments.base is None
+    with pytest.raises(ValueError):
+        batch.moments[1, 0] = 0.0
+    for row, name in enumerate(MOMENTS):
+        assert np.shares_memory(getattr(batch, name), batch.moments[row]), name
+        assert getattr(batch, name).tolist() == batch.moments[row].tolist(), name
     single = run_single_exact(PLUS_X, f, SingleCoupling(SIGMA_Z, 0.05, unit_pointer()),
                               scales=[1.0, 2.0])
+    assert single.moments.shape == (len(MOMENTS), 2)
+    y_rows = [row for row, ops in enumerate(MOMENT_OPERATORS.values()) if ops[1] != "1"]
+    assert y_rows == [3, 4, 5, 6]
+    assert single.moments[y_rows].tolist() == [[0.0, 0.0]] * 4
     assert single.y_mean.tolist() == single.x_py_mean.tolist() == [0.0, 0.0]
 
 
@@ -476,11 +493,44 @@ def test_fock_refuses_oversized_truncation_before_allocating(monkeypatch):
     # the benchmark size (n_max 40, d = 4) is far inside the budget
     assert 16 * 41**2 * 4**2 < MAX_ARRAY_BYTES
     # at n_max 2, d = 2 and 10 scales the blocks (36 values) and the grid
-    # arrays (60) fit a 100-value budget, the four-operator stack (160)
-    # does not
+    # arrays (60) fit a 100-value budget, the four-operator product of the
+    # grid operators with them (240) does not
     monkeypatch.setattr("weaklab.engines.MAX_ARRAY_BYTES", 16 * 100)
     with pytest.raises(InvalidTruncation, match="budget"):
         run_fock(PLUS_X, PLUS_X, c, n_max=2, scales=np.linspace(0.1, 1.0, 10))
+
+
+def test_fock_branch_sum_peak_stays_within_twice_the_budget(monkeypatch):
+    """The Fock branch sum's budget check sizes the largest array its
+    Gauss-Hermite rule forms, the (operators, scales, n_max+1, d) product
+    of the grid operators with the grid arrays. Traced with tracemalloc,
+    the largest run a budget admits at n_max 40 peaks below twice that
+    budget, a single coupling and a commuting pair with its singles alike;
+    four times as many scales, whose grid arrays alone fit the budget, are
+    refused."""
+    budget = 16 * len(STACK_OPERATORS) * 100 * 41 * 4
+    monkeypatch.setattr("weaklab.engines.MAX_ARRAY_BYTES", budget)
+    three_box, hardy = build_three_box(), build_hardy()
+    pointer = unit_pointer()
+    problems = [
+        (three_box, SingleCoupling(three_box.observable("P3"), 1e-3, pointer), {}),
+        (hardy, JointCoupling(hardy.observable("N_Oe"), hardy.observable("N_Op"), 1e-3, 1e-3,
+                              pointer, pointer), {"with_singles": True}),
+    ]
+    _pointer_frame(pointer, 40)
+    for scn, c, kwargs in problems:
+        admitted = budget // (16 * len(STACK_OPERATORS) * 41 * c.A.dim)
+        tracemalloc.start()
+        try:
+            run_fock(scn.i, scn.f, c, 40, scales=np.geomspace(1.0, 100.0, admitted), **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * budget, peak / budget
+        # the grid arrays of four times the scales fit the budget
+        assert 16 * 4 * admitted * 41 * c.A.dim <= budget
+        with pytest.raises(InvalidTruncation, match="budget"):
+            run_fock(scn.i, scn.f, c, 40, scales=np.geomspace(1.0, 100.0, 4 * admitted), **kwargs)
 
 
 # --- moment scaling laws ------------------------------------------------------
@@ -1149,9 +1199,9 @@ def test_contraction_pins_its_index_order(axes):
 
     forms = _contract(amp, mats)
     rows = {name: ops[:axes] for name, ops in MOMENT_OPERATORS.items() if set(ops[axes:]) <= {"1"}}
-    assert forms.keys() == rows.keys()
-    for name, ops in rows.items():
-        np.testing.assert_allclose(forms[name], explicit(ops), rtol=1e-13, atol=0, err_msg=name)
+    assert forms.shape == (len(rows), scales)
+    for (name, ops), form in zip(rows.items(), forms):
+        np.testing.assert_allclose(form, explicit(ops), rtol=1e-13, atol=0, err_msg=name)
     populations = _populations(amp, mats)
     assert populations.shape == (axes, scales)
     for axis, population in enumerate(populations):
@@ -1205,7 +1255,8 @@ def test_singles_returned_with_the_pair_are_the_single_runs(case, scales):
     """``with_singles=True`` returns the pair's batch and each axis's
     single-coupling batch bit for bit as separate calls give them, every
     column and the engine tag, with the same truncation warnings in the
-    order pair, A, B, each pointing at the caller."""
+    order pair, A, B, each naming its coupled axes and pointing at the
+    caller."""
     engine, path, (i, f, c, n_max) = SINGLES_CASES[case]
     assert (commutator_norm(c.A, c.B) == 0.0) == (path == "branch")
     if engine == "exact":
@@ -1217,12 +1268,15 @@ def test_singles_returned_with_the_pair_are_the_single_runs(case, scales):
         lambda: joint(i, f, c, scales=scales, with_singles=True)
     )
 
-    def separate():
-        return [joint(i, f, c, scales=scales), *(
-            single(i, f, SingleCoupling(A, K, p), scales=scales) for A, K, p, _ in c.axes
-        )]
-
-    want, want_warnings = caught_warnings(separate)
+    want, want_warnings = caught_warnings(lambda: [joint(i, f, c, scales=scales)])
+    for A, K, p, flag in c.axes:
+        # a separate single coupling is on the x axis, so its warnings
+        # name kx; the pair's single of B names ky
+        batch, caught = caught_warnings(
+            lambda: single(i, f, SingleCoupling(A, K, p), scales=scales))
+        want.append(batch)
+        want_warnings += [(message.replace("coupling kx alone", f"coupling {flag} alone"), name)
+                          for message, name in caught]
     assert len(alone) == 2
     for got, ref in zip((pair, *alone), want):
         for name in COLUMNS:
