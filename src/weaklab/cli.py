@@ -29,8 +29,10 @@ give the correlation. The direct value ``<f|A|i>/<f|i>`` is only the
 referee the result is checked against.
 
 Exit codes: 0 success; 1 configuration/parse errors, including requests
-whose arrays would exceed ``engines.MAX_ARRAY_BYTES`` and couplings
-whose pointer displacements would overflow (named as kx or ky); 2
+whose arrays would exceed ``engines.MAX_ARRAY_BYTES``, couplings whose
+pointer displacements would overflow (named as kx or ky), and couplings
+so weak that the moments the weak values are extracted from would fall
+below the normal float range (named as K or Kx*Ky); 2
 numerical failures (orthogonal post-selection, noncommuting observables
 on the closed-form joint engine, a non-finite moment); 3
 validation-suite failure.
@@ -44,7 +46,6 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
@@ -68,7 +69,7 @@ from .scenarios import PRESETS, Scenario, build_spin_amplifier, load_scenario
 from .validation import run_all_checks
 from .weakvalues import direct_joint_weak_value, direct_weak_value, extract_joint, extract_single
 
-__all__ = ["main", "RunSpec", "serialize_report"]
+__all__ = ["main", "serialize_report"]
 
 CSV_HEADER = (
     "k,ps_prob,re_extracted,im_extracted,re_direct,im_direct,abs_err,weakness_ratio"
@@ -80,42 +81,6 @@ _CSV_ROW = ",".join(["%.17g"] * 8) + "\n"
 
 class UsageError(Exception):
     """Bad flags or flag combinations; maps to exit code 1."""
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    """The flags shared by every point of a run or sweep, with defaults
-    resolved. sigma_y is None for single runs."""
-
-    scenario: Scenario
-    observable: str
-    observable_b: str | None
-    engine: str
-    sigma_x: float
-    sigma_y: float | None
-    hbar: float
-    n_max: int
-
-    @classmethod
-    def from_args(cls, args) -> "RunSpec":
-        scn = _resolve_scenario(args.scenario, args.alpha)
-        if args.observable_b is None:
-            for flag, value in (("--ky", args.ky), ("--sigma-y", args.sigma_y)):
-                if value is not None:
-                    raise UsageError(f"{flag} requires --observable-b")
-            sigma_y = None
-        else:
-            sigma_y = args.sigma_x if args.sigma_y is None else args.sigma_y
-        return cls(
-            scenario=scn,
-            observable=args.observable,
-            observable_b=args.observable_b,
-            engine=args.engine,
-            sigma_x=args.sigma_x,
-            sigma_y=sigma_y,
-            hbar=args.hbar,
-            n_max=args.n_max,
-        )
 
 
 # --- deterministic serialization -------------------------------------------
@@ -161,26 +126,30 @@ def _estimate_payload(values: np.ndarray) -> dict:
     return {"re": value.real, "im": value.imag, "kind": "extracted_single"}
 
 
-def serialize_report(spec: RunSpec, kx: float, ky: float | None, batch: MeasurementBatch,
-                     est: np.ndarray, direct: complex, singles) -> str:
-    """The JSON report of row 0 of a run: ``_execute``'s batch, extracted
-    values, direct value and singles at couplings (kx, ky). abs_err is
-    computed here from the extracted and direct values.
+def serialize_report(args, scn: Scenario, batch: MeasurementBatch, est: np.ndarray,
+                     direct: complex, singles) -> str:
+    """The JSON report of row 0 of a run of scenario scn with flags args:
+    ``_execute``'s batch, extracted values, direct value and singles.
+    kx, ky, sigma_x, sigma_y and hbar are read from the axes of the
+    coupling the batch ran (ky and sigma_y null for single runs). abs_err
+    is computed here from the extracted and direct values.
     ``singles_mode`` stays in schema 1's key set: "extracted" for joint
     runs, null for single runs."""
+    (_, kx, pointer_x, _), *axis_y = batch.coupling.axes
+    ky, pointer_y = axis_y[0][1:3] if axis_y else (None, None)
     extracted = complex(est[0])
     payload = {
         "schema": 1,
-        "scenario": spec.scenario.name,
-        "engine": spec.engine,
-        "observable": spec.observable,
-        "observable_b": spec.observable_b,
+        "scenario": scn.name,
+        "engine": args.engine,
+        "observable": args.observable,
+        "observable_b": args.observable_b,
         "kx": kx,
         "ky": ky,
-        "sigma_x": spec.sigma_x,
-        "sigma_y": spec.sigma_y,
-        "hbar": spec.hbar,
-        "n_max": spec.n_max if spec.engine == "fock" else None,
+        "sigma_x": pointer_x.sigma,
+        "sigma_y": None if pointer_y is None else pointer_y.sigma,
+        "hbar": pointer_x.hbar,
+        "n_max": args.n_max if args.engine == "fock" else None,
         "singles_mode": None if singles is None else "extracted",
         "record": {
             **{name: getattr(batch, name)[0] for name in MOMENTS},
@@ -229,100 +198,100 @@ def fit_error_order(ks, errs) -> float:
 # --- run pipeline -----------------------------------------------------------
 
 
-def _resolve_scenario(name_or_path: str, alpha: float) -> Scenario:
-    if name_or_path == "spin":
-        return build_spin_amplifier(alpha)
-    if name_or_path in PRESETS:
-        return PRESETS[name_or_path]()
-    path = Path(name_or_path)
-    if path.exists():
-        return load_scenario(path.read_text())
-    raise UsageError(
-        f"unknown scenario {name_or_path!r}: not a preset "
-        f"({', '.join(sorted(PRESETS))}) or an existing file"
-    )
+def _scenario(args) -> Scenario:
+    """The scenario --scenario names: the spin preset at --alpha, another
+    preset, or a scenario file. Then refuses --ky or --sigma-y without
+    --observable-b."""
+    name = args.scenario
+    if name == "spin":
+        scn = build_spin_amplifier(args.alpha)
+    elif name in PRESETS:
+        scn = PRESETS[name]()
+    elif Path(name).exists():
+        scn = load_scenario(Path(name).read_text())
+    else:
+        raise UsageError(
+            f"unknown scenario {name!r}: not a preset "
+            f"({', '.join(sorted(PRESETS))}) or an existing file"
+        )
+    if args.observable_b is None:
+        for flag, value in (("--ky", args.ky), ("--sigma-y", args.sigma_y)):
+            if value is not None:
+                raise UsageError(f"{flag} requires --observable-b")
+    return scn
 
 
-def _run_engine(spec: RunSpec, c, scales: list[float], with_singles: bool = False):
-    """The one engine call of a run or sweep. A joint coupling passes
-    ``with_singles=True`` and gets (batch, (batch_a, batch_b)), the
-    batches of A and B coupled alone at the same couplings."""
-    scn = spec.scenario
-    if spec.engine == "fock":
-        return run_fock(scn.i, scn.f, c, n_max=spec.n_max, scales=scales,
-                        with_singles=with_singles)
-    if with_singles:
-        return run_joint_exact(scn.i, scn.f, c, scales=scales, with_singles=True)
-    return run_single_exact(scn.i, scn.f, c, scales=scales)
-
-
-def _execute(spec: RunSpec, kx: float, ky: float, scales: list[float]):
-    """Engine runs at couplings t (kx, ky) for each scale t, with
-    extraction and ground truth; ky is ignored for single runs.
+def _execute(args, scn: Scenario, kx: float, ky: float, scales: list[float]):
+    """The one engine call of a run or sweep of scenario scn with flags
+    args, at couplings t (kx, ky) for each scale t, with extraction and
+    ground truth; ky is ignored for single runs, and --sigma-y defaults
+    to --sigma-x.
 
     Returns (batch, extracted, direct, singles): the MeasurementBatch of
     the run, the extracted weak values, one complex per scale, the
     direct value and, for joint runs, the pair of single weak values
     extracted from the batches of A and B coupled alone, one complex per
-    scale, else None. A run or sweep makes one engine call, joint or
-    not: a joint call also returns the two single-coupling batches,
-    taken from the eigensystems and pointer integrals of the pair. Each
-    extraction runs once per batch."""
-    scn = spec.scenario
-    a = scn.observable(spec.observable)
-    pointer_x = GaussianPointer(spec.sigma_x, spec.hbar)
-
-    if spec.observable_b is None:
+    scale, else None. A joint call passes ``with_singles=True`` and also
+    gets those two batches, taken from the eigensystems and pointer
+    integrals of the pair. Each extraction runs once per batch."""
+    a = scn.observable(args.observable)
+    pointer_x = GaussianPointer(args.sigma_x, args.hbar)
+    fock = functools.partial(run_fock, n_max=args.n_max)
+    if args.observable_b is None:
         c = SingleCoupling(A=a, K=kx, pointer=pointer_x)
-        batch = _run_engine(spec, c, scales)
+        engine = fock if args.engine == "fock" else run_single_exact
+        batch = engine(scn.i, scn.f, c, scales=scales)
         return batch, extract_single(batch), direct_weak_value(a, scn.i, scn.f), None
 
-    b = scn.observable(spec.observable_b)
-    pointer_y = GaussianPointer(spec.sigma_y, spec.hbar)
-    c = JointCoupling(
-        A=a, B=b, Kx=kx, Ky=ky, pointer_x=pointer_x, pointer_y=pointer_y
-    )
-    batch, alone = _run_engine(spec, c, scales, with_singles=True)
+    b = scn.observable(args.observable_b)
+    sigma_y = args.sigma_x if args.sigma_y is None else args.sigma_y
+    c = JointCoupling(A=a, B=b, Kx=kx, Ky=ky, pointer_x=pointer_x,
+                      pointer_y=GaussianPointer(sigma_y, args.hbar))
+    engine = fock if args.engine == "fock" else run_joint_exact
+    batch, alone = engine(scn.i, scn.f, c, scales=scales, with_singles=True)
     singles = tuple(map(extract_single, alone))
     est = extract_joint(batch, singles)
     return batch, est, direct_joint_weak_value(a, b, scn.i, scn.f), singles
 
 
-def _write_output(text: str, out: str | None):
-    if out:
-        Path(out).write_text(text)
+def _execute_and_write(args, scn: Scenario, kx: float, ky: float, scales: list[float], render):
+    """Run ``_execute``, write ``render(*result)`` to --out or stdout,
+    and print the wall time of ``_execute`` to stderr."""
+    t0 = time.perf_counter()
+    result = _execute(args, scn, kx, ky, scales)
+    wall = time.perf_counter() - t0
+    text = render(*result)
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+    print(f"wall time: {wall:.3f} s", file=sys.stderr)
+    return 0
 
 
 # --- commands ---------------------------------------------------------------
 
 
 def cmd_run(args) -> int:
-    spec = RunSpec.from_args(args)
-    ky = None
-    if spec.observable_b is not None:
-        ky = args.kx if args.ky is None else args.ky
-    t0 = time.perf_counter()
-    batch, est, direct, singles = _execute(spec, args.kx, ky, [1.0])
-    wall = time.perf_counter() - t0
-    if args.format == "json":
-        text = serialize_report(spec, args.kx, ky, batch, est, direct, singles)
-    else:
+    scn = _scenario(args)
+
+    def render(batch, est, direct, singles):
+        if args.format == "json":
+            return serialize_report(args, scn, batch, est, direct, singles)
         rows, _ = _csv_rows([args.kx], batch, est, direct)
-        text = f"# schema=1\n{CSV_HEADER}\n{rows}"
-    _write_output(text, args.out)
-    print(f"wall time: {wall:.3f} s", file=sys.stderr)
-    return 0
+        return f"# schema=1\n{CSV_HEADER}\n{rows}"
+
+    ky = args.kx if args.ky is None else args.ky
+    return _execute_and_write(args, scn, args.kx, ky, [1.0], render)
 
 
 def cmd_sweep(args) -> int:
-    spec = RunSpec.from_args(args)
+    scn = _scenario(args)
     if args.points < 1:
         raise UsageError(f"--points must be >= 1, got {args.points}")
     # the engines hold one (operators, points, d, d) stack of branch-pair
     # matrices per pointer axis
-    check_array_budget(len(STACK_OPERATORS) * args.points * spec.scenario.i.dim**2,
+    check_array_budget(len(STACK_OPERATORS) * args.points * scn.i.dim**2,
                        f"--points {args.points}", UsageError)
     for flag, value in (("--k-min", args.k_min), ("--k-max", args.k_max)):
         if not math.isfinite(value):
@@ -338,17 +307,13 @@ def cmd_sweep(args) -> int:
     else:
         ks = np.linspace(args.k_min, args.k_max, args.points)
 
-    t0 = time.perf_counter()
-    # unit couplings scaled by k: row k runs at Kx = Ky = k
-    batch, est, direct, _ = _execute(spec, 1.0, 1.0, ks.tolist())
-    wall = time.perf_counter() - t0
+    def render(batch, est, direct, _singles):
+        rows, errs = _csv_rows(ks, batch, est, direct)
+        order = fit_error_order(ks, errs)
+        return f"# schema=1\n{CSV_HEADER}\n{rows}# fitted_error_order={_fmt_float(order)}\n"
 
-    rows, errs = _csv_rows(ks, batch, est, direct)
-    order = fit_error_order(ks, errs)
-    text = f"# schema=1\n{CSV_HEADER}\n{rows}# fitted_error_order={_fmt_float(order)}\n"
-    _write_output(text, args.out)
-    print(f"wall time: {wall:.3f} s", file=sys.stderr)
-    return 0
+    # unit couplings scaled by k: row k runs at Kx = Ky = k
+    return _execute_and_write(args, scn, 1.0, 1.0, ks.tolist(), render)
 
 
 def cmd_validate(_args) -> int:

@@ -162,11 +162,12 @@ DEFAULT_N_MAX = 40
 #: Byte budget for the largest complex array one request may allocate:
 #: the Fock block stack of (n_max+1)^2 d x d matrices, an axis's
 #: (operators, points, d, d) stack of branch-pair matrices in a batched
-#: sweep (operators the STACK_OPERATORS), the Fock branch sum's
-#: (operators, points, n_max+1, d) product of the grid operators with
-#: its grid arrays, or the (d, n_max+1, n_max+1) state tensor of the
-#: series engine. A few arrays of this size are live at once. Larger
-#: requests are refused before anything is allocated.
+#: sweep (operators the STACK_OPERATORS), or the (d, n_max+1, n_max+1)
+#: state tensor of the series engine. A few arrays of this size are live
+#: at once. The Fock branch sum counts every array live at its peak
+#: together: points x d x ((2 + operators) x max(n_max+1, d) +
+#: operators x axes x d) values. Larger requests are refused before
+#: anything is allocated.
 MAX_ARRAY_BYTES = 2**28
 
 #: Each moment of a MeasurementBatch and the pointer operator it applies
@@ -201,7 +202,7 @@ def check_array_budget(n_values: int, what: str, error: type[Exception]):
     if nbytes > MAX_ARRAY_BYTES:
         raise error(
             f"{what} needs {nbytes / 2**20:.4g} MiB per array, over the "
-            f"{MAX_ARRAY_BYTES / 2**20:.0f} MiB budget"
+            f"{MAX_ARRAY_BYTES / 2**20:.4g} MiB budget"
         )
 
 
@@ -754,12 +755,12 @@ def run_fock(
     whose row n ran at couplings t_n (Kx, Ky) for each of ``scales``, or
     the one row at (Kx, Ky) without them; the eigenbases, momentum
     frames and block eigenvectors are computed once per call. Raises
-    InvalidTruncation before allocating if the (n_max+1)^2 d x d blocks,
-    or the largest array of the branch sum's Gauss-Hermite rule, the
-    (operators, scales, max(n_max+1, d), d) product of the grid
-    operators with the grid arrays, would exceed MAX_ARRAY_BYTES, and
-    OrthogonalPostselection if a row's post-selection probability is
-    below EPS_PS.
+    InvalidTruncation before allocating if the (n_max+1)^2 d x d blocks
+    would exceed MAX_ARRAY_BYTES, or if the arrays live at the peak of
+    the branch sum's Gauss-Hermite rule would, counted together:
+    scales x d x ((2 + operators) x max(n_max+1, d) + operators x axes
+    x d) values. Raises OrthogonalPostselection if a row's
+    post-selection probability is below EPS_PS.
 
     With ``with_singles=True`` a JointCoupling returns
     (batch, (batch_a, batch_b)): batch_a is the batch
@@ -781,11 +782,15 @@ def run_fock(
     weakness = c.weakness_ratios(ts)
 
     def branch_stacks():
-        # the largest array of the Gauss-Hermite rule: the product ops G,
-        # (operators, scales, n_max+1, d), or an axis's (operators,
-        # scales, d, d) stack
-        check_array_budget(len(STACK_OPERATORS) * len(ts) * max(levels, d) * d,
-                           f"{len(ts)} scales at {what}", InvalidTruncation)
+        # the arrays live at the peak of the Gauss-Hermite rule: the last
+        # axis's grid array G, its conjugate and the product ops G,
+        # (2 + operators) x scales x (n_max+1) x d values, beside one
+        # (operators, scales, d, d) stack per axis. Where n_max+1 < d the
+        # contraction's products of a pair's stacks peak instead, and
+        # max(levels, d) counts them too
+        ops = len(STACK_OPERATORS)
+        live = len(ts) * d * ((2 + ops) * max(levels, d) + ops * len(c.axes) * d)
+        check_array_budget(live, f"{len(ts)} scales at {what}", InvalidTruncation)
         eigs = [hermitian_eig(A) for A, *_ in c.axes]
         rule = functools.partial(_grid_matrices, n_max=n_max)
         return eigs, _axis_stacks(rule, eigs, c.axes, ts)

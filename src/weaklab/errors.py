@@ -22,7 +22,8 @@ class OrthogonalPostselection(WeaklabError):
 
 
 class ZeroCoupling(WeaklabError):
-    """Extraction requested with a vanishing coupling constant."""
+    """Extraction requested with a vanishing coupling constant, or one
+    so weak that the moments it divides leave the normal float range."""
 
 
 class InvalidTruncation(WeaklabError):

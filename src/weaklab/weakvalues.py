@@ -9,6 +9,8 @@ vanishes.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .engines import EPS_PS, MeasurementBatch
@@ -21,6 +23,12 @@ __all__ = [
     "extract_single",
     "extract_joint",
 ]
+
+#: The weakest coupling |t K| (|t Kx t Ky| for a pair) an extraction
+#: accepts. The moments it divides are about that coupling times a
+#: post-selection probability of at least EPS_PS, so above it they stay
+#: in the normal float range, and below it they lose digits.
+_WEAKEST = sys.float_info.min / EPS_PS
 
 
 def _overlap_or_raise(i: QuantumState, f: QuantumState) -> complex:
@@ -60,6 +68,20 @@ def direct_joint_weak_value(
     return complex(np.vdot(f.amplitudes, sym @ i.amplitudes)) / ip
 
 
+def _check_coupling(k: np.ndarray, name: str, what: str):
+    """Raise ZeroCoupling naming the coupling ``name`` of the first row
+    of k that is 0 or weaker than _WEAKEST, before anything is divided
+    by it."""
+    if not k.all():
+        raise ZeroCoupling(f"cannot extract {what} at {name} = 0")
+    weak = np.abs(k) < _WEAKEST
+    if weak.any():
+        raise ZeroCoupling(
+            f"cannot extract {what} at {name} = {float(k[weak.argmax()])!r}, below "
+            f"{_WEAKEST:.3g}, where its moments leave the normal float range"
+        )
+
+
 def _estimate(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """The estimate re + i im, one complex per row, its parts assigned,
     not computed, so an infinite part stays exact."""
@@ -81,12 +103,13 @@ def extract_single(batch: MeasurementBatch) -> np.ndarray:
     Row n of the batch ran at coupling t_n K; the formula runs once on
     the batch's moments and returns a complex array with one entry per row, each
     carrying the finite-coupling error of its row. Raises ZeroCoupling,
-    before dividing, if any coupling is 0.
+    before dividing, if any coupling t_n K is 0 or below
+    ``sys.float_info.min / EPS_PS`` in magnitude (about 2.2e-296), where
+    the moments would leave the normal float range.
     """
     c = batch.coupling
     kt = batch.scales * c.K
-    if not kt.all():
-        raise ZeroCoupling("cannot extract a weak value at K = 0")
+    _check_coupling(kt, "K", "a weak value")
     re = batch.x_mean / kt
     im = (2.0 * c.pointer.sigma**2 / c.pointer.hbar) * batch.px_mean / kt
     return _estimate(re, im)
@@ -110,12 +133,12 @@ def extract_joint(batch: MeasurementBatch, singles) -> np.ndarray:
     with one entry per row, as for extract_single, and each single weak
     value is a complex or a complex array with one entry per row. a* b
     is expanded into real parts, which is Python's complex product term
-    for term. Raises ZeroCoupling, before dividing, if any Kx Ky is 0.
+    for term. Raises ZeroCoupling, before dividing, if any t_n^2 Kx Ky is
+    0 or below the bound of extract_single in magnitude.
     """
     c, ts = batch.coupling, batch.scales
     kk = (ts * c.Kx) * (ts * c.Ky)
-    if not kk.all():
-        raise ZeroCoupling("cannot extract a joint weak value at Kx*Ky = 0")
+    _check_coupling(kk, "Kx*Ky", "a joint weak value")
     a_w, b_w = singles
     ar, ai, br, bi = a_w.real, a_w.imag, b_w.real, b_w.imag
     re = 2.0 * batch.xy_mean / kk - (ar * br + ai * bi)

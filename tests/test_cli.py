@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from weaklab import cli, engines, errors, qcore, scenarios
-from weaklab.cli import CSV_HEADER, _CSV_ROW, RunSpec, _execute, _fmt_float, build_parser, main
+from weaklab.cli import CSV_HEADER, _CSV_ROW, _execute, _fmt_float, _scenario, build_parser, main
 from weaklab.engines import MOMENTS, _pointer_frame
 from weaklab.scenarios import build_three_box, scenario_to_document
 from weaklab.validation import run_all_checks
@@ -361,6 +361,25 @@ def test_linear_sweep_through_zero_coupling_exit_1(capsys, engine, observables):
     assert "error: cannot extract a weak value at K = 0" in captured.err
 
 
+@pytest.mark.parametrize("observables, kx", [
+    (["--scenario", "three-box", "--observable", "P3"], "1e-320"),
+    (["--scenario", "hardy", "--observable", "N_Oe", "--observable-b", "N_NOp"], "1e-160"),
+], ids=["single", "joint"])
+def test_subnormal_coupling_exit_1(capsys, observables, kx):
+    """A coupling whose moments fall below the normal float range (here
+    K = 1e-320, and Kx*Ky = 1e-320 for the pair) would extract a wrong
+    value: exit 1 naming the coupling, with no numpy warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["run", *observables, "--engine", "exact", "--sigma-x", "1",
+                        "--kx", kx, "--format", "json"])
+    assert code == 1
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "weak value at " in captured.err and "= 1e-320, below 2.23e-296" in captured.err
+
+
 @pytest.mark.parametrize("flag", ["--k-min", "--k-max"])
 def test_sweep_non_finite_range_exit_1(capsys, flag):
     """Refused before the couplings are spaced, so numpy never warns
@@ -433,13 +452,11 @@ def test_joint_run_decomposes_each_observable_once(monkeypatch):
          "N_NOp", "--engine", "exact", "--kx", "0.01", "--sigma-x", "1",
          "--format", "json"]
     )
-    spec = RunSpec.from_args(args)
     fresh = scenarios.build_hardy.__wrapped__()
-    assert fresh is not spec.scenario
-    spec = RunSpec(**{**vars(spec), "scenario": fresh})
+    assert fresh is not _scenario(args)
     a, b = fresh.observable("N_NOe"), fresh.observable("N_NOp")
     for _ in range(2):
-        _execute(spec, 0.01, 0.01, [1.0])
+        _execute(args, fresh, 0.01, 0.01, [1.0])
         assert [id(m) for m in calls["eigh"]] == [id(a.matrix), id(b.matrix)]
         assert calls["eigvalsh"] == []
 
@@ -469,7 +486,7 @@ def test_joint_sweep_makes_one_engine_call(monkeypatch):
          "--engine", "exact", "--k-min", "1e-3", "--k-max", "1e-1", "--points", "5",
          "--log", "--sigma-x", "1"]
     )
-    _execute(RunSpec.from_args(args), 1.0, 1.0, [1e-3, 1e-2, 1e-1])
+    _execute(args, _scenario(args), 1.0, 1.0, [1e-3, 1e-2, 1e-1])
     assert counts == {"_moment_matrices": 2, "run_single_exact": 0, "run_joint_exact": 1,
                       "run_fock": 0}
 
@@ -566,9 +583,8 @@ def test_oversized_requests_exit_1_without_traceback(capsys):
     assert run_cli(sweep + ["--points", str(10**12)]) == 1
     err = capsys.readouterr().err
     assert "budget" in err and "Traceback" not in err
-    # within the points x d^2 bound, but the Fock branch sum's
-    # (operators, points, n_max+1, d) product of its grid operators with
-    # its grid arrays would take 1501 MiB
+    # within the points x d^2 bound, but the arrays live at the peak of
+    # the Fock branch sum would take 2362 MiB
     fock_sweep = [*sweep, "--points", "200000", "--n-max", "40"]
     fock_sweep[fock_sweep.index("exact")] = "fock"
     assert run_cli(fock_sweep) == 1
@@ -770,14 +786,14 @@ def test_batched_sweep_matches_single_runs(case, tmp_path):
     args = build_parser().parse_args(
         ["run", *flags, "--kx", "1", "--sigma-x", "1", "--format", "json"]
     )
-    spec = RunSpec.from_args(args)
+    scn = _scenario(args)
     kx, ky = args.kx, args.ky if args.ky is not None else args.kx
     scales = np.geomspace(1e-3, 1e-1, 7).tolist()
 
-    batch, est, direct, _ = _execute(spec, kx, ky, scales)
+    batch, est, direct, _ = _execute(args, scn, kx, ky, scales)
     assert len(batch.scales) == len(est) == len(scales)
     for row, t in enumerate(scales):
-        one, one_est, one_direct, _ = _execute(spec, t * kx, t * ky, [1.0])
+        one, one_est, one_direct, _ = _execute(args, scn, t * kx, t * ky, [1.0])
         for name in (*MOMENTS, "weakness_ratio"):
             want = getattr(one, name)[0]
             assert getattr(batch, name)[row] == pytest.approx(want, rel=0, abs=1e-12), name

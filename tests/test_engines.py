@@ -47,7 +47,7 @@ from weaklab.pointer import GaussianPointer, build_fock
 from weaklab.qcore import EigenSystem, Observable, QuantumState, commutator_norm, hermitian_eig
 from weaklab.scenarios import build_hardy, build_imaginary, build_spin_amplifier, build_three_box
 from weaklab.validation import CROSS_VALIDATION_TOL, _noncommuting_qubit
-from weaklab.weakvalues import direct_weak_value
+from weaklab.weakvalues import direct_joint_weak_value, direct_weak_value
 
 SIGMA_X = Observable(np.array([[0, 1], [1, 0]], dtype=complex))
 SIGMA_Z = Observable(np.diag([1.0, -1.0]).astype(complex))
@@ -104,6 +104,18 @@ def test_single_dimension_mismatch():
     c = SingleCoupling(A=Observable.identity(3), K=0.1, pointer=unit_pointer())
     with pytest.raises(DimensionMismatch):
         run_single_exact(QuantumState.basis(2, 0), QuantumState.basis(2, 0), c)
+    # the direct evaluator, the referee of every run, checks dims too
+    one, two = Observable.identity(2), Observable.identity(3)
+    qubit, qutrit = QuantumState.basis(2, 0), QuantumState.basis(3, 0)
+    for direct, match in [
+        (lambda: direct_weak_value(one, qubit, qutrit), "state dims 2 and 3 differ"),
+        (lambda: direct_weak_value(two, qubit, qubit), "observable dim 3 != state dim 2"),
+        (lambda: direct_joint_weak_value(one, two, qubit, qubit), "observable dims 2 and 3"),
+        (lambda: direct_joint_weak_value(two, two, qubit, qubit),
+         "observable dim 3 != state dim 2"),
+    ]:
+        with pytest.raises(DimensionMismatch, match=match):
+            direct()
 
 
 def test_single_weakness_ratio_reported():
@@ -488,26 +500,30 @@ def test_batch_applies_postselection_floor_to_every_row():
 def test_fock_refuses_oversized_truncation_before_allocating(monkeypatch):
     c = SingleCoupling(A=SIGMA_Z, K=0.01, pointer=unit_pointer())
     # (1e8 + 1)^2 x 2^2 complex values: 6.4e17 bytes
-    with pytest.raises(InvalidTruncation, match="budget"):
+    with pytest.raises(InvalidTruncation, match="6.104e\\+11 MiB per array, over the 256 MiB budget$"):
         run_fock(PLUS_X, PLUS_X, c, n_max=10**8)
     # the benchmark size (n_max 40, d = 4) is far inside the budget
     assert 16 * 41**2 * 4**2 < MAX_ARRAY_BYTES
     # at n_max 2, d = 2 and 10 scales the blocks (36 values) and the grid
-    # arrays (60) fit a 100-value budget, the four-operator product of the
-    # grid operators with them (240) does not
+    # arrays (60) fit a 100-value budget, the arrays live at the peak of
+    # the Gauss-Hermite rule (520) do not
     monkeypatch.setattr("weaklab.engines.MAX_ARRAY_BYTES", 16 * 100)
-    with pytest.raises(InvalidTruncation, match="budget"):
+    # the request and the budget print in one format, so neither reads as
+    # "0 MiB"
+    with pytest.raises(InvalidTruncation) as refused:
         run_fock(PLUS_X, PLUS_X, c, n_max=2, scales=np.linspace(0.1, 1.0, 10))
+    assert str(refused.value) == ("10 scales at n_max=2 with system dimension 2 needs "
+                                  "0.007935 MiB per array, over the 0.001526 MiB budget")
 
 
 def test_fock_branch_sum_peak_stays_within_twice_the_budget(monkeypatch):
-    """The Fock branch sum's budget check sizes the largest array its
-    Gauss-Hermite rule forms, the (operators, scales, n_max+1, d) product
-    of the grid operators with the grid arrays. Traced with tracemalloc,
-    the largest run a budget admits at n_max 40 peaks below twice that
-    budget, a single coupling and a commuting pair with its singles alike;
-    four times as many scales, whose grid arrays alone fit the budget, are
-    refused."""
+    """The Fock branch sum's budget check sizes the arrays live at the
+    peak of its Gauss-Hermite rule: scales x d x ((2 + operators) x
+    max(n_max+1, d) + operators x axes x d) values. Traced with
+    tracemalloc, the largest run a budget admits peaks below twice that
+    budget, a single coupling and a commuting pair with its singles
+    alike, whether n_max+1 is below, near or far above d; one more scale
+    is refused."""
     budget = 16 * len(STACK_OPERATORS) * 100 * 41 * 4
     monkeypatch.setattr("weaklab.engines.MAX_ARRAY_BYTES", budget)
     three_box, hardy = build_three_box(), build_hardy()
@@ -517,20 +533,26 @@ def test_fock_branch_sum_peak_stays_within_twice_the_budget(monkeypatch):
         (hardy, JointCoupling(hardy.observable("N_Oe"), hardy.observable("N_Op"), 1e-3, 1e-3,
                               pointer, pointer), {"with_singles": True}),
     ]
-    _pointer_frame(pointer, 40)
-    for scn, c, kwargs in problems:
-        admitted = budget // (16 * len(STACK_OPERATORS) * 41 * c.A.dim)
-        tracemalloc.start()
-        try:
-            run_fock(scn.i, scn.f, c, 40, scales=np.geomspace(1.0, 100.0, admitted), **kwargs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * budget, peak / budget
-        # the grid arrays of four times the scales fit the budget
-        assert 16 * 4 * admitted * 41 * c.A.dim <= budget
+    ops = len(STACK_OPERATORS)
+    for n_max, (scn, c, kwargs) in itertools.product([2, 10, 40], problems):
+        _pointer_frame(pointer, n_max)
+        d = c.A.dim
+        per_scale = d * ((2 + ops) * max(n_max + 1, d) + ops * len(c.axes) * d)
+        admitted = budget // (16 * per_scale)
+        with warnings.catch_warnings():
+            # the larger scales truncate at small n_max
+            warnings.simplefilter("ignore", TruncationWarning)
+            tracemalloc.start()
+            try:
+                run_fock(scn.i, scn.f, c, n_max, scales=np.geomspace(1.0, 100.0, admitted),
+                         **kwargs)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2 * budget, (n_max, peak / budget)
         with pytest.raises(InvalidTruncation, match="budget"):
-            run_fock(scn.i, scn.f, c, 40, scales=np.geomspace(1.0, 100.0, 4 * admitted), **kwargs)
+            run_fock(scn.i, scn.f, c, n_max, scales=np.geomspace(1.0, 100.0, admitted + 1),
+                     **kwargs)
 
 
 # --- moment scaling laws ------------------------------------------------------
@@ -1304,3 +1326,15 @@ def test_joint_coupling_validates_dims():
             A=Observable.identity(2), B=Observable.identity(3), Kx=0.1, Ky=0.1,
             pointer_x=unit_pointer(), pointer_y=unit_pointer(),
         )
+    # and both coupling classes their couplings and hbar
+    a = Observable.identity(2)
+    for build, match in [
+        (lambda: SingleCoupling(A=a, K=math.nan, pointer=unit_pointer()),
+         "coupling K must be finite, got nan"),
+        (lambda: JointCoupling(a, a, 0.1, -math.inf, unit_pointer(), unit_pointer()),
+         "couplings Kx, Ky must be finite"),
+        (lambda: JointCoupling(a, a, 0.1, 0.1, unit_pointer(), GaussianPointer(1.0, 2.0)),
+         "one hbar convention, got 1.0 and 2.0"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            build()

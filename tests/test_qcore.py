@@ -45,6 +45,8 @@ def test_state_normalizes_on_construction():
 def test_zero_state_rejected():
     with pytest.raises(ZeroState):
         QuantumState(np.zeros(3))
+    with pytest.raises(ZeroState, match="dimension >= 1"):
+        QuantumState(np.zeros(0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -64,6 +66,8 @@ def test_state_inner_product():
 def test_observable_rejects_non_hermitian():
     with pytest.raises(NotHermitian, match=r"entry \(0, 1\): \(1\+0j\) vs conjugate-transpose -?0j"):
         Observable(np.array([[0, 1], [0, 0]], dtype=complex))
+    with pytest.raises(DimensionMismatch, match=r"matrix must be square, got \(2, 3\)"):
+        Observable(np.zeros((2, 3), dtype=complex))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.inf)])

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from weaklab.errors import NotHermitian, OrthogonalPostselection, ParseError, ZeroState
-from weaklab.qcore import commutator_norm, hermitian_eig
+from weaklab.qcore import Observable, QuantumState, commutator_norm, hermitian_eig
 from weaklab.scenarios import (
     PRESETS,
+    Scenario,
     build_hardy,
     build_imaginary,
     build_spin_amplifier,
@@ -188,6 +189,13 @@ def test_load_rejects_bad_dim():
     doc["dim"] = "three"
     with pytest.raises(ParseError):
         load_scenario(doc)
+    # a Scenario built directly checks its dims as a loaded one does
+    scn = build_three_box()
+    qubit = QuantumState.basis(2, 0)
+    with pytest.raises(ParseError, match="pre/post states have dims 3 and 2"):
+        Scenario(scn.name, scn.i, qubit, scn.observables)
+    with pytest.raises(ParseError, match="observable 'Z' has dim 2, expected 3"):
+        Scenario(scn.name, scn.i, scn.f, {"Z": Observable.identity(2)})
 
 
 def test_load_rejects_malformed_pairs():
@@ -195,6 +203,22 @@ def test_load_rejects_malformed_pairs():
     doc["i"][0] = [1.0]
     with pytest.raises(ParseError):
         load_scenario(doc)
+    # each shape check names its field
+    for field, value, match in [
+        ("i", [[1.0, 0.0]] * 2, "state 'i' must be a list of 3"),
+        ("f", "up", "state 'f' must be a list of 3"),
+        ("observables", {"P1": [[[1.0, 0.0]] * 3] * 2}, "observable 'P1' must be a 3x3"),
+        ("observables", {"P1": [[[1.0, 0.0]] * 3] * 2 + [[[1.0, 0.0]] * 2]},
+         "observable 'P1' row 2 must have 3 entries"),
+        ("observables", {}, "observables must be a non-empty"),
+        ("expected", [["P1", 1.0]], "expected must be a name -> "),
+    ]:
+        doc = _valid_doc()
+        doc[field] = value
+        with pytest.raises(ParseError, match=match):
+            load_scenario(doc)
+    with pytest.raises(ParseError, match="document must be an object, got list"):
+        load_scenario([_valid_doc()])
     doc = _valid_doc()
     doc["i"][0] = [1.0, "zero"]
     with pytest.raises(ParseError):
@@ -226,6 +250,9 @@ def test_load_rejects_expected_without_observable():
     doc["expected"]["P9"] = [1.0, 0.0]
     with pytest.raises(ParseError):
         load_scenario(doc)
+    scn = build_three_box()
+    with pytest.raises(ParseError, match="expected value for unknown observable 'P9'"):
+        Scenario(scn.name, scn.i, scn.f, scn.observables, {"P9": 1.0})
 
 
 def test_load_warns_and_normalizes_off_norm_state():

@@ -170,12 +170,22 @@ def test_extract_single_imaginary_scenario():
 
 
 def test_extract_single_zero_coupling():
-    c = SingleCoupling(A=SIGMA_Z, K=0.0, pointer=unit_pointer())
-    rec = run_single_exact(
-        QuantumState(np.array([1, 1]) / math.sqrt(2)), QuantumState.basis(2, 0), c
-    )
-    with pytest.raises(ZeroCoupling):
-        extract_single(rec)
+    i, f = QuantumState(np.array([1, 1]) / math.sqrt(2)), QuantumState.basis(2, 0)
+    # below sys.float_info.min / EPS_PS, about 2.2e-296, the moments
+    # leave the normal float range; a scaled row is named by t K
+    for k, scales, named in [(0.0, None, "0"), (2.2e-296, None, "2.2e-296"),
+                             (1e-307, None, "1e-307"), (-1e-320, None, "-1e-320"),
+                             (1.0, [1.0, 1e-300], "1e-300")]:
+        c = SingleCoupling(A=SIGMA_Z, K=k, pointer=unit_pointer())
+        rec = run_single_exact(i, f, c, scales=scales)
+        with pytest.raises(ZeroCoupling, match=f"weak value at K = {named}(,|$)"):
+            extract_single(rec)
+    # just above the bound the moments are normal floats and the
+    # extraction is exact to rounding
+    scn = build_three_box()
+    a = scn.observable("P3")
+    rec = run_single_exact(scn.i, scn.f, SingleCoupling(A=a, K=2.3e-296, pointer=unit_pointer()))
+    assert abs(extract_single(rec)[0] - direct_weak_value(a, scn.i, scn.f)) <= 1e-15
 
 
 # --- joint extraction -------------------------------------------------------------
@@ -246,13 +256,15 @@ def test_extract_joint_noncommuting_fock():
 
 def test_extract_joint_zero_coupling():
     scn = build_hardy()
-    jc = JointCoupling(
-        A=scn.observable("N_Oe"), B=scn.observable("N_Op"), Kx=0.0, Ky=0.01,
-        pointer_x=unit_pointer(), pointer_y=unit_pointer(),
-    )
-    rec = run_joint_exact(scn.i, scn.f, jc)
-    with pytest.raises(ZeroCoupling):
-        extract_joint(rec, (1.0 + 0j, 1.0 + 0j))
+    for kx, ky, named in [(0.0, 0.01, "0"), (1e-160, 1e-160, "1e-320"),
+                          (1e-150, -1e-150, "-1e-300"), (1.0, 1e-300, "1e-300")]:
+        jc = JointCoupling(
+            A=scn.observable("N_Oe"), B=scn.observable("N_Op"), Kx=kx, Ky=ky,
+            pointer_x=unit_pointer(), pointer_y=unit_pointer(),
+        )
+        rec = run_joint_exact(scn.i, scn.f, jc)
+        with pytest.raises(ZeroCoupling, match=f"joint weak value at Kx\\*Ky = {named}(,|$)"):
+            extract_joint(rec, (1.0 + 0j, 1.0 + 0j))
 
 
 # --- convergence of extraction ------------------------------------------------------
