@@ -37,7 +37,9 @@ Three routes compute the same conditional moments:
   name first), the branch sum and the batch.
 * ``run_fock`` on a noncommuting pair -- exact unitary evolution in a
   truncated oscillator space (``_fock_joint``), where the closed-form
-  joint route refuses to run.
+  joint route refuses to run: a Chebyshev series of the evolution at
+  weak coupling, one block ``eigh`` per momentum grid point above the
+  crossover.
 * ``heisenberg_moment`` -- order-by-order nested-commutator expansion of
   a post-selected pointer observable, returning each order separately so
   parity properties of the series are directly testable. It never forms
@@ -57,13 +59,27 @@ coupling, so branch k of a single coupling or commuting pair is the grid
 vector G[j, k] = exp(-i t K p_j a_k / hbar) vac[j], and the branch-pair
 matrices are G^+ op G. The noncommuting evolution is block diagonal over
 grid points, with one system-dimension Hermitian block each; this is
-algebraically identical to eigendecomposing the full
-H = Kx A Px + Ky B Py on the product space, at a tiny fraction of the
-cost. The truncated P is odd under parity, so its eigenvalues come in
-pairs p and -p, and the block at the mirrored grid point (-px, -py) is
-exactly minus the block at (px, py): the block engine diagonalizes only
-half of the grid and takes the other half's eigenvectors and negated
-eigenvalues from the mirror. A joint pair takes the branch sum only when
+algebraically identical to evolving by the full H = Kx A Px + Ky B Py
+on the product space, at a tiny fraction of the cost. Every block is
+bounded by h, the sum over the axes of |K| x spectral radius x max|p|
+(``_norm_terms`` times hbar), so exp(-i t H / hbar) = exp(-i x y) with
+x = t h / hbar and y = H / h in [-1, 1], and
+exp(-i x y) = sum_n (2 - delta_n0) (-i)^n J_n(x) T_n(y) (Tal-Ezer and
+Kosloff, J. Chem. Phys. 81, 3967 (1984)). The engine keeps the terms
+before the first n whose bound (x/2)^n / n! on |J_n(x)| is at most
+2^-55, and takes J_n from the trapezoid rule on exp(-i x cos tau).
+The recurrence T_n(y) psi0 serves every scale at once and costs one
+small product per term; J_n(x) decays only beyond n = x + O(x^(1/3)),
+so the terms needed grow with x (the bound asks for 15 at x = 0.9 and
+24 at x = 4), while the block ``eigh`` costs a fixed amount whatever x
+is. So a call whose largest |x| needs at most
+_CHEBYSHEV_TERMS terms takes the series (``_chebyshev_rows``), and any
+other the blocks (``_block_rows``). The truncated P is odd under
+parity, so its eigenvalues come in pairs p and -p, and the block at the
+mirrored grid point (-px, -py) is exactly minus the block at (px, py):
+the block route diagonalizes only half of the grid and takes the other
+half's eigenvectors and negated eigenvalues from the mirror. A joint
+pair takes the branch sum only when
 ``commutator_norm(A, B) == 0.0``: the factorization error grows as
 t^2 |Kx Ky px py| ||[A, B]|| / 2, so only an exact zero keeps it at
 rounding level on every grid point and scale.
@@ -73,10 +89,10 @@ table with one row per moment and one column per run, checked and
 clamped as a whole. With
 ``scales=(t_1, ..., t_n)`` row n is the run at couplings t_n (Kx, Ky),
 and everything independent of the coupling strength (eigenbases,
-branch amplitudes, spectral radii, momentum frames, Fock block
-eigenvectors) is computed once per batch; without ``scales`` the batch
-is the one row at t = 1, so a single run and a sweep take the same
-code path. A joint call with ``with_singles=True`` also returns the
+branch amplitudes, spectral radii, momentum frames, the Chebyshev
+recurrence or the Fock block eigenvectors) is computed once per batch;
+without ``scales`` the batch is the one row at t = 1, so a single run
+and a sweep take the same code path. A joint call with ``with_singles=True`` also returns the
 batch of each axis coupled alone, bit for bit what a separate
 single-coupling call gives: on the branch sum that is ``_branch_sum``
 of one axis's eigensystem and stack, both of which the pair has
@@ -166,9 +182,20 @@ DEFAULT_N_MAX = 40
 #: state tensor of the series engine. A few arrays of this size are live
 #: at once. The Fock branch sum counts every array live at its peak
 #: together: points x d x ((2 + operators) x max(n_max+1, d) +
-#: operators x axes x d) values. Larger requests are refused before
-#: anything is allocated.
+#: operators x axes x d) values, and so does the Chebyshev route of the
+#: joint Fock engine (``_chebyshev_live``). Larger requests are refused
+#: before anything is allocated.
 MAX_ARRAY_BYTES = 2**28
+
+#: The most terms of the Chebyshev series by which the joint Fock engine
+#: evolves a noncommuting pair; a call whose strongest scale needs more
+#: takes one block ``eigh`` per momentum grid point instead. The measured
+#: break-even of the two routes at the default n_max is about 19 terms
+#: for a one-scale run of a qubit pair and 34 to 50 for a six-scale or
+#: a d = 4 run; ``_chebyshev_terms`` needs the limit below 55.
+_CHEBYSHEV_TERMS = 24
+#: The scales whose Chebyshev coefficients are taken in one product.
+_COEFFICIENT_BLOCK = 256
 
 #: Each moment of a MeasurementBatch and the pointer operator it applies
 #: on the x and on the y axis ("1" identity, "X" position, "P" momentum).
@@ -195,14 +222,28 @@ _AXIS_MOMENTS = {n: np.flatnonzero((_MOMENT_OPS[:, n:] == STACK_OPERATORS.index(
                  for n in (1, 2)}
 
 
+def _mib(nbytes: int, up: bool) -> str:
+    """nbytes in MiB at four significant digits in ``.4g`` form, rounded
+    up or down in exact integer arithmetic."""
+    num, den, exponent = nbytes, 2**20, 0
+    while num >= 10**4 * den:
+        den, exponent = 10 * den, exponent + 1
+    while 0 < num < 10**3 * den:
+        num, exponent = 10 * num, exponent - 1
+    digits = -(-num // den) if up else num // den
+    return format(digits * 10**exponent if exponent >= 0 else digits / 10**-exponent, ".4g")
+
+
 def check_array_budget(n_values: int, what: str, error: type[Exception]):
-    """Raise ``error`` if ``n_values`` complex numbers exceed
-    MAX_ARRAY_BYTES."""
+    """Raise ``error`` if ``n_values`` complex numbers, the arrays one
+    step of a request holds at once, exceed MAX_ARRAY_BYTES. The message
+    rounds the request up and the budget down, so the request never
+    reads as equal to the budget it exceeds."""
     nbytes = 16 * n_values
     if nbytes > MAX_ARRAY_BYTES:
         raise error(
-            f"{what} needs {nbytes / 2**20:.4g} MiB per array, over the "
-            f"{MAX_ARRAY_BYTES / 2**20:.4g} MiB budget"
+            f"{what} needs {_mib(nbytes, True)} MiB, over the "
+            f"{_mib(MAX_ARRAY_BYTES, False)} MiB budget"
         )
 
 
@@ -665,22 +706,62 @@ def _grid_matrices(eigenvalues: np.ndarray, ks: np.ndarray, p: GaussianPointer, 
     return g.conj().swapaxes(1, 2) @ (frame.ops[:, None] @ g)
 
 
-def _fock_joint(i, f, c: JointCoupling, n_max, ts):
-    """Joint Fock engine on the momentum grid (px_j, py_m), where the
-    coupling is one d x d Hermitian block per grid point. Returns the
-    forms as ``_records`` takes them and the top-level population of
-    each scale. Each scale's moments are one ``_contract`` of the
-    post-selected grid state phi[j, m], an amplitude tensor with one
-    index per axis, with each frame's operator stack as a one-column
-    axis stack.
+def _norm_terms(c: _Coupling, frames) -> list:
+    """|K| x spectral radius x max|p| / hbar for each axis of c, with p
+    the momentum grid of the axis's frame in ``frames``: their sum
+    bounds |H| / hbar at t = 1 on the truncated product space. Python
+    floats, so an overflow reads inf without numpy's warnings."""
+    return [abs(K) * A.spectral_radius() * float(np.abs(frame.p).max()) / p.hbar
+            for (A, K, p, _), frame in zip(c.axes, frames)]
+
+
+def _chebyshev_terms(x: float):
+    """The number of terms of the Chebyshev series of exp(-i x' y) that
+    serves every |x'| <= x, or None if that is more than
+    _CHEBYSHEV_TERMS. The series stops before the first n whose bound
+    (x/2)^n / n! on |J_n(x')| is at most 2^-55. For n <= x the bound is
+    at least 2^-n, so with no more than 54 terms that n exceeds x, the
+    bound at least halves with each later n, and the omitted tail
+    2 sum |J_n(x')| stays below 2^-53. For the same reason x above the
+    limit needs more terms than it, and is refused before any is counted,
+    however strong the coupling (inf and nan included)."""
+    if not x <= _CHEBYSHEV_TERMS:
+        return None
+    bound = 1.0
+    for n in range(1, _CHEBYSHEV_TERMS + 1):
+        bound *= x / (2 * n)
+        if bound <= 2.0**-55:
+            return n
+    return None
+
+
+def _chebyshev_coefficients(xs: np.ndarray, terms: int) -> np.ndarray:
+    """c[s, n] = (2 - delta_n0) (-i)^n J_n(xs[s]) for n < terms, so that
+    exp(-i x y) = sum_n c[s, n] T_n(y) for y in [-1, 1] at x = xs[s].
+    By Jacobi-Anger, (-i)^n J_n(x) is the n-th cosine coefficient of the
+    periodic exp(-i x cos tau), and the trapezoid rule on m equispaced
+    points gives it exactly but for the aliased J_(m-n)(x), J_(m+n)(x),
+    ...: one (scales, m) @ (m, terms) product. With m = 2 terms + 16 the
+    aliases are at orders beyond terms + 16, far below the series' own
+    cut."""
+    m = 2 * terms + 16
+    tau = (2.0 * np.pi / m) * np.arange(m)
+    coeffs = np.exp(-1j * np.outer(xs, np.cos(tau))) @ np.cos(np.outer(tau, np.arange(terms)))
+    coeffs *= 2.0 / m
+    coeffs[:, 0] /= 2.0
+    return coeffs
+
+
+def _block_rows(i, f, c: JointCoupling, fx: _Frame, fy: _Frame, ts):
+    """The post-selected grid state phi[j, m] and the top-level
+    population of each scale of ts, by one d x d Hermitian block ``eigh``
+    per grid point.
 
     Both momentum grids are exactly antisymmetric (``_pointer_frame``),
     so the block at (N-1-j, M-1-m) is exactly minus the block at (j, m):
     it has the same eigenvectors and negated eigenvalues. Only the rows
     j < (N+1)/2 go through ``eigh`` (861 of 1681 blocks at n_max 40);
     the other rows are their mirror, for odd and even N alike."""
-    fx, fy = (_pointer_frame(p, n_max) for _, _, p, _ in c.axes)
-
     # block Hamiltonians (Kx px A + Ky py B) / s over the momentum grid,
     # s the first nonzero coupling: scale t multiplies their eigenvalues
     # by t s and leaves the eigenvectors alone; half the rows are mirrored
@@ -695,21 +776,118 @@ def _fock_joint(i, f, c: JointCoupling, n_max, ts):
     evecs = np.concatenate([evecs, evecs[mirror]])
     # <v_k|i> vacx[j] vacy[m] for eigenvector v_k of block (j, m)
     coeff0 = (i.amplitudes.conj() @ evecs).conj() * np.outer(fx.vacuum, fy.vacuum)[..., None]
-
-    mats = [fx.ops[:, None], fy.ops[:, None]]
-    forms = np.empty((len(MOMENTS), len(ts)), complex)
-    top = np.zeros(len(ts))
-    for row, t in enumerate(ts.tolist()):
+    for t in ts.tolist():
         coeff = coeff0 * np.exp(-1j * (t * s) / c.pointer_x.hbar * evals)
         psi = (evecs @ coeff[..., None])[..., 0]  # (px, py, system)
 
         # the ladder-basis change along one axis is unitary and keeps the
         # norm along the other, so the top two levels of each axis need
         # only the top two rows of its basis change
-        top[row] = max(
+        top = max(
             np.sum(np.abs(fx.top @ psi.reshape(n, -1)) ** 2), np.sum(np.abs(fy.top @ psi) ** 2)
         )
-        forms[:, row] = _contract(psi @ f.amplitudes.conj(), mats)[:, 0]
+        yield psi @ f.amplitudes.conj(), top
+
+
+def _chebyshev_live(d: int, n: int, m: int, terms: int, scales: int) -> int:
+    """The complex values ``_chebyshev_rows`` holds at its peak on an
+    n x m grid: what each of its terms keeps (<f|v> on the grid and the
+    top two rows of each axis), five work vectors of d n m values (the
+    last two states, the next one and the state times each axis's grid
+    couplings) and one block of the coefficient table, with the
+    (scales, 2 terms + 16) phases it is summed from."""
+    block = min(scales, _COEFFICIENT_BLOCK) * (3 * terms + 16)
+    return terms * (n * m + 2 * d * (n + m)) + 5 * d * n * m + block
+
+
+def _chebyshev_rows(i, f, c: JointCoupling, fx: _Frame, fy: _Frame, xs, h, terms):
+    """The post-selected grid state phi[j, m] and the top-level
+    population at each x of xs, with exp(-i t H / hbar) = exp(-i x y),
+    x = t h / hbar and y = H / h, taken as the Chebyshev series
+    sum_n c_n(x) T_n(y) psi0 of ``terms`` terms (Tal-Ezer and Kosloff,
+    J. Chem. Phys. 81, 3967 (1984)). h bounds |H| on every grid point,
+    so the recurrence T_(n+1) = 2 y T_n - T_(n-1) stays bounded, and one
+    recurrence serves every scale.
+
+    The states T_n(y) psi0 live on a (d, N M) layout. y acts on one as
+    the row (Kx A, Ky B) / h times the state's two copies scaled by the
+    grid couplings px_j and py_m: one (d, 2d) product per term. Each term
+    keeps only what the outputs read, <f|T_n psi0> on the grid and the
+    top two rows of each axis's basis change applied to it, and each
+    scale combines them by one product with its row of
+    ``_chebyshev_coefficients``, taken for _COEFFICIENT_BLOCK scales at
+    a time."""
+    d, n, m = c.A.dim, len(fx.p), len(fy.p)
+    # h = 0 only where H vanishes to the float range; x = 0 then keeps psi0
+    side = np.concatenate([c.Kx * c.A.matrix, c.Ky * c.B.matrix], axis=1) / (h or 1.0)
+    grids = np.array([np.repeat(fx.p, m), np.tile(fy.p, n)], complex)[:, None]
+    spread = np.empty((2, d, n * m), complex)
+    on_f = np.empty((terms, n * m), complex)
+    on_x = np.empty((terms, d, 2, m), complex)
+    on_y = np.empty((terms, d, n, 2), complex)
+    f_conj = f.amplitudes.conj()
+
+    def keep(k, v):
+        grid = v.reshape(d, n, m)
+        np.matmul(f_conj, v, out=on_f[k])
+        np.matmul(fx.top, grid, out=on_x[k])
+        np.matmul(grid, fy.top.T, out=on_y[k])
+
+    def times_y(v):
+        np.multiply(v, grids, out=spread)
+        return side @ spread.reshape(2 * d, -1)
+
+    prev = np.outer(i.amplitudes, np.outer(fx.vacuum, fy.vacuum))
+    keep(0, prev)
+    if terms > 1:
+        cur = times_y(prev)
+        keep(1, cur)
+        side *= 2.0
+        for k in range(2, terms):
+            nxt = times_y(cur)
+            nxt -= prev
+            prev, cur = cur, nxt
+            keep(k, cur)
+
+    kept = [on_f, on_x.reshape(terms, -1), on_y.reshape(terms, -1)]
+    for block in np.split(xs, range(_COEFFICIENT_BLOCK, len(xs), _COEFFICIENT_BLOCK)):
+        for row in _chebyshev_coefficients(block, terms):
+            phi, x_top, y_top = (row @ part for part in kept)
+            yield phi.reshape(n, m), max(np.vdot(x_top, x_top).real, np.vdot(y_top, y_top).real)
+
+
+def _fock_joint(i, f, c: JointCoupling, n_max, ts, what):
+    """Joint Fock engine on the momentum grid (px_j, py_m), where the
+    coupling is one d x d Hermitian block per grid point. Returns the
+    forms as ``_records`` takes them and the top-level population of
+    each scale. Each scale's moments are one ``_contract`` of the
+    post-selected grid state phi[j, m], an amplitude tensor with one
+    index per axis, with each frame's operator stack as a one-column
+    axis stack.
+
+    Two routes give phi: the Chebyshev series (``_chebyshev_rows``)
+    whenever the largest x = |t| h / hbar of ts needs at most
+    _CHEBYSHEV_TERMS terms, with h the bound of ``_norm_terms`` times
+    hbar, and one block ``eigh`` per grid point (``_block_rows``)
+    otherwise. The series' arrays are checked against MAX_ARRAY_BYTES
+    (InvalidTruncation, described by ``what``) before they are
+    allocated."""
+    fx, fy = frames = [_pointer_frame(p, n_max) for _, _, p, _ in c.axes]
+    g = sum(_norm_terms(c, frames))
+    terms = _chebyshev_terms(max(map(abs, ts.tolist()), default=0.0) * g)
+    if terms is None:
+        rows = _block_rows(i, f, c, fx, fy, ts)
+    else:
+        check_array_budget(_chebyshev_live(c.A.dim, len(fx.p), len(fy.p), terms, len(ts)),
+                           f"{terms} Chebyshev terms at {what}", InvalidTruncation)
+        rows = _chebyshev_rows(i, f, c, fx, fy, ts * g, c.pointer_x.hbar * g, terms)
+
+    mats = [fx.ops[:, None], fy.ops[:, None]]
+    forms = np.empty((len(MOMENTS), len(ts)), complex)
+    top = np.empty(len(ts))
+    for row, (phi, population) in enumerate(rows):
+        forms[:, row] = _contract(phi, mats)[:, 0]
+        top[row] = population
     return forms, top
 
 
@@ -744,23 +922,32 @@ def run_fock(
     pair with ``commutator_norm(A, B) == 0.0`` exactly, is the branch sum
     of the exact engines (``_branch_sum``) with the pointer integrals
     taken by the Gauss-Hermite rule of the momentum grid
-    (``_grid_matrices``); every other pair takes the block-eigh engine
+    (``_grid_matrices``); every other pair takes the block engine
     (``_fock_joint``). The test has no tolerance, since a nonzero
     commutator would enter the factorized evolution as an error
     t^2 |Kx Ky px py| ||[A, B]|| / 2 that no fixed bound keeps at
-    rounding level. Each row whose evolved state populates the top two
-    truncation levels above 1e-8 issues one TruncationWarning, which
-    names the coupled axes ("kx and ky", "kx alone" or "ky alone"), and
-    is flagged in ``truncation_warning``. Returns the MeasurementBatch
+    rounding level. The block engine evolves the pair on the momentum
+    grid by the Chebyshev series of exp(-i x y), x = t h / hbar and
+    y = H / h with h = sum over the axes of |K| x spectral radius x
+    max|p|, when the call's largest |x| needs at most _CHEBYSHEV_TERMS
+    terms (n below the first with (x/2)^n / n! <= 2^-55), and by one
+    block ``eigh`` per grid point otherwise. Each row whose evolved
+    state populates the top two truncation levels above 1e-8 issues one
+    TruncationWarning, which names the coupled axes ("kx and ky", "kx
+    alone" or "ky alone"), and is flagged in ``truncation_warning``. Returns the MeasurementBatch
     whose row n ran at couplings t_n (Kx, Ky) for each of ``scales``, or
     the one row at (Kx, Ky) without them; the eigenbases, momentum
-    frames and block eigenvectors are computed once per call. Raises
-    InvalidTruncation before allocating if the (n_max+1)^2 d x d blocks
-    would exceed MAX_ARRAY_BYTES, or if the arrays live at the peak of
-    the branch sum's Gauss-Hermite rule would, counted together:
-    scales x d x ((2 + operators) x max(n_max+1, d) + operators x axes
-    x d) values. Raises OrthogonalPostselection if a row's
-    post-selection probability is below EPS_PS.
+    frames and the Chebyshev recurrence or block eigenvectors are
+    computed once per call. Raises InvalidTruncation before allocating
+    if the (n_max+1)^2 d x d blocks would exceed MAX_ARRAY_BYTES, if the
+    arrays live at the peak of the branch sum's Gauss-Hermite rule
+    would, counted together: scales x d x ((2 + operators) x
+    max(n_max+1, d) + operators x axes x d) values, or if those of the
+    Chebyshev series would: its terms x ((n_max+1)^2 + 4 d (n_max+1))
+    kept values beside five work vectors of d (n_max+1)^2 values and
+    one block of coefficients (``_chebyshev_live``). Raises
+    OrthogonalPostselection if a row's post-selection probability is
+    below EPS_PS.
 
     With ``with_singles=True`` a JointCoupling returns
     (batch, (batch_a, batch_b)): batch_a is the batch
@@ -800,7 +987,7 @@ def run_fock(
         stacks = branch_stacks()
         forms, top = _branch_sum(i, f, *stacks)
     else:
-        forms, top = _fock_joint(i, f, c, n_max, ts)
+        forms, top = _fock_joint(i, f, c, n_max, ts, what)
     flags = [flag for *_, flag in c.axes]
     _warn_truncated(top, flags)
     batch = _records(forms, c, ts, weakness, "fock", top)
@@ -874,16 +1061,13 @@ def heisenberg_moment(
     y_op = {"O_x": None, "O_xy": fy.X, "O_xpy": fy.P}[observable_tag]
     hbar = c.pointer_x.hbar
 
-    # |G| <= g, G = H / hbar, the sum over the axes of |K| r max|p| / hbar,
-    # and order n adds 2^n products of G^k psi0 with X and y_op, times
+    # |G| <= g, G = H / hbar, the sum of the axes' ``_norm_terms``, and
+    # order n adds 2^n products of G^k psi0 with X and y_op, times
     # i^n / n!: no value the series forms exceeds the product of
     # ``factors`` (row sums bound |X| and |y_op|). A coupling that
     # overflows it is refused before any power of G is formed, naming
     # the axis with the larger term
-    terms = [
-        abs(K) * A.spectral_radius() * float(np.abs(frame.p).max()) / hbar
-        for (A, K, _, _), frame in zip(c.axes, frames)
-    ]
+    terms = _norm_terms(c, frames)
     g = sum(terms)
     factors = [max(1.0, 2.0 * g)] * order + [
         max(1.0, float(np.abs(op).sum(axis=1).max())) for op in (fx.X, y_op) if op is not None

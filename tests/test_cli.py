@@ -584,7 +584,7 @@ def test_oversized_requests_exit_1_without_traceback(capsys):
     err = capsys.readouterr().err
     assert "budget" in err and "Traceback" not in err
     # within the points x d^2 bound, but the arrays live at the peak of
-    # the Fock branch sum would take 2362 MiB
+    # the Fock branch sum would take 2363 MiB
     fock_sweep = [*sweep, "--points", "200000", "--n-max", "40"]
     fock_sweep[fock_sweep.index("exact")] = "fock"
     assert run_cli(fock_sweep) == 1

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weaklab import engines
 from weaklab.engines import (
     EPS_PS,
     IMAG_RESIDUE_TOL,
@@ -24,11 +25,16 @@ from weaklab.engines import (
     JointCoupling,
     MeasurementBatch,
     SingleCoupling,
+    check_array_budget,
     heisenberg_moment,
     run_fock,
     run_joint_exact,
     run_single_exact,
+    _CHEBYSHEV_TERMS,
+    _chebyshev_live,
+    _chebyshev_terms,
     _contract,
+    _norm_terms,
     _pointer_frame,
     _populations,
     _realize,
@@ -500,7 +506,7 @@ def test_batch_applies_postselection_floor_to_every_row():
 def test_fock_refuses_oversized_truncation_before_allocating(monkeypatch):
     c = SingleCoupling(A=SIGMA_Z, K=0.01, pointer=unit_pointer())
     # (1e8 + 1)^2 x 2^2 complex values: 6.4e17 bytes
-    with pytest.raises(InvalidTruncation, match="6.104e\\+11 MiB per array, over the 256 MiB budget$"):
+    with pytest.raises(InvalidTruncation, match="6.104e\\+11 MiB, over the 256 MiB budget$"):
         run_fock(PLUS_X, PLUS_X, c, n_max=10**8)
     # the benchmark size (n_max 40, d = 4) is far inside the budget
     assert 16 * 41**2 * 4**2 < MAX_ARRAY_BYTES
@@ -509,11 +515,51 @@ def test_fock_refuses_oversized_truncation_before_allocating(monkeypatch):
     # the Gauss-Hermite rule (520) do not
     monkeypatch.setattr("weaklab.engines.MAX_ARRAY_BYTES", 16 * 100)
     # the request and the budget print in one format, so neither reads as
-    # "0 MiB"
+    # "0 MiB"; the request rounds up and the budget down
     with pytest.raises(InvalidTruncation) as refused:
         run_fock(PLUS_X, PLUS_X, c, n_max=2, scales=np.linspace(0.1, 1.0, 10))
     assert str(refused.value) == ("10 scales at n_max=2 with system dimension 2 needs "
-                                  "0.007935 MiB per array, over the 0.001526 MiB budget")
+                                  "0.007935 MiB, over the 0.001525 MiB budget")
+
+
+@pytest.mark.parametrize("n_values", [2**24 + 1, 2**24 + 2**10, 2**25, 10**18])
+def test_budget_refusal_never_reads_as_the_budget(n_values):
+    """The request rounds up and the budget down, so a request one value
+    over the budget does not print as equal to it."""
+    with pytest.raises(InvalidTruncation) as refused:
+        check_array_budget(n_values, "request", InvalidTruncation)
+    request, budget = re.fullmatch(r"request needs (\S+) MiB, over the (\S+) MiB budget",
+                                   str(refused.value)).groups()
+    assert budget == "256"
+    assert float(request) > float(budget)
+    assert float(request) >= 16 * n_values / 2**20
+
+
+def test_chebyshev_route_budget_counts_its_arrays(monkeypatch):
+    """The block engine's Chebyshev route checks every array it holds
+    at its peak against the budget before allocating: for d = 2 its
+    kept terms alone exceed the (n_max+1)^2 d^2 block stack. Traced with
+    tracemalloc, a run the budget just admits peaks below twice that
+    budget; one value less is refused, naming the term count."""
+    i, f, jc = noncommuting_case()
+    c = dataclasses.replace(jc, Kx=0.3, Ky=0.3)
+    scales = np.linspace(0.1, 1.0, 300)
+    frames = [_pointer_frame(p, 40) for _, _, p, _ in c.axes]
+    terms = _chebyshev_terms(sum(_norm_terms(c, frames)))
+    live = _chebyshev_live(2, 41, 41, terms, len(scales))
+    assert terms * 41**2 > 41**2 * 2**2
+    monkeypatch.setattr("weaklab.engines.MAX_ARRAY_BYTES", 16 * live)
+    tracemalloc.start()
+    try:
+        run_fock(i, f, c, 40, scales=scales)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 16 * live, peak / (16 * live)
+    monkeypatch.setattr("weaklab.engines.MAX_ARRAY_BYTES", 16 * live - 16)
+    with pytest.raises(InvalidTruncation,
+                       match=f"^{terms} Chebyshev terms at n_max=40 with system dimension 2 needs"):
+        run_fock(i, f, c, 40, scales=scales)
 
 
 def test_fock_branch_sum_peak_stays_within_twice_the_budget(monkeypatch):
@@ -1010,10 +1056,40 @@ def truncated_commuting_problem():
     return i, f, c, 5, [0.05, 1.0, 2.0], "commuting"
 
 
+def crossover_scale(c, n_max):
+    """The scale t at which the pair c's x = |t| h / hbar sits on the
+    boundary of the Chebyshev route at n_max: the last x that
+    ``_chebyshev_terms`` admits, to 1e-12 relative."""
+    frames = [_pointer_frame(p, n_max) for _, _, p, _ in c.axes]
+    low, high = 0.0, float(_CHEBYSHEV_TERMS)
+    while high - low > 1e-12 * high:
+        middle = (low + high) / 2
+        low, high = (middle, high) if _chebyshev_terms(middle) else (low, middle)
+    return low / sum(_norm_terms(c, frames))
+
+
+def crossover_problem(side):
+    """A noncommuting d = 3 pair at n_max 6 whose strongest scale sits
+    just below (side -1) or just above (side +1) the crossover of the
+    block engine's two routes, so that it takes exactly _CHEBYSHEV_TERMS
+    terms of the series or the block eigh. Both sides populate the top
+    levels above TRUNCATION_TOL on that scale, not on the weakest."""
+    rng = np.random.default_rng(3)
+    i, f = pre_post_states(rng, 3)
+    c = JointCoupling(
+        A=Observable(random_hermitian(rng, 3)), B=Observable(random_hermitian(rng, 3)),
+        Kx=0.7, Ky=-0.4, pointer_x=unit_pointer(), pointer_y=GaussianPointer(0.8),
+    )
+    t = crossover_scale(c, 6) * (1 + side * 1e-9)
+    return i, f, c, 6, [0.01 * t, -t], "noncommuting"
+
+
 @settings(max_examples=40, deadline=None)
 @given(problem=fock_joint_problem())
 @example(problem=truncated_single_problem())
 @example(problem=truncated_commuting_problem())
+@example(problem=crossover_problem(-1))
+@example(problem=crossover_problem(+1))
 def test_fock_joint_matches_dense_reference(problem):
     i, f, c, n_max, scales, kind = problem
     if kind == "commuting":
@@ -1032,6 +1108,78 @@ def test_fock_joint_matches_dense_reference(problem):
         float(re.search(r"population (\S+);", str(w.message)).group(1)) for w in caught
     ]
     assert reported == pytest.approx(flagged, rel=1e-3)
+
+
+def routes_taken(monkeypatch):
+    """The name of each route of the block engine, in the order the
+    calls from here on take them."""
+    taken = []
+    for name in ("_block_rows", "_chebyshev_rows"):
+        route = getattr(engines, name)
+        monkeypatch.setattr(engines, name, lambda *args, name=name, route=route: (
+            taken.append(name), route(*args))[1])
+    return taken
+
+
+def test_crossover_examples_take_each_route(monkeypatch):
+    taken = routes_taken(monkeypatch)
+    for side in (-1, +1):
+        i, f, c, n_max, scales, _ = crossover_problem(side)
+        with pytest.warns(TruncationWarning):
+            batch = run_fock(i, f, c, n_max, scales=scales)
+        assert batch.truncation_warning.tolist() == [False, True]
+    assert taken == ["_chebyshev_rows", "_block_rows"]
+
+
+def test_block_engine_routes_agree(monkeypatch):
+    """One truncating noncommuting problem down each route of the block
+    engine: the Chebyshev series at the default crossover, the block
+    eigh with the crossover at zero terms. The moments agree to
+    rounding, and the warnings report the same populations."""
+    rng = np.random.default_rng(21)
+    i, f = pre_post_states(rng, 3)
+    c = JointCoupling(
+        A=Observable(random_hermitian(rng, 3)), B=Observable(random_hermitian(rng, 3)),
+        Kx=0.5, Ky=0.9, pointer_x=GaussianPointer(1.2), pointer_y=unit_pointer(),
+    )
+    scales = [-0.05, 0.3, 0.6 * crossover_scale(c, 5)]
+    taken = routes_taken(monkeypatch)
+
+    def run():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            batch = run_fock(i, f, c, 5, scales=scales)
+        return batch, [float(re.search(r"population (\S+);", str(w.message)).group(1))
+                       for w in caught]
+
+    series, series_warned = run()
+    monkeypatch.setattr(engines, "_CHEBYSHEV_TERMS", 0)
+    blocks, block_warned = run()
+    assert taken == ["_chebyshev_rows", "_block_rows"]
+    assert np.abs(series.moments - blocks.moments).max() <= 1e-13
+    assert series.truncation_warning.tolist() == blocks.truncation_warning.tolist()
+    assert not series.truncation_warning[0] and series.truncation_warning[-1]
+    assert series_warned == pytest.approx(block_warned, rel=1e-3)
+
+
+def test_strong_noncommuting_run_takes_the_block_eigh_at_once(monkeypatch):
+    """At K = 1e12 x = |t| h / hbar is far above any term count, so the
+    term count refuses it before counting, and the run takes the block
+    eigh without forming a Chebyshev coefficient."""
+    i, f, jc = noncommuting_case()
+    c = dataclasses.replace(jc, Kx=1e12, Ky=1e12)
+    counted = []
+    monkeypatch.setattr(engines, "_chebyshev_terms",
+                        lambda x: counted.append(x) or _chebyshev_terms(x))
+    monkeypatch.setattr(engines, "_chebyshev_coefficients", None)
+    taken = routes_taken(monkeypatch)
+    with pytest.warns(TruncationWarning):
+        batch = run_fock(i, f, c, n_max=4)
+    assert taken == ["_block_rows"]
+    assert counted[0] > 1e12 and _chebyshev_terms(counted[0]) is None
+    assert np.isfinite(batch.moments).all()
+    for x in (1e300, math.inf, math.nan, _CHEBYSHEV_TERMS + 1e-9):
+        assert _chebyshev_terms(x) is None
 
 
 def test_fock_one_ulp_off_commuting_matches_branch_sum():
