@@ -37,9 +37,9 @@ Three routes compute the same conditional moments:
   name first), the branch sum and the batch.
 * ``run_fock`` on a noncommuting pair -- exact unitary evolution in a
   truncated oscillator space (``_fock_joint``), where the closed-form
-  joint route refuses to run: a Chebyshev series of the evolution at
-  weak coupling, one block ``eigh`` per momentum grid point above the
-  crossover.
+  joint route refuses to run: a Chebyshev series of the evolution on
+  the first ladder levels of each axis at weak coupling, one block
+  ``eigh`` per momentum grid point above the crossover.
 * ``heisenberg_moment`` -- order-by-order nested-commutator expansion of
   a post-selected pointer observable, returning each order separately so
   parity properties of the series are directly testable. It never forms
@@ -69,7 +69,11 @@ Kosloff, J. Chem. Phys. 81, 3967 (1984)). The engine keeps the terms
 before the first n whose bound (x/2)^n / n! on |J_n(x)| is at most
 2^-55, and takes J_n from the trapezoid rule on exp(-i x cos tau).
 The recurrence T_n(y) psi0 serves every scale at once and costs one
-small product per term; J_n(x) decays only beyond n = x + O(x^(1/3)),
+small product per term, and needs no grid: H raises each axis's ladder
+level by at most one, so T_n(y) psi0 has no component above level n,
+and the recurrence runs on the first ``terms`` ladder levels of each
+axis (on the grid where the truncation has no more levels than terms,
+``_series_basis``); J_n(x) decays only beyond n = x + O(x^(1/3)),
 so the terms needed grow with x (the bound asks for 15 at x = 0.9 and
 24 at x = 4), while the block ``eigh`` costs a fixed amount whatever x
 is. So a call whose largest |x| needs at most
@@ -115,11 +119,13 @@ MOMENTS order that ``_records`` turns into the batch's table, and one
 ``_realize`` checks the moments of every engine and the series (finite,
 imaginary residue consistent with zero in the units of the pointer
 operators) before taking their real parts. The block engine takes the
-moments on the momentum grid it evolves on, so the state never returns
-to the ladder basis: the post-selected grid state phi[j, m] is an
-amplitude tensor with one index per axis, each frame's cached operator
-stack (the identity, w^+ X w and the grid diag(p)) is a one-column axis
-stack, and the truncation check needs only the top two rows of w.
+moments on the basis it evolves on, and the post-selected state
+phi[j, m] is an amplitude tensor with one index per axis. On the
+momentum grid of the block ``eigh`` each frame's cached operator stack
+(the identity, w^+ X w and the grid diag(p)) is a one-column axis
+stack, and the truncation check needs only the top two rows of w; on
+the ladder levels of the series the stack is the leading blocks of the
+identity, X and P, and the top two levels are two rows of the state.
 """
 
 from __future__ import annotations
@@ -190,9 +196,9 @@ MAX_ARRAY_BYTES = 2**28
 #: The most terms of the Chebyshev series by which the joint Fock engine
 #: evolves a noncommuting pair; a call whose strongest scale needs more
 #: takes one block ``eigh`` per momentum grid point instead. The measured
-#: break-even of the two routes at the default n_max is about 19 terms
-#: for a one-scale run of a qubit pair and 34 to 50 for a six-scale or
-#: a d = 4 run; ``_chebyshev_terms`` needs the limit below 55.
+#: break-even of the two routes at the default n_max is 28 to 32 terms
+#: for a qubit pair and 44 to at least 52 for a d = 4 run, and at n_max
+#: 10 it is 8 to 20; ``_chebyshev_terms`` needs the limit below 55.
 _CHEBYSHEV_TERMS = 24
 #: The scales whose Chebyshev coefficients are taken in one product.
 _COEFFICIENT_BLOCK = 256
@@ -790,54 +796,104 @@ def _block_rows(i, f, c: JointCoupling, fx: _Frame, fy: _Frame, ts):
 
 
 def _chebyshev_live(d: int, n: int, m: int, terms: int, scales: int) -> int:
-    """The complex values ``_chebyshev_rows`` holds at its peak on an
-    n x m grid: what each of its terms keeps (<f|v> on the grid and the
-    top two rows of each axis), five work vectors of d n m values (the
-    last two states, the next one and the state times each axis's grid
-    couplings) and one block of the coefficient table, with the
-    (scales, 2 terms + 16) phases it is summed from."""
+    """The complex values ``_chebyshev_rows`` holds at its peak on axes
+    of n and m levels, with r = min(terms, levels) values along each
+    axis (``_series_basis``): per term <f|v> (rx ry values) and its top
+    two levels of each axis (2 d (rx + ry)); five work arrays of d rx ry
+    values (the last two states, the next one and the state times each
+    axis's momentum) and 2 rx ry grid values; each axis's start vector,
+    top rows and (3, r, r) operator stack; and one block of the
+    coefficient table with the (scales, 2 terms + 16) phases it is
+    summed from."""
+    rx, ry = min(terms, n), min(terms, m)
     block = min(scales, _COEFFICIENT_BLOCK) * (3 * terms + 16)
-    return terms * (n * m + 2 * d * (n + m)) + 5 * d * n * m + block
+    return (terms * (rx * ry + 2 * d * (rx + ry)) + (5 * d + 2) * rx * ry
+            + sum(3 * (r + r * r) for r in (rx, ry)) + block)
 
 
-def _chebyshev_rows(i, f, c: JointCoupling, fx: _Frame, fy: _Frame, xs, h, terms):
-    """The post-selected grid state phi[j, m] and the top-level
-    population at each x of xs, with exp(-i t H / hbar) = exp(-i x y),
-    x = t h / hbar and y = H / h, taken as the Chebyshev series
-    sum_n c_n(x) T_n(y) psi0 of ``terms`` terms (Tal-Ezer and Kosloff,
-    J. Chem. Phys. 81, 3967 (1984)). h bounds |H| on every grid point,
-    so the recurrence T_(n+1) = 2 y T_n - T_(n-1) stays bounded, and one
-    recurrence serves every scale.
+def _series_basis(frame: _Frame, terms: int):
+    """The basis one axis of ``_chebyshev_rows`` evolves on, as (start,
+    p, ops, top): the vacuum, the momentum, the (3, r, r) stack of the
+    "1", "X" and "P" STACK_OPERATORS and what picks out the top two
+    ladder levels.
 
-    The states T_n(y) psi0 live on a (d, N M) layout. y acts on one as
-    the row (Kx A, Ky B) / h times the state's two copies scaled by the
-    grid couplings px_j and py_m: one (d, 2d) product per term. Each term
-    keeps only what the outputs read, <f|T_n psi0> on the grid and the
-    top two rows of each axis's basis change applied to it, and each
-    scale combines them by one product with its row of
-    ``_chebyshev_coefficients``, taken for _COEFFICIENT_BLOCK scales at
-    a time."""
-    d, n, m = c.A.dim, len(fx.p), len(fy.p)
+    H raises the ladder level of each axis by at most one and psi0 is
+    the vacuum, so T_n(y) psi0 has no component above level n: on the
+    momentum grid it is vac[j] times a polynomial of degree n in p_j,
+    and its ladder components are that polynomial's coefficients in the
+    orthonormal Hermite basis. So a series of fewer terms than the frame
+    has levels runs on the first r = terms levels, where the leading
+    r x r blocks of the truncated X and P act exactly; p is that block
+    of P, and top the indices of the top levels among the r (none below
+    r = n_max). Any other keeps the frame's grid, with no more points
+    than terms: p is the grid values, which act elementwise, and top the
+    frame's two rows of the basis change."""
+    n = len(frame.p)
+    if terms >= n:
+        return frame.vacuum, frame.p, frame.ops[:_TOP], frame.top
+    p = frame.fock.P[:terms, :terms]
+    ops = np.array([np.eye(terms), frame.fock.X[:terms, :terms], p])
+    return np.eye(1, terms)[0], p, ops, np.arange(n - 2, terms)
+
+
+def _chebyshev_rows(i, f, c: JointCoupling, bases, xs, h, terms):
+    """The post-selected state phi[j, m] on the two axes' ``bases`` (from
+    ``_series_basis``) and the top-level population at each x of xs,
+    with exp(-i t H / hbar) = exp(-i x y), x = t h / hbar and y = H / h,
+    taken as the Chebyshev series sum_n c_n(x) T_n(y) psi0 of ``terms``
+    terms (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)). h
+    bounds |H| on the truncated product space, so the recurrence
+    T_(n+1) = 2 y T_n - T_(n-1) stays bounded, and one recurrence serves
+    every scale.
+
+    The states T_n(y) psi0 live on a (d, rx, ry) layout: the first
+    r = terms ladder levels of each axis while terms is below its
+    n_max + 1 levels, its momentum grid otherwise. y acts on one as the
+    row (Kx A, Ky B) / h times the state's two copies multiplied by each
+    axis's momentum on its own index: one (d, 2d) product per term. Each
+    term keeps only what the outputs read, <f|T_n psi0> and the top two
+    levels of each axis, and each scale combines them by one product
+    with its row of ``_chebyshev_coefficients``, taken for
+    _COEFFICIENT_BLOCK scales at a time."""
+    (sx, px, _, top_x), (sy, py, _, top_y) = bases
+    d, rx, ry = c.A.dim, len(sx), len(sy)
     # h = 0 only where H vanishes to the float range; x = 0 then keeps psi0
     side = np.concatenate([c.Kx * c.A.matrix, c.Ky * c.B.matrix], axis=1) / (h or 1.0)
-    grids = np.array([np.repeat(fx.p, m), np.tile(fy.p, n)], complex)[:, None]
-    spread = np.empty((2, d, n * m), complex)
-    on_f = np.empty((terms, n * m), complex)
-    on_x = np.empty((terms, d, 2, m), complex)
-    on_y = np.empty((terms, d, n, 2), complex)
+    spread = np.empty((2, d, rx, ry), complex)
+    stacked = spread.reshape(2 * d, -1)
+    on_f = np.empty((terms, rx * ry), complex)
+    on_x = np.empty((terms, d, len(top_x), ry), complex)
+    on_y = np.empty((terms, d, rx, len(top_y)), complex)
     f_conj = f.amplitudes.conj()
 
-    def keep(k, v):
-        grid = v.reshape(d, n, m)
-        np.matmul(f_conj, v, out=on_f[k])
-        np.matmul(fx.top, grid, out=on_x[k])
-        np.matmul(grid, fy.top.T, out=on_y[k])
+    if px.ndim == 1:  # the momentum grid
+        grids = np.array([np.repeat(px, ry), np.tile(py, rx)], complex)[:, None]
+        on_grid, top_y = spread.reshape(2, d, -1), top_y.T
 
-    def times_y(v):
-        np.multiply(v, grids, out=spread)
-        return side @ spread.reshape(2 * d, -1)
+        def keep(k, v):
+            grid = v.reshape(d, rx, ry)
+            np.matmul(f_conj, v, out=on_f[k])
+            np.matmul(top_x, grid, out=on_x[k])
+            np.matmul(grid, top_y, out=on_y[k])
 
-    prev = np.outer(i.amplitudes, np.outer(fx.vacuum, fy.vacuum))
+        def times_y(v):
+            np.multiply(v, grids, out=on_grid)
+            return side @ stacked
+    else:  # the first ladder levels, where the top levels are rows
+        on_py, py = spread[1].reshape(d * rx, ry), py.T
+
+        def keep(k, v):
+            grid = v.reshape(d, rx, ry)
+            np.matmul(f_conj, v, out=on_f[k])
+            np.take(grid, top_x, axis=1, out=on_x[k])
+            np.take(grid, top_y, axis=2, out=on_y[k])
+
+        def times_y(v):
+            np.matmul(px, v.reshape(d, rx, ry), out=spread[0])
+            np.matmul(v.reshape(d * rx, ry), py, out=on_py)
+            return side @ stacked
+
+    prev = np.outer(i.amplitudes, np.outer(sx, sy))
     keep(0, prev)
     if terms > 1:
         cur = times_y(prev)
@@ -853,7 +909,7 @@ def _chebyshev_rows(i, f, c: JointCoupling, fx: _Frame, fy: _Frame, xs, h, terms
     for block in np.split(xs, range(_COEFFICIENT_BLOCK, len(xs), _COEFFICIENT_BLOCK)):
         for row in _chebyshev_coefficients(block, terms):
             phi, x_top, y_top = (row @ part for part in kept)
-            yield phi.reshape(n, m), max(np.vdot(x_top, x_top).real, np.vdot(y_top, y_top).real)
+            yield phi.reshape(rx, ry), max(np.vdot(x_top, x_top).real, np.vdot(y_top, y_top).real)
 
 
 def _fock_joint(i, f, c: JointCoupling, n_max, ts, what):
@@ -861,9 +917,10 @@ def _fock_joint(i, f, c: JointCoupling, n_max, ts, what):
     coupling is one d x d Hermitian block per grid point. Returns the
     forms as ``_records`` takes them and the top-level population of
     each scale. Each scale's moments are one ``_contract`` of the
-    post-selected grid state phi[j, m], an amplitude tensor with one
-    index per axis, with each frame's operator stack as a one-column
-    axis stack.
+    post-selected state phi[j, m], an amplitude tensor with one index
+    per axis, with the operator stack of the basis it is taken on as a
+    one-column axis stack: the momentum grid's for the block ``eigh``,
+    each axis's ``_series_basis`` for the series.
 
     Two routes give phi: the Chebyshev series (``_chebyshev_rows``)
     whenever the largest x = |t| h / hbar of ts needs at most
@@ -876,13 +933,14 @@ def _fock_joint(i, f, c: JointCoupling, n_max, ts, what):
     g = sum(_norm_terms(c, frames))
     terms = _chebyshev_terms(max(map(abs, ts.tolist()), default=0.0) * g)
     if terms is None:
-        rows = _block_rows(i, f, c, fx, fy, ts)
+        mats, rows = [fx.ops[:, None], fy.ops[:, None]], _block_rows(i, f, c, fx, fy, ts)
     else:
         check_array_budget(_chebyshev_live(c.A.dim, len(fx.p), len(fy.p), terms, len(ts)),
                            f"{terms} Chebyshev terms at {what}", InvalidTruncation)
-        rows = _chebyshev_rows(i, f, c, fx, fy, ts * g, c.pointer_x.hbar * g, terms)
+        bases = [_series_basis(frame, terms) for frame in frames]
+        mats = [ops[:, None] for _, _, ops, _ in bases]
+        rows = _chebyshev_rows(i, f, c, bases, ts * g, c.pointer_x.hbar * g, terms)
 
-    mats = [fx.ops[:, None], fy.ops[:, None]]
     forms = np.empty((len(MOMENTS), len(ts)), complex)
     top = np.empty(len(ts))
     for row, (phi, population) in enumerate(rows):
@@ -926,15 +984,17 @@ def run_fock(
     (``_fock_joint``). The test has no tolerance, since a nonzero
     commutator would enter the factorized evolution as an error
     t^2 |Kx Ky px py| ||[A, B]|| / 2 that no fixed bound keeps at
-    rounding level. The block engine evolves the pair on the momentum
-    grid by the Chebyshev series of exp(-i x y), x = t h / hbar and
-    y = H / h with h = sum over the axes of |K| x spectral radius x
-    max|p|, when the call's largest |x| needs at most _CHEBYSHEV_TERMS
-    terms (n below the first with (x/2)^n / n! <= 2^-55), and by one
-    block ``eigh`` per grid point otherwise. Each row whose evolved
-    state populates the top two truncation levels above 1e-8 issues one
-    TruncationWarning, which names the coupled axes ("kx and ky", "kx
-    alone" or "ky alone"), and is flagged in ``truncation_warning``. Returns the MeasurementBatch
+    rounding level. The block engine evolves the pair by the Chebyshev
+    series of exp(-i x y), on the first ladder levels of each axis while
+    they outnumber the terms and on the momentum grid otherwise, with
+    x = t h / hbar and y = H / h with h = sum over the axes of |K| x
+    spectral radius x max|p|, when the call's largest |x| needs at most
+    _CHEBYSHEV_TERMS terms (n below the first with (x/2)^n / n! <=
+    2^-55), and by one block ``eigh`` per grid point otherwise. Each row
+    whose evolved state populates the top two truncation levels above
+    1e-8 issues one TruncationWarning, which names the coupled axes ("kx
+    and ky", "kx alone" or "ky alone"), and is flagged in
+    ``truncation_warning``. Returns the MeasurementBatch
     whose row n ran at couplings t_n (Kx, Ky) for each of ``scales``, or
     the one row at (Kx, Ky) without them; the eigenbases, momentum
     frames and the Chebyshev recurrence or block eigenvectors are
@@ -943,9 +1003,11 @@ def run_fock(
     arrays live at the peak of the branch sum's Gauss-Hermite rule
     would, counted together: scales x d x ((2 + operators) x
     max(n_max+1, d) + operators x axes x d) values, or if those of the
-    Chebyshev series would: its terms x ((n_max+1)^2 + 4 d (n_max+1))
-    kept values beside five work vectors of d (n_max+1)^2 values and
-    one block of coefficients (``_chebyshev_live``). Raises
+    Chebyshev series would, with r = min(terms, n_max+1) values along
+    each axis: terms x (r^2 + 4 d r) kept values (it keeps no earlier
+    state), five work arrays of d r^2 values and 2 r^2 grid values, each
+    axis's (3, r, r) operator stack, start vector and top rows, and one
+    block of coefficients (``_chebyshev_live``). Raises
     OrthogonalPostselection if a row's post-selection probability is
     below EPS_PS.
 

@@ -728,6 +728,24 @@ def test_sweep_single_point(capsys):
     assert any(c.startswith("# fitted_error_order=") for c in comments)
 
 
+def test_sweep_of_one_repeated_k_fits_no_order(capsys):
+    """Rows that share one k hold no slope: the footer reads nan, as for
+    a one-point sweep, and numpy's fit is never asked for one."""
+    code = run_cli(
+        [
+            "sweep", "--scenario", "hardy", "--observable", "N_Oe",
+            "--observable-b", "N_NOp", "--engine", "exact", "--sigma-x", "1",
+            "--k-min", "1e-100", "--k-max", "1e-100", "--points", "3",
+        ]
+    )
+    assert code == 0
+    comments, _, rows = parse_csv(capsys.readouterr().out)
+    assert len(rows) == 3 and {row[0] for row in rows} == {"1e-100"}
+    assert comments[-1] == "# fitted_error_order=nan"
+    assert math.isnan(cli.fit_error_order([0.1, 0.1], [1e-3, 2e-3]))
+    assert cli.fit_error_order([0.1, 0.2], [1e-3, 4e-3]) == pytest.approx(2.0)
+
+
 def test_sweep_joint_ties_couplings(tmp_path):
     out = tmp_path / "joint.csv"
     code = run_cli(
@@ -920,3 +938,26 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+IMPORTS_OF_CLI = """
+import site, sys, sysconfig
+before = set(sys.modules)
+import weaklab.cli
+roots = [sysconfig.get_paths()[key] for key in ("purelib", "platlib")]
+roots += site.getsitepackages() + [site.getusersitepackages()]
+for name in sorted({name.partition(".")[0] for name in set(sys.modules) - before}):
+    path = getattr(sys.modules.get(name), "__file__", None) or ""
+    if name != "weaklab" and path.startswith(tuple(roots)):
+        print(name)
+"""
+
+
+def test_cli_import_loads_no_installed_package_but_numpy():
+    """Every command pays for ``import weaklab.cli`` at start-up, so in a
+    fresh interpreter it loads no installed top-level package besides
+    numpy, the one dependency pyproject.toml declares."""
+    proc = subprocess.run([sys.executable, "-c", IMPORTS_OF_CLI],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) <= {"numpy"}

@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -40,6 +41,7 @@ from weaklab.engines import (
     _realize,
     _records,
     _residue_bounds,
+    _series_basis,
 )
 from weaklab.errors import (
     DimensionMismatch,
@@ -537,8 +539,9 @@ def test_budget_refusal_never_reads_as_the_budget(n_values):
 
 def test_chebyshev_route_budget_counts_its_arrays(monkeypatch):
     """The block engine's Chebyshev route checks every array it holds
-    at its peak against the budget before allocating: for d = 2 its
-    kept terms alone exceed the (n_max+1)^2 d^2 block stack. Traced with
+    at its peak against the budget before allocating: with 300 scales
+    the arrays it counts exceed the (n_max+1)^2 d^2 block stack, so its
+    own check is the one that refuses. Traced with
     tracemalloc, a run the budget just admits peaks below twice that
     budget; one value less is refused, naming the term count."""
     i, f, jc = noncommuting_case()
@@ -547,7 +550,7 @@ def test_chebyshev_route_budget_counts_its_arrays(monkeypatch):
     frames = [_pointer_frame(p, 40) for _, _, p, _ in c.axes]
     terms = _chebyshev_terms(sum(_norm_terms(c, frames)))
     live = _chebyshev_live(2, 41, 41, terms, len(scales))
-    assert terms * 41**2 > 41**2 * 2**2
+    assert live > 41**2 * 2**2
     monkeypatch.setattr("weaklab.engines.MAX_ARRAY_BYTES", 16 * live)
     tracemalloc.start()
     try:
@@ -1056,15 +1059,18 @@ def truncated_commuting_problem():
     return i, f, c, 5, [0.05, 1.0, 2.0], "commuting"
 
 
-def crossover_scale(c, n_max):
+def crossover_scale(c, n_max, terms=_CHEBYSHEV_TERMS):
     """The scale t at which the pair c's x = |t| h / hbar sits on the
-    boundary of the Chebyshev route at n_max: the last x that
-    ``_chebyshev_terms`` admits, to 1e-12 relative."""
+    boundary between ``terms`` and more terms of the series at n_max, by
+    default that of the Chebyshev route: the last x that
+    ``_chebyshev_terms`` serves with at most ``terms``, to 1e-12
+    relative."""
     frames = [_pointer_frame(p, n_max) for _, _, p, _ in c.axes]
     low, high = 0.0, float(_CHEBYSHEV_TERMS)
     while high - low > 1e-12 * high:
         middle = (low + high) / 2
-        low, high = (middle, high) if _chebyshev_terms(middle) else (low, middle)
+        fits = (_chebyshev_terms(middle) or math.inf) <= terms
+        low, high = (middle, high) if fits else (low, middle)
     return low / sum(_norm_terms(c, frames))
 
 
@@ -1084,12 +1090,40 @@ def crossover_problem(side):
     return i, f, c, 6, [0.01 * t, -t], "noncommuting"
 
 
+#: The term count each d of ``basis_switch_problem`` takes.
+SWITCH_TERMS = {2: 12, 4: 10}
+
+
+def basis_switch_problem(d, levels):
+    """A noncommuting pair of dimension d, with Kx != Ky and unequal
+    pointer widths, whose strongest scale needs SWITCH_TERMS[d] terms of
+    the series, at n_max + 1 = that count + levels: one level above it
+    (levels +1), where the series evolves on the first ladder levels,
+    and one below it or equal to it (-1, 0), where it evolves on the
+    momentum grid."""
+    rng = np.random.default_rng(40 + d)
+    i, f = pre_post_states(rng, d)
+    c = JointCoupling(
+        A=Observable(random_hermitian(rng, d)), B=Observable(random_hermitian(rng, d)),
+        Kx=0.6, Ky=-0.25, pointer_x=GaussianPointer(0.9), pointer_y=GaussianPointer(1.3),
+    )
+    n_max = SWITCH_TERMS[d] + levels - 1
+    t = crossover_scale(c, n_max, SWITCH_TERMS[d]) * (1 - 1e-9)
+    return i, f, c, n_max, [0.01 * t, -t], "noncommuting"
+
+
 @settings(max_examples=40, deadline=None)
 @given(problem=fock_joint_problem())
 @example(problem=truncated_single_problem())
 @example(problem=truncated_commuting_problem())
 @example(problem=crossover_problem(-1))
 @example(problem=crossover_problem(+1))
+@example(problem=basis_switch_problem(2, +1))
+@example(problem=basis_switch_problem(2, 0))
+@example(problem=basis_switch_problem(2, -1))
+@example(problem=basis_switch_problem(4, +1))
+@example(problem=basis_switch_problem(4, 0))
+@example(problem=basis_switch_problem(4, -1))
 def test_fock_joint_matches_dense_reference(problem):
     i, f, c, n_max, scales, kind = problem
     if kind == "commuting":
@@ -1129,6 +1163,57 @@ def test_crossover_examples_take_each_route(monkeypatch):
             batch = run_fock(i, f, c, n_max, scales=scales)
         assert batch.truncation_warning.tolist() == [False, True]
     assert taken == ["_chebyshev_rows", "_block_rows"]
+
+
+@pytest.mark.parametrize("d", sorted(SWITCH_TERMS))
+@pytest.mark.parametrize("levels", [+1, 0, -1])
+def test_basis_switch_examples_sit_on_each_side(d, levels):
+    """Each ``basis_switch_problem`` takes the series with its term
+    count, on the first ladder levels of each axis when the truncation
+    has more levels than terms, on the momentum grid otherwise."""
+    i, f, c, n_max, scales, _ = basis_switch_problem(d, levels)
+    frames = [_pointer_frame(p, n_max) for _, _, p, _ in c.axes]
+    terms = _chebyshev_terms(max(map(abs, scales)) * sum(_norm_terms(c, frames)))
+    assert terms == SWITCH_TERMS[d] == n_max + 1 - levels
+    for frame in frames:
+        _, p, ops, _ = _series_basis(frame, terms)
+        assert ops.shape == (3, *[min(terms, n_max + 1)] * 2)
+        assert p.ndim == (2 if levels > 0 else 1)
+
+
+def test_series_forms_no_grid_sized_array():
+    """A six-scale d = 4 run at n_max 40, as weakly coupled as the
+    benchmark's Fock sweeps (14 terms), takes the series on the first
+    ladder levels of each axis: traced with tracemalloc at every line
+    the engines module runs, it never holds one block as large as a
+    (d, (n_max+1)^2) state on the momentum grid."""
+    rng = np.random.default_rng(9)
+    i, f = pre_post_states(rng, 4)
+    c = JointCoupling(
+        A=Observable(random_hermitian(rng, 4)), B=Observable(random_hermitian(rng, 4)),
+        Kx=0.02, Ky=0.015, pointer_x=unit_pointer(), pointer_y=GaussianPointer(0.8),
+    )
+    scales = np.geomspace(1e-2, 1.0, 6)
+    frames = [_pointer_frame(p, 40) for _, _, p, _ in c.axes]
+    assert _chebyshev_terms(sum(_norm_terms(c, frames))) == 14
+    largest = 0
+
+    def trace(frame, event, arg):
+        nonlocal largest
+        if frame.f_code.co_filename != engines.__file__:
+            return None
+        largest = max([largest] + [block.size for block in tracemalloc.take_snapshot().traces])
+        return trace
+
+    previous = sys.gettrace()
+    tracemalloc.start()
+    sys.settrace(trace)
+    try:
+        run_fock(i, f, c, 40, scales=scales)
+    finally:
+        sys.settrace(previous)
+        tracemalloc.stop()
+    assert 0 < largest < 16 * 4 * 41**2
 
 
 def test_block_engine_routes_agree(monkeypatch):
