@@ -38,8 +38,8 @@ Three routes compute the same conditional moments:
 * ``run_fock`` on a noncommuting pair -- exact unitary evolution in a
   truncated oscillator space (``_fock_joint``), where the closed-form
   joint route refuses to run: a Chebyshev series of the evolution on
-  the first ladder levels of each axis at weak coupling, one block
-  ``eigh`` per momentum grid point above the crossover.
+  a Gauss-Hermite grid of ``terms`` points per axis at weak coupling,
+  one block ``eigh`` per momentum grid point above the crossover.
 * ``heisenberg_moment`` -- order-by-order nested-commutator expansion of
   a post-selected pointer observable, returning each order separately so
   parity properties of the series are directly testable. It never forms
@@ -69,11 +69,13 @@ Kosloff, J. Chem. Phys. 81, 3967 (1984)). The engine keeps the terms
 before the first n whose bound (x/2)^n / n! on |J_n(x)| is at most
 2^-55, and takes J_n from the trapezoid rule on exp(-i x cos tau).
 The recurrence T_n(y) psi0 serves every scale at once and costs one
-small product per term, and needs no grid: H raises each axis's ladder
-level by at most one, so T_n(y) psi0 has no component above level n,
-and the recurrence runs on the first ``terms`` ladder levels of each
-axis (on the grid where the truncation has no more levels than terms,
-``_series_basis``); J_n(x) decays only beyond n = x + O(x^(1/3)),
+elementwise product and one small product per term, and needs no large
+grid: H raises each axis's ladder level by at most one, so T_n(y) psi0
+has no component above level n, and the recurrence runs exactly on the
+truncation at ``terms`` levels, whose P is diagonal on the
+``terms``-point Gauss-Hermite grid (the n_max grid where the series
+reaches the top two truncation levels, ``_series_basis``); J_n(x)
+decays only beyond n = x + O(x^(1/3)),
 so the terms needed grow with x (the bound asks for 15 at x = 0.9 and
 24 at x = 4), while the block ``eigh`` costs a fixed amount whatever x
 is. So a call whose largest |x| needs at most
@@ -114,18 +116,19 @@ pointer's Fock operators and momentum frame depend only on
 
 One table, ``MOMENTS``, names the seven batch moments and the pointer
 operator each takes on the x and y axis. Every engine but the series
-takes them through one ``_contract``, as one (moments, scales) array in
-MOMENTS order that ``_records`` turns into the batch's table, and one
+takes them as one (moments, scales) array in MOMENTS order, the branch
+sum through one ``_contract`` and the block engine block by block
+through ``_contract_states``, which ``_records`` turns into the batch's
+table, and one
 ``_realize`` checks the moments of every engine and the series (finite,
 imaginary residue consistent with zero in the units of the pointer
 operators) before taking their real parts. The block engine takes the
-moments on the basis it evolves on, and the post-selected state
-phi[j, m] is an amplitude tensor with one index per axis. On the
-momentum grid of the block ``eigh`` each frame's cached operator stack
-(the identity, w^+ X w and the grid diag(p)) is a one-column axis
-stack, and the truncation check needs only the top two rows of w; on
-the ladder levels of the series the stack is the leading blocks of the
-identity, X and P, and the top two levels are two rows of the state.
+moments on the grid it evolves on: the post-selected states
+phi[s, j, m] are amplitude tensors with one index per axis, and one
+``_contract_states`` takes the moments of a whole block of scales from
+each frame's cached operator stack (the identity, w^+ X w and the grid
+diag(p)); the truncation check needs only the top two rows of w, which
+the small grids of the series leave out.
 """
 
 from __future__ import annotations
@@ -196,12 +199,14 @@ MAX_ARRAY_BYTES = 2**28
 #: The most terms of the Chebyshev series by which the joint Fock engine
 #: evolves a noncommuting pair; a call whose strongest scale needs more
 #: takes one block ``eigh`` per momentum grid point instead. The measured
-#: break-even of the two routes at the default n_max is 28 to 32 terms
-#: for a qubit pair and 44 to at least 52 for a d = 4 run, and at n_max
-#: 10 it is 8 to 20; ``_chebyshev_terms`` needs the limit below 55.
+#: break-even of the two routes (one and six scales) at the default n_max
+#: is 32 to 40 terms for a qubit pair and 40 to at least 52 for a d = 4
+#: run, at n_max 80 at least 52, and at n_max 10 it is 8 to 24;
+#: ``_chebyshev_terms`` needs the limit below 55.
 _CHEBYSHEV_TERMS = 24
-#: The scales whose Chebyshev coefficients are taken in one product.
-_COEFFICIENT_BLOCK = 256
+#: The most grid values of the post-selected states that the Chebyshev
+#: route combines and contracts in one block of scales.
+_BLOCK_VALUES = 2**14
 
 #: Each moment of a MeasurementBatch and the pointer operator it applies
 #: on the x and on the y axis ("1" identity, "X" position, "P" momentum).
@@ -671,7 +676,11 @@ def _pointer_frame(p: GaussianPointer, n_max: int) -> _Frame:
     Cached per (p, n_max), so every engine call on
     one pointer shares one ``eigh``; the returned arrays are read-only.
     The cache keeps the four most recent frames, which covers the two
-    axes of a joint run and both truncations ``validate`` uses.
+    axes of a joint run and both truncations ``validate`` uses, and a
+    weakly coupled noncommuting pair's n_max frame and small series
+    frame (``_series_basis``) on each axis, even with unequal pointer
+    widths. A frame at n_max holds about 6 (n_max+1)^2 complex values;
+    a series frame has at most _CHEBYSHEV_TERMS levels.
 
     The truncated P is odd under parity, so its spectrum is symmetric,
     p[N-1-j] = -p[j]. The grid is symmetrized so that this holds bit for
@@ -792,108 +801,103 @@ def _block_rows(i, f, c: JointCoupling, fx: _Frame, fy: _Frame, ts):
         top = max(
             np.sum(np.abs(fx.top @ psi.reshape(n, -1)) ** 2), np.sum(np.abs(fy.top @ psi) ** 2)
         )
-        yield psi @ f.amplitudes.conj(), top
+        yield (psi @ f.amplitudes.conj())[None], top
 
 
 def _chebyshev_live(d: int, n: int, m: int, terms: int, scales: int) -> int:
-    """The complex values ``_chebyshev_rows`` holds at its peak on axes
-    of n and m levels, with r = min(terms, levels) values along each
-    axis (``_series_basis``): per term <f|v> (rx ry values) and its top
-    two levels of each axis (2 d (rx + ry)); five work arrays of d rx ry
+    """The complex values ``_chebyshev_rows`` and the contraction of its
+    blocks hold at their peak on axes of n and m levels. Each axis has r
+    grid points: max(terms, 3) on the small frame of ``_series_basis``,
+    its n or m levels on the n_max frame, where it also keeps top rows.
+    Counted: per term <f|v> (rx ry values) and, where kept, its top two
+    levels of each axis (2 d (rx + ry)); five work arrays of d rx ry
     values (the last two states, the next one and the state times each
-    axis's momentum) and 2 rx ry grid values; each axis's start vector,
-    top rows and (3, r, r) operator stack; and one block of the
-    coefficient table with the (scales, 2 terms + 16) phases it is
-    summed from."""
-    rx, ry = min(terms, n), min(terms, m)
-    block = min(scales, _COEFFICIENT_BLOCK) * (3 * terms + 16)
-    return (terms * (rx * ry + 2 * d * (rx + ry)) + (5 * d + 2) * rx * ry
-            + sum(3 * (r + r * r) for r in (rx, ry)) + block)
+    axis's momentum) and 2 rx ry grid values; and, for one block of
+    ``_scale_block`` scales, the (scales, 2 terms + 16) phases twice and
+    the coefficients they sum to, then the block's phi, the eight
+    (scales, rx, ry) arrays of its contraction (``_contract_states``) and
+    its top rows of each axis with their conjugates."""
+    (rx, top_x), (ry, top_y) = [(max(terms, 3), 0) if terms <= levels - 2 else (levels, 2)
+                                for levels in (n, m)]
+    tops = 2 * d * (top_x * ry + top_y * rx)
+    block = min(scales, _scale_block(rx * ry))
+    return (terms * (rx * ry + tops) + (5 * d + 2) * rx * ry
+            + block * (5 * terms + 32 + 9 * rx * ry + 2 * tops))
 
 
-def _series_basis(frame: _Frame, terms: int):
-    """The basis one axis of ``_chebyshev_rows`` evolves on, as (start,
-    p, ops, top): the vacuum, the momentum, the (3, r, r) stack of the
-    "1", "X" and "P" STACK_OPERATORS and what picks out the top two
-    ladder levels.
+def _scale_block(values: int) -> int:
+    """The scales ``_chebyshev_rows`` combines and contracts at once, for
+    states of ``values`` grid values: as many as keep the block's phi
+    within _BLOCK_VALUES values, and at least one."""
+    return max(1, _BLOCK_VALUES // values)
+
+
+def _series_basis(p: GaussianPointer, n_max: int, terms: int):
+    """The frame one axis of ``_chebyshev_rows`` evolves on at truncation
+    n_max, and the rows of its basis change that carry the top two
+    truncation levels, as (frame, top).
 
     H raises the ladder level of each axis by at most one and psi0 is
-    the vacuum, so T_n(y) psi0 has no component above level n: on the
-    momentum grid it is vac[j] times a polynomial of degree n in p_j,
-    and its ladder components are that polynomial's coefficients in the
-    orthonormal Hermite basis. So a series of fewer terms than the frame
-    has levels runs on the first r = terms levels, where the leading
-    r x r blocks of the truncated X and P act exactly; p is that block
-    of P, and top the indices of the top levels among the r (none below
-    r = n_max). Any other keeps the frame's grid, with no more points
-    than terms: p is the grid values, which act elementwise, and top the
-    frame's two rows of the basis change."""
-    n = len(frame.p)
-    if terms >= n:
-        return frame.vacuum, frame.p, frame.ops[:_TOP], frame.top
-    p = frame.fock.P[:terms, :terms]
-    ops = np.array([np.eye(terms), frame.fock.X[:terms, :terms], p])
-    return np.eye(1, terms)[0], p, ops, np.arange(n - 2, terms)
+    the vacuum, so T_n(y) psi0 has no component above level n. A series
+    of ``terms`` terms therefore runs exactly on the first r = terms
+    levels, where the leading r x r blocks of the truncated X and P act
+    as the full ones on every T_n psi0 and its moments; and the leading
+    r x r block of the truncated P is the truncated P of r levels, whose
+    eigenvalues are the r-point Gauss-Hermite grid. So while the top two
+    truncation levels are out of the series' reach (terms <= n_max - 1)
+    the frame is ``_pointer_frame(p, max(terms, 3) - 1)``, the smallest
+    frame with r >= terms levels, and top holds no rows: the series puts
+    exactly no population there. Otherwise it is the n_max frame with
+    its top rows."""
+    if terms <= n_max - 1:
+        frame = _pointer_frame(p, max(terms, 3) - 1)
+        return frame, frame.top[:0]
+    frame = _pointer_frame(p, n_max)
+    return frame, frame.top
 
 
 def _chebyshev_rows(i, f, c: JointCoupling, bases, xs, h, terms):
-    """The post-selected state phi[j, m] on the two axes' ``bases`` (from
-    ``_series_basis``) and the top-level population at each x of xs,
-    with exp(-i t H / hbar) = exp(-i x y), x = t h / hbar and y = H / h,
-    taken as the Chebyshev series sum_n c_n(x) T_n(y) psi0 of ``terms``
-    terms (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 3967 (1984)). h
-    bounds |H| on the truncated product space, so the recurrence
-    T_(n+1) = 2 y T_n - T_(n-1) stays bounded, and one recurrence serves
-    every scale.
+    """The post-selected states phi[s, j, m] on the grids of the two
+    axes' ``bases`` (from ``_series_basis``) and the top-level population
+    at each x of xs, block by block, with exp(-i t H / hbar) =
+    exp(-i x y), x = t h / hbar and y = H / h, taken as the Chebyshev
+    series sum_n c_n(x) T_n(y) psi0 of ``terms`` terms (Tal-Ezer and
+    Kosloff, J. Chem. Phys. 81, 3967 (1984)). h bounds |H| on the
+    truncated product space, so the recurrence T_(n+1) = 2 y T_n - T_(n-1)
+    stays bounded, and one recurrence serves every scale.
 
-    The states T_n(y) psi0 live on a (d, rx, ry) layout: the first
-    r = terms ladder levels of each axis while terms is below its
-    n_max + 1 levels, its momentum grid otherwise. y acts on one as the
-    row (Kx A, Ky B) / h times the state's two copies multiplied by each
-    axis's momentum on its own index: one (d, 2d) product per term. Each
-    term keeps only what the outputs read, <f|T_n psi0> and the top two
-    levels of each axis, and each scale combines them by one product
-    with its row of ``_chebyshev_coefficients``, taken for
-    _COEFFICIENT_BLOCK scales at a time."""
-    (sx, px, _, top_x), (sy, py, _, top_y) = bases
-    d, rx, ry = c.A.dim, len(sx), len(sy)
+    The states T_n(y) psi0 live on a (d, rx, ry) layout over the frames'
+    momentum grids, where y acts as the row (Kx A, Ky B) / h times the
+    state's two copies multiplied elementwise by each axis's grid
+    momenta: one (d, 2d) product per term. Each term keeps only what the
+    outputs read, <f|T_n psi0> and the state's top two levels of each
+    axis through the bases' top rows, and each block of ``_scale_block``
+    scales combines them by one product with its rows of
+    ``_chebyshev_coefficients``."""
+    (fx, top_x), (fy, top_y) = bases
+    d, rx, ry = c.A.dim, len(fx.p), len(fy.p)
     # h = 0 only where H vanishes to the float range; x = 0 then keeps psi0
     side = np.concatenate([c.Kx * c.A.matrix, c.Ky * c.B.matrix], axis=1) / (h or 1.0)
-    spread = np.empty((2, d, rx, ry), complex)
+    grids = np.array([np.repeat(fx.p, ry), np.tile(fy.p, rx)], complex)[:, None]
+    spread = np.empty((2, d, rx * ry), complex)
     stacked = spread.reshape(2 * d, -1)
     on_f = np.empty((terms, rx * ry), complex)
     on_x = np.empty((terms, d, len(top_x), ry), complex)
     on_y = np.empty((terms, d, rx, len(top_y)), complex)
-    f_conj = f.amplitudes.conj()
+    f_conj, top_y = f.amplitudes.conj(), top_y.T
 
-    if px.ndim == 1:  # the momentum grid
-        grids = np.array([np.repeat(px, ry), np.tile(py, rx)], complex)[:, None]
-        on_grid, top_y = spread.reshape(2, d, -1), top_y.T
-
-        def keep(k, v):
+    def keep(k, v):
+        np.matmul(f_conj, v, out=on_f[k])
+        if len(top_x):
             grid = v.reshape(d, rx, ry)
-            np.matmul(f_conj, v, out=on_f[k])
             np.matmul(top_x, grid, out=on_x[k])
             np.matmul(grid, top_y, out=on_y[k])
 
-        def times_y(v):
-            np.multiply(v, grids, out=on_grid)
-            return side @ stacked
-    else:  # the first ladder levels, where the top levels are rows
-        on_py, py = spread[1].reshape(d * rx, ry), py.T
+    def times_y(v):
+        np.multiply(v, grids, out=spread)
+        return side @ stacked
 
-        def keep(k, v):
-            grid = v.reshape(d, rx, ry)
-            np.matmul(f_conj, v, out=on_f[k])
-            np.take(grid, top_x, axis=1, out=on_x[k])
-            np.take(grid, top_y, axis=2, out=on_y[k])
-
-        def times_y(v):
-            np.matmul(px, v.reshape(d, rx, ry), out=spread[0])
-            np.matmul(v.reshape(d * rx, ry), py, out=on_py)
-            return side @ stacked
-
-    prev = np.outer(i.amplitudes, np.outer(sx, sy))
+    prev = np.outer(i.amplitudes, np.outer(fx.vacuum, fy.vacuum))
     keep(0, prev)
     if terms > 1:
         cur = times_y(prev)
@@ -905,47 +909,65 @@ def _chebyshev_rows(i, f, c: JointCoupling, bases, xs, h, terms):
             prev, cur = cur, nxt
             keep(k, cur)
 
-    kept = [on_f, on_x.reshape(terms, -1), on_y.reshape(terms, -1)]
-    for block in np.split(xs, range(_COEFFICIENT_BLOCK, len(xs), _COEFFICIENT_BLOCK)):
-        for row in _chebyshev_coefficients(block, terms):
-            phi, x_top, y_top = (row @ part for part in kept)
-            yield phi.reshape(rx, ry), max(np.vdot(x_top, x_top).real, np.vdot(y_top, y_top).real)
+    tops = [on_x.reshape(terms, -1), on_y.reshape(terms, -1)]
+    block = _scale_block(rx * ry)
+    for start in range(0, len(xs), block):
+        coeffs = _chebyshev_coefficients(xs[start:start + block], terms)
+        top = [np.einsum("si,si->s", part.conj(), part).real for part in (coeffs @ t for t in tops)]
+        yield (coeffs @ on_f).reshape(-1, rx, ry), np.maximum(*top)
+
+
+def _contract_states(phi: np.ndarray, stacks) -> np.ndarray:
+    """The unnormalized MOMENTS of the post-selected states phi[s, j, m],
+    one amplitude tensor per scale with one index per axis, as one
+    (moments, scales) array: for each moment, conj(phi[s]) (Mx (x) My)
+    phi[s] with Mx and My the slices of the axes' (3, r, r) "1", "X" and
+    "P" ``stacks`` for its operator on each axis. Two flat products take
+    Mx phi[s] and conj(phi[s]) My for every scale and slice, and one
+    einsum sums their products for every (x, y) operator pair."""
+    (ox, oy), (s, rx, ry) = stacks, phi.shape
+    on_x = (ox.reshape(-1, rx) @ phi.transpose(1, 0, 2).reshape(rx, -1)).reshape(-1, rx, s, ry)
+    on_y = (phi.conj().reshape(-1, ry) @ oy.transpose(1, 0, 2).reshape(ry, -1)).reshape(s, rx, -1, ry)
+    return np.einsum("aksj,skbj->abs", on_x, on_y)[tuple(_MOMENT_OPS.T)]
 
 
 def _fock_joint(i, f, c: JointCoupling, n_max, ts, what):
     """Joint Fock engine on the momentum grid (px_j, py_m), where the
     coupling is one d x d Hermitian block per grid point. Returns the
     forms as ``_records`` takes them and the top-level population of
-    each scale. Each scale's moments are one ``_contract`` of the
-    post-selected state phi[j, m], an amplitude tensor with one index
-    per axis, with the operator stack of the basis it is taken on as a
-    one-column axis stack: the momentum grid's for the block ``eigh``,
-    each axis's ``_series_basis`` for the series.
+    each scale. The moments are ``_contract_states`` of the post-selected
+    states phi[s, j, m], with the "1", "X" and "P" stacks of the frames
+    they are taken on: the n_max frames for the block ``eigh``, which
+    gives one scale at a time, each axis's ``_series_basis`` frame for
+    the series, which gives a block of scales at a time.
 
     Two routes give phi: the Chebyshev series (``_chebyshev_rows``)
     whenever the largest x = |t| h / hbar of ts needs at most
     _CHEBYSHEV_TERMS terms, with h the bound of ``_norm_terms`` times
-    hbar, and one block ``eigh`` per grid point (``_block_rows``)
-    otherwise. The series' arrays are checked against MAX_ARRAY_BYTES
-    (InvalidTruncation, described by ``what``) before they are
-    allocated."""
+    hbar on the n_max frames, and one block ``eigh`` per grid point
+    (``_block_rows``) otherwise. The series' arrays are checked against
+    MAX_ARRAY_BYTES (InvalidTruncation, described by ``what``) before
+    they are allocated."""
     fx, fy = frames = [_pointer_frame(p, n_max) for _, _, p, _ in c.axes]
     g = sum(_norm_terms(c, frames))
     terms = _chebyshev_terms(max(map(abs, ts.tolist()), default=0.0) * g)
     if terms is None:
-        mats, rows = [fx.ops[:, None], fy.ops[:, None]], _block_rows(i, f, c, fx, fy, ts)
+        rows = _block_rows(i, f, c, fx, fy, ts)
     else:
         check_array_budget(_chebyshev_live(c.A.dim, len(fx.p), len(fy.p), terms, len(ts)),
                            f"{terms} Chebyshev terms at {what}", InvalidTruncation)
-        bases = [_series_basis(frame, terms) for frame in frames]
-        mats = [ops[:, None] for _, _, ops, _ in bases]
+        bases = [_series_basis(p, n_max, terms) for _, _, p, _ in c.axes]
+        frames = [frame for frame, _ in bases]
         rows = _chebyshev_rows(i, f, c, bases, ts * g, c.pointer_x.hbar * g, terms)
 
+    stacks = [frame.ops[:_TOP] for frame in frames]
     forms = np.empty((len(MOMENTS), len(ts)), complex)
     top = np.empty(len(ts))
-    for row, (phi, population) in enumerate(rows):
-        forms[:, row] = _contract(phi, mats)[:, 0]
-        top[row] = population
+    done = 0
+    for phi, population in rows:
+        forms[:, done:done + len(phi)] = _contract_states(phi, stacks)
+        top[done:done + len(phi)] = population
+        done += len(phi)
     return forms, top
 
 
@@ -985,8 +1007,9 @@ def run_fock(
     commutator would enter the factorized evolution as an error
     t^2 |Kx Ky px py| ||[A, B]|| / 2 that no fixed bound keeps at
     rounding level. The block engine evolves the pair by the Chebyshev
-    series of exp(-i x y), on the first ladder levels of each axis while
-    they outnumber the terms and on the momentum grid otherwise, with
+    series of exp(-i x y), on the Gauss-Hermite grid of max(terms, 3)
+    points per axis while terms <= n_max - 1 and on the n_max grid
+    otherwise, with
     x = t h / hbar and y = H / h with h = sum over the axes of |K| x
     spectral radius x max|p|, when the call's largest |x| needs at most
     _CHEBYSHEV_TERMS terms (n below the first with (x/2)^n / n! <=
@@ -998,16 +1021,19 @@ def run_fock(
     whose row n ran at couplings t_n (Kx, Ky) for each of ``scales``, or
     the one row at (Kx, Ky) without them; the eigenbases, momentum
     frames and the Chebyshev recurrence or block eigenvectors are
-    computed once per call. Raises InvalidTruncation before allocating
+    computed once per call, and the moments of a block of scales are one
+    contraction. Raises InvalidTruncation before allocating
     if the (n_max+1)^2 d x d blocks would exceed MAX_ARRAY_BYTES, if the
     arrays live at the peak of the branch sum's Gauss-Hermite rule
     would, counted together: scales x d x ((2 + operators) x
     max(n_max+1, d) + operators x axes x d) values, or if those of the
-    Chebyshev series would, with r = min(terms, n_max+1) values along
-    each axis: terms x (r^2 + 4 d r) kept values (it keeps no earlier
-    state), five work arrays of d r^2 values and 2 r^2 grid values, each
-    axis's (3, r, r) operator stack, start vector and top rows, and one
-    block of coefficients (``_chebyshev_live``). Raises
+    Chebyshev series would, with r = max(terms, 3) grid points per axis
+    on the small grid and n_max + 1 on the n_max grid: terms x r^2 kept
+    <f|T_n psi0> values (it keeps no earlier state) and, on the n_max
+    grid only, terms x 4 d r kept top rows; five work arrays of d r^2
+    values and 2 r^2 grid values; and for one block of scales, at most
+    2^14 / r^2 of them, its coefficients, its states and the arrays of
+    their contraction (``_chebyshev_live``). Raises
     OrthogonalPostselection if a row's post-selection probability is
     below EPS_PS.
 

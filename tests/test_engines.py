@@ -1097,10 +1097,12 @@ SWITCH_TERMS = {2: 12, 4: 10}
 def basis_switch_problem(d, levels):
     """A noncommuting pair of dimension d, with Kx != Ky and unequal
     pointer widths, whose strongest scale needs SWITCH_TERMS[d] terms of
-    the series, at n_max + 1 = that count + levels: one level above it
-    (levels +1), where the series evolves on the first ladder levels,
-    and one below it or equal to it (-1, 0), where it evolves on the
-    momentum grid."""
+    the series, at n_max + 1 = that count + levels: three or two levels
+    above it (levels +3, +2, terms = n_max - 2 or n_max - 1), where the
+    series evolves on the Gauss-Hermite grid of terms points, and one
+    above, equal or one below (+1, 0, -1, terms = n_max to n_max + 2),
+    where its reach includes the top two truncation levels and it
+    evolves on the n_max grid."""
     rng = np.random.default_rng(40 + d)
     i, f = pre_post_states(rng, d)
     c = JointCoupling(
@@ -1118,9 +1120,13 @@ def basis_switch_problem(d, levels):
 @example(problem=truncated_commuting_problem())
 @example(problem=crossover_problem(-1))
 @example(problem=crossover_problem(+1))
+@example(problem=basis_switch_problem(2, +3))
+@example(problem=basis_switch_problem(2, +2))
 @example(problem=basis_switch_problem(2, +1))
 @example(problem=basis_switch_problem(2, 0))
 @example(problem=basis_switch_problem(2, -1))
+@example(problem=basis_switch_problem(4, +3))
+@example(problem=basis_switch_problem(4, +2))
 @example(problem=basis_switch_problem(4, +1))
 @example(problem=basis_switch_problem(4, 0))
 @example(problem=basis_switch_problem(4, -1))
@@ -1166,19 +1172,45 @@ def test_crossover_examples_take_each_route(monkeypatch):
 
 
 @pytest.mark.parametrize("d", sorted(SWITCH_TERMS))
-@pytest.mark.parametrize("levels", [+1, 0, -1])
+@pytest.mark.parametrize("levels", [+3, +2, +1, 0, -1])
 def test_basis_switch_examples_sit_on_each_side(d, levels):
     """Each ``basis_switch_problem`` takes the series with its term
-    count, on the first ladder levels of each axis when the truncation
-    has more levels than terms, on the momentum grid otherwise."""
+    count. While terms <= n_max - 1 each axis evolves on the frame of
+    max(terms, 3) levels, whose momentum grid is the terms-point
+    Gauss-Hermite rule scaled by sqrt(2) hbar / (2 sigma), with no top
+    rows; otherwise on the n_max frame with its two top rows."""
     i, f, c, n_max, scales, _ = basis_switch_problem(d, levels)
     frames = [_pointer_frame(p, n_max) for _, _, p, _ in c.axes]
     terms = _chebyshev_terms(max(map(abs, scales)) * sum(_norm_terms(c, frames)))
     assert terms == SWITCH_TERMS[d] == n_max + 1 - levels
-    for frame in frames:
-        _, p, ops, _ = _series_basis(frame, terms)
-        assert ops.shape == (3, *[min(terms, n_max + 1)] * 2)
-        assert p.ndim == (2 if levels > 0 else 1)
+    nodes = np.polynomial.hermite.hermgauss(terms)[0]
+    for (_, _, p, _), n_max_frame in zip(c.axes, frames):
+        frame, top = _series_basis(p, n_max, terms)
+        if levels > 1:
+            assert frame is _pointer_frame(p, terms - 1)
+            assert frame.p == pytest.approx(math.sqrt(2) * p.hbar / (2 * p.sigma) * nodes,
+                                            abs=1e-12)
+            assert top.shape == (0, terms)
+        else:
+            assert frame is n_max_frame
+            assert top is frame.top and top.shape == (2, n_max + 1)
+
+
+def test_noncommuting_sweep_takes_no_frame_cache_miss_once_warm():
+    """A weakly coupled noncommuting sweep with unequal pointer widths
+    and its singles uses four frames, each axis's n_max frame and small
+    series frame, and they all stay in ``_pointer_frame``'s cache: the
+    repeated sweep takes no miss."""
+    i, f, jc = noncommuting_case()
+    c = dataclasses.replace(jc, pointer_y=GaussianPointer(0.7))
+    scales = np.geomspace(0.1, 10.0, 6)
+    _pointer_frame.cache_clear()
+    warm = run_fock(i, f, c, 40, scales=scales, with_singles=True)
+    assert _pointer_frame.cache_info().currsize == 4
+    misses = _pointer_frame.cache_info().misses
+    again = run_fock(i, f, c, 40, scales=scales, with_singles=True)
+    assert _pointer_frame.cache_info().misses == misses
+    assert np.array_equal(warm[0].moments, again[0].moments)
 
 
 def test_series_forms_no_grid_sized_array():
