@@ -30,9 +30,11 @@ referee the result is checked against.
 
 Exit codes: 0 success; 1 configuration/parse errors, including requests
 whose arrays would exceed ``engines.MAX_ARRAY_BYTES``, couplings whose
-pointer displacements would overflow (named as kx or ky), and couplings
+pointer displacements would overflow (named as kx or ky), couplings
 so weak that the moments the weak values are extracted from would fall
-below the normal float range (named as K or Kx*Ky); 2
+below the normal float range (named as K or Kx*Ky), and pointer units
+whose momentum factor 2 sigma^2/hbar (4 sigma_y^2/hbar for a pair) is
+0, subnormal or not finite (named as --sigma-x/--sigma-y and --hbar); 2
 numerical failures (orthogonal post-selection, noncommuting observables
 on the closed-form joint engine, a non-finite moment); 3
 validation-suite failure.

@@ -19,6 +19,13 @@ Document schema (all complex numbers are [re, im] pairs)::
 Unknown fields are rejected; every number must be finite; matrices must
 be Hermitian; states are normalized on load (with a warning when the
 input norm deviates from 1 by more than 1e-6).
+
+A text document is parsed once per process: ``load_scenario`` keeps the
+Scenarios of the last 16 texts, keyed by the text itself, so a repeated
+document returns the same read-only Scenario, whose observables keep
+their eigendecompositions, as the presets do. An edited document is a
+new key and is parsed afresh, and the normalization warnings of a
+document are issued on every load.
 """
 
 from __future__ import annotations
@@ -251,7 +258,9 @@ def _parse_complex(entry, where: str) -> complex:
     return z
 
 
-def _parse_state(raw, dim: int, label: str) -> QuantumState:
+def _parse_state(raw, dim: int, label: str, warned: list[str]) -> QuantumState:
+    """The state ``label``, normalized; appends the text of its
+    normalization warning, if any, to warned."""
     if not isinstance(raw, list) or len(raw) != dim:
         raise ParseError(f"state {label!r} must be a list of {dim} [re, im] pairs")
     amps = np.array(
@@ -261,9 +270,7 @@ def _parse_state(raw, dim: int, label: str) -> QuantumState:
     if norm < 1e-15:
         raise ZeroState(f"state {label!r} has zero norm")
     if abs(norm - 1.0) > 1e-6:
-        warnings.warn(
-            f"state {label!r} has norm {norm:.9g}; normalizing", stacklevel=3
-        )
+        warned.append(f"state {label!r} has norm {norm:.9g}; normalizing")
     return QuantumState(amps)
 
 
@@ -284,18 +291,47 @@ def _parse_matrix(raw, dim: int, label: str) -> Observable:
 def load_scenario(document) -> Scenario:
     """Build a Scenario from a JSON document (text or parsed dict).
 
-    Parsing is strict: unknown fields, wrong shapes, or malformed or
-    non-finite complex pairs raise ParseError naming the field;
-    non-Hermitian observables raise NotHermitian (with the offending
-    entry); zero states raise ZeroState.
+    Parsing is strict: text that does not decode or is not JSON,
+    unknown fields, a name that is not a string, wrong shapes, or
+    malformed or non-finite complex pairs raise ParseError naming the
+    field; non-Hermitian observables raise NotHermitian (with the
+    offending entry); zero states raise ZeroState.
+
+    Text (``str`` or ``bytes``) is parsed once per process: the last 16
+    texts loaded map to their read-only Scenarios, so loading the same
+    text again returns the same Scenario, whose observables keep their
+    eigendecompositions. A parsed dict is built afresh on every call,
+    and so is text that failed to load. Each load that succeeds, cached
+    or not, issues the document's normalization warnings at the caller's
+    line.
     """
     if isinstance(document, (str, bytes)):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"scenario document is not valid JSON: {exc}") from exc
+        scn, warned = _load_text(document)
     else:
-        doc = document
+        warned = []
+        scn = _build(document, warned)
+    for message in warned:
+        warnings.warn(message, stacklevel=2)
+    return scn
+
+
+# Bounded, since each entry holds its text and its Scenario. A loop over
+# more files than the bound would miss on every load; 16 covers a handful
+# of files without being sized to any one workload.
+@functools.lru_cache(maxsize=16)
+def _load_text(text: str | bytes) -> tuple[Scenario, tuple[str, ...]]:
+    """The Scenario of a text document and the texts of its warnings."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # also UnicodeDecodeError, for bytes
+        raise ParseError(f"scenario document is not valid JSON: {exc}") from exc
+    warned = []
+    return _build(doc, warned), tuple(warned)
+
+
+def _build(doc, warned: list[str]) -> Scenario:
+    """The Scenario of a parsed document; appends the texts of its
+    warnings to warned."""
     if not isinstance(doc, dict):
         raise ParseError(f"scenario document must be an object, got {type(doc).__name__}")
 
@@ -306,12 +342,15 @@ def load_scenario(document) -> Scenario:
     if missing:
         raise ParseError(f"missing scenario fields: {sorted(missing)}")
 
+    name = doc.get("name", "custom")
+    if not isinstance(name, str):
+        raise ParseError(f"name must be a string, got {name!r}")
     dim = doc["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError(f"dim must be a positive integer, got {dim!r}")
 
-    i = _parse_state(doc["i"], dim, "i")
-    f = _parse_state(doc["f"], dim, "f")
+    i = _parse_state(doc["i"], dim, "i", warned)
+    f = _parse_state(doc["f"], dim, "f", warned)
 
     if not isinstance(doc["observables"], dict) or not doc["observables"]:
         raise ParseError("observables must be a non-empty name -> matrix map")
@@ -330,7 +369,7 @@ def load_scenario(document) -> Scenario:
             expected[str(label)] = _parse_complex(raw, f"expected[{label}]")
 
     return Scenario(
-        name=str(doc.get("name", "custom")),
+        name=name,
         i=i,
         f=f,
         observables=observables,

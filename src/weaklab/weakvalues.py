@@ -82,6 +82,21 @@ def _check_coupling(k: np.ndarray, name: str, what: str):
         )
 
 
+def _momentum_factor(n: float, p, formula: str, what: str) -> float:
+    """n sigma^2 / hbar of pointer p, the factor ``formula`` that turns a
+    momentum shift into Im. Raises ValueError naming the pointer units,
+    before anything is multiplied by it, if it is 0, subnormal or not
+    finite, where Im would come out 0, inf or nan."""
+    factor = n * p.sigma**2 / p.hbar
+    if not sys.float_info.min <= factor <= sys.float_info.max:
+        raise ValueError(
+            f"cannot extract {what}: {formula} = {factor!r} at sigma = {p.sigma!r}, "
+            f"hbar = {p.hbar!r} leaves the normal float range; rescale "
+            "--sigma-x/--sigma-y and --hbar"
+        )
+    return factor
+
+
 def _estimate(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """The estimate re + i im, one complex per row, its parts assigned,
     not computed, so an infinite part stays exact."""
@@ -105,13 +120,15 @@ def extract_single(batch: MeasurementBatch) -> np.ndarray:
     carrying the finite-coupling error of its row. Raises ZeroCoupling,
     before dividing, if any coupling t_n K is 0 or below
     ``sys.float_info.min / EPS_PS`` in magnitude (about 2.2e-296), where
-    the moments would leave the normal float range.
+    the moments would leave the normal float range, and ValueError if
+    the factor 2 sigma^2 / hbar is 0, subnormal or not finite.
     """
     c = batch.coupling
     kt = batch.scales * c.K
     _check_coupling(kt, "K", "a weak value")
+    factor = _momentum_factor(2.0, c.pointer, "2 sigma^2/hbar", "a weak value")
     re = batch.x_mean / kt
-    im = (2.0 * c.pointer.sigma**2 / c.pointer.hbar) * batch.px_mean / kt
+    im = factor * batch.px_mean / kt
     return _estimate(re, im)
 
 
@@ -134,15 +151,15 @@ def extract_joint(batch: MeasurementBatch, singles) -> np.ndarray:
     value is a complex or a complex array with one entry per row. a* b
     is expanded into real parts, which is Python's complex product term
     for term. Raises ZeroCoupling, before dividing, if any t_n^2 Kx Ky is
-    0 or below the bound of extract_single in magnitude.
+    0 or below the bound of extract_single in magnitude, and ValueError
+    if the factor 4 sigma_y^2 / hbar is 0, subnormal or not finite.
     """
     c, ts = batch.coupling, batch.scales
     kk = (ts * c.Kx) * (ts * c.Ky)
     _check_coupling(kk, "Kx*Ky", "a joint weak value")
+    factor = _momentum_factor(4.0, c.pointer_y, "4 sigma_y^2/hbar", "a joint weak value")
     a_w, b_w = singles
     ar, ai, br, bi = a_w.real, a_w.imag, b_w.real, b_w.imag
     re = 2.0 * batch.xy_mean / kk - (ar * br + ai * bi)
-    im = (
-        4.0 * c.pointer_y.sigma**2 / c.pointer_y.hbar
-    ) * batch.x_py_mean / kk - (ar * bi - ai * br)
+    im = factor * batch.x_py_mean / kk - (ar * bi - ai * br)
     return _estimate(re, im)

@@ -380,6 +380,41 @@ def test_subnormal_coupling_exit_1(capsys, observables, kx):
     assert "weak value at " in captured.err and "= 1e-320, below 2.23e-296" in captured.err
 
 
+#: Pointer units whose momentum factor, 2 sigma^2/hbar (4 sigma_y^2/hbar
+#: for the pair), is 0 or overflows. Each once exited 0: the first wrote
+#: im_extracted 0 against im_direct 1, the others nan or inf.
+UNUSABLE_UNITS = {
+    "underflowing-factor": ["--scenario", "imaginary", "--observable", "sigma_z",
+                            "--sigma-x", "1e-150", "--kx", "1e-151", "--hbar", "1e100"],
+    "overflowing-factor": ["--scenario", "imaginary", "--observable", "sigma_z",
+                           "--sigma-x", "1e154", "--kx", "0.1"],
+    "subnormal-hbar": ["--scenario", "spin", "--alpha=-1e-3", "--observable", "sigma_z",
+                       "--sigma-x", "1", "--kx", "0.5", "--hbar", "1e-310"],
+    "overflowing-joint-factor": ["--scenario", "hardy", "--observable", "N_Oe",
+                                 "--observable-b", "N_Op", "--sigma-x", "1",
+                                 "--sigma-y", "8e153", "--kx", "0.01"],
+}
+
+
+# the Fock engine warns on --hbar 1e-310 before anything is extracted
+@pytest.mark.parametrize("case, engine", [
+    (case, engine) for case in sorted(UNUSABLE_UNITS) for engine in ("exact", "fock")
+    if (case, engine) != ("subnormal-hbar", "fock")])
+def test_unusable_pointer_units_exit_1(capsys, case, engine):
+    """The extraction refuses, naming the pointer flags, before it
+    multiplies by a momentum factor that is 0, subnormal or not finite:
+    exit 1 with no numpy warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["run", *UNUSABLE_UNITS[case], "--engine", engine, "--format", "csv"])
+    assert code == 1
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "leaves the normal float range; rescale --sigma-x/--sigma-y and --hbar" in (
+        captured.err)
+
+
 @pytest.mark.parametrize("flag", ["--k-min", "--k-max"])
 def test_sweep_non_finite_range_exit_1(capsys, flag):
     """Refused before the couplings are spaced, so numpy never warns
@@ -535,7 +570,7 @@ def test_joint_fock_run_warns_for_the_pair_then_each_single(tmp_path):
 
 def _cold_caches():
     for build in (scenarios.build_three_box, scenarios.build_hardy, scenarios.build_imaginary,
-                  scenarios._qubit_parts):
+                  scenarios._qubit_parts, scenarios._load_text):
         build.cache_clear()
     _pointer_frame.cache_clear()
 
@@ -550,10 +585,16 @@ def _cold_caches():
         ["run", "--scenario", "spin", "--alpha", "0.3", "--observable", "sigma_z",
          "--engine", "exact", "--kx", "0.01", "--sigma-x", "1", "--format", "json"],
         ["validate"],
+        ["sweep", "--scenario", NONCOMMUTING_FILE, "--observable", "sx", "--observable-b",
+         "sz", "--engine", "fock", "--k-min", "1e-3", "--k-max", "1e-1", "--points", "4",
+         "--log", "--sigma-x", "1"],
     ],
-    ids=["joint-fock", "single-exact", "spin", "validate"],
+    ids=["joint-fock", "single-exact", "spin", "validate", "scenario-file"],
 )
-def test_output_identical_with_cold_and_warm_caches(capsys, argv):
+def test_output_identical_with_cold_and_warm_caches(capsys, tmp_path, argv):
+    path = tmp_path / "noncommuting.json"
+    path.write_text(json.dumps(NONCOMMUTING_DOC))
+    argv = [str(path) if arg == NONCOMMUTING_FILE else arg for arg in argv]
     _cold_caches()
     assert main(list(argv)) == 0
     cold = capsys.readouterr().out

@@ -2,10 +2,12 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from weaklab import cli, qcore
 from weaklab.errors import NotHermitian, OrthogonalPostselection, ParseError, ZeroState
 from weaklab.qcore import Observable, QuantumState, commutator_norm, hermitian_eig
 from weaklab.scenarios import (
@@ -19,6 +21,8 @@ from weaklab.scenarios import (
     scenario_to_document,
 )
 from weaklab.weakvalues import direct_weak_value
+
+from test_cli import count_calls
 
 
 def test_three_box_structure():
@@ -268,3 +272,92 @@ def test_load_accepts_json_text():
     scn = load_scenario(text)
     assert scn.name == "three-box"
     assert scn.dim == 3
+
+
+def test_load_rejects_text_that_is_not_utf8():
+    with pytest.raises(ParseError, match="not valid JSON"):
+        load_scenario(b"\xff{")
+
+
+def test_load_rejects_a_name_that_is_not_a_string():
+    doc = _valid_doc()
+    doc["name"] = [1, 2]
+    with pytest.raises(ParseError, match=r"name must be a string, got \[1, 2\]"):
+        load_scenario(json.dumps(doc))
+
+
+# --- document cache -------------------------------------------------------------
+
+
+def test_same_text_returns_the_same_scenario():
+    text = json.dumps(_valid_doc())
+    scn = load_scenario(text)
+    assert load_scenario(text) is scn
+    assert load_scenario(text.encode()) is load_scenario(text.encode())
+
+
+def test_edited_text_is_parsed_afresh():
+    doc = _valid_doc()
+    before = load_scenario(json.dumps(doc))
+    doc["expected"]["P1"] = [2.0, 0.0]
+    after = load_scenario(json.dumps(doc))
+    assert after is not before
+    assert after.expected["P1"] == 2 and before.expected["P1"] == 1
+
+
+def _load(text):
+    return load_scenario(text)
+
+
+def test_off_norm_document_warns_on_every_load_at_the_callers_line():
+    doc = _valid_doc()
+    doc["i"] = [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    text = json.dumps(doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        first, second = _load(text), _load(text)
+    assert first is second
+    assert [str(w.message) for w in caught] == ["state 'i' has norm 2; normalizing"] * 2
+    assert all(w.category is UserWarning for w in caught)
+    assert {(w.filename, w.lineno) for w in caught} == {
+        (__file__, _load.__code__.co_firstlineno + 1)}
+
+
+@pytest.mark.parametrize("text, error", [
+    ("{broken", ParseError),
+    (json.dumps({**_valid_doc(), "f": [[0.0, 0.0]] * 3}), ZeroState),
+], ids=["not-json", "zero-state"])
+def test_failing_document_raises_on_every_load(text, error):
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error) as caught:
+            load_scenario(text)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+
+
+def test_dict_document_is_built_on_every_call():
+    doc = _valid_doc()
+    assert load_scenario(doc) is not load_scenario(doc)
+
+
+def test_cli_sweeps_over_one_file_decompose_each_observable_once(tmp_path, monkeypatch, capsys):
+    """Three sweeps of one scenario file in one process read it three
+    times but parse it once, so its two observables take one eigh each;
+    the exact engine takes no other eigh. The document's name is unique
+    to this test, so no earlier load of it is cached."""
+    doc = scenario_to_document(build_hardy())
+    doc["name"] = "decomposed-once"
+    doc["observables"] = {k: doc["observables"][k] for k in ("N_Oe", "N_Op")}
+    doc["expected"] = {}
+    path = tmp_path / "hardy-pair.json"
+    path.write_text(json.dumps(doc))
+    counts = count_calls(monkeypatch, [(qcore.np.linalg, "eigh")])
+    for _ in range(3):
+        assert cli.main(["sweep", "--scenario", str(path), "--observable", "N_Oe",
+                         "--observable-b", "N_Op", "--engine", "exact", "--sigma-x", "1",
+                         "--k-min", "1e-3", "--k-max", "1e-1", "--points", "3",
+                         "--log"]) == 0
+    assert counts == {"eigh": 2}
+    outputs = capsys.readouterr().out.split("# schema=1\n")
+    assert outputs[0] == "" and outputs[1] == outputs[2] == outputs[3]
